@@ -8,10 +8,16 @@ seeded run is bit-reproducible.
 Only the operations this model needs are provided. All of them keep the dtype
 of their inputs (float32 for training, float64 for gradient verification) and
 never emit NaN/Inf on finite input.
+
+A stack times a shared 2-D matrix (every graph's node matrix times one layer
+weight) runs as one GEMM over the flattened rows, forward and backward, so
+results are deterministic per seed but not bit-identical across versions of
+this library that sum in a different order.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -196,16 +202,31 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        # a stack times one shared matrix: fold the stack into the rows so
+        # the forward and both gradients are each one 2-D GEMM, not one small
+        # product per stacked matrix (plus, for gb, a stack summed away)
+        rows = math.prod(a.data.shape[:-1])
+        a2 = a.data.reshape(rows, a.data.shape[-1])
+        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
 
-    def bw():
-        g = out.grad
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
+        def bw():
+            g2 = out.grad.reshape(rows, b.data.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, a2.T @ g2)
+    else:
+        out_data = a.data @ b.data
+
+        def bw():
+            g = out.grad
+            if a.requires_grad:
+                ga = g @ np.swapaxes(b.data, -1, -2)
+                _accumulate(a, _unbroadcast(ga, a.data.shape))
+            if b.requires_grad:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+                _accumulate(b, _unbroadcast(gb, b.data.shape))
 
     out = _make(out_data, (a, b), bw)
     return out

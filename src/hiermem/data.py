@@ -177,12 +177,13 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
 
     num_nodes = len(indicator)
     node_graph = np.asarray(indicator) - 1
-    # local index of each global node within its graph, preserving file order
-    local_index = np.zeros(num_nodes, dtype=int)
-    counts = np.zeros(num_graphs, dtype=int)
-    for v, g in enumerate(node_graph):
-        local_index[v] = counts[g]
-        counts[g] += 1
+    counts = np.bincount(node_graph, minlength=num_graphs)
+    # global node ids grouped by graph, in file order within each graph
+    # (a stable sort), so graph g owns by_graph[starts[g]:starts[g + 1]]
+    by_graph = np.argsort(node_graph, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    local_index = np.empty(num_nodes, dtype=int)
+    local_index[by_graph] = np.arange(num_nodes) - np.repeat(starts[:-1], counts)
 
     attributes = None
     if attrs_path.is_file():
@@ -232,8 +233,7 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
         if n == 0:
             raise DatasetParseError(f"{indicator_path}: graph {g + 1} has no nodes")
         if attributes is not None:
-            global_ids = np.flatnonzero(node_graph == g)
-            attr = attributes[global_ids]
+            attr = attributes[by_graph[starts[g]:starts[g + 1]]]
         else:
             attr = adjacencies[g].sum(axis=0, dtype=float)[:, None]
         graphs.append(Graph(adjacency=adjacencies[g], attributes=attr,

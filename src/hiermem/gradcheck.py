@@ -120,7 +120,15 @@ def _case_mul(rng):
 
 
 def _case_matmul(rng):
+    # a stack times a shared matrix, as in every h @ W of the model
     a, b = _leaf(rng, (2, 3, 4)), _leaf(rng, (4, 5))
+    proj = _projector(rng)
+    return CheckCase([a, b], ["a", "b"], lambda: proj(ad.matmul(a, b)))
+
+
+def _case_matmul_batched(rng):
+    # a stack times a stack, as in a_norm @ H and h_hat @ h_hat^T
+    a, b = _leaf(rng, (2, 3, 3)), _leaf(rng, (2, 3, 4))
     proj = _projector(rng)
     return CheckCase([a, b], ["a", "b"], lambda: proj(ad.matmul(a, b)))
 
@@ -269,6 +277,7 @@ PRIMITIVE_CASES: dict[str, Callable] = {
     "sub": _case_sub,
     "mul": _case_mul,
     "matmul": _case_matmul,
+    "matmul_batched": _case_matmul_batched,
     "transpose_last2": _case_transpose_last2,
     "reshape": _case_reshape,
     "crop": _case_crop,

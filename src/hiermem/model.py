@@ -471,6 +471,14 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
             if arr.shape != shape:
                 raise CheckpointError(
                     f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+            if not np.issubdtype(arr.dtype, np.floating):
+                raise CheckpointError(
+                    f"tensor {name!r} has dtype {arr.dtype}, expected a float dtype")
+            first = next(iter(loaded.values()), None)
+            if first is not None and arr.dtype != first.dtype:
+                raise CheckpointError(
+                    f"tensor {name!r} has dtype {arr.dtype}, but the checkpoint's "
+                    f"other tensors are {first.dtype}")
             loaded[name] = Tensor(np.ascontiguousarray(arr), requires_grad=True)
     return ModelParams(
         enc1=loaded["enc1"], enc2=loaded["enc2"], enc3=loaded["enc3"],

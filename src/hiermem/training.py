@@ -132,8 +132,12 @@ def train(train_graphs: list[Graph], config: TrainConfig,
             loss = ad.reduce_mean(bl.total)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
+                term = next((k for k in HISTORY_FIELDS[2:]
+                             if not np.all(np.isfinite(getattr(bl, k).data))),
+                            "total")
                 raise TrainingDiverged(
-                    f"non-finite loss {loss_val} at epoch {epoch}, batch {bi}")
+                    f"non-finite {term} loss (mean total {loss_val}) "
+                    f"at epoch {epoch}, batch {bi}")
             opt.zero_grad()
             ad.backward(loss)
             opt.step()

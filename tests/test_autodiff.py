@@ -94,16 +94,46 @@ def test_matmul_batched():
     np.testing.assert_allclose(b.grad, np.einsum("bji,bjk->bik", a.data, ones))
 
 
+def _shared_weight_matmul_grads(h, w, rng):
+    """Backpropagate a random projection of h @ w; return it and dL/dh."""
+    out = ad.matmul(h, w)
+    np.testing.assert_allclose(out.data, np.einsum("...nd,dk->...nk", h.data, w.data))
+    g = rng.normal(size=out.shape)
+    ad.reduce_sum(ad.mul(out, g)).backward()
+    assert w.grad.shape == w.shape
+    stack_axes = list(range(h.data.ndim - 1))
+    np.testing.assert_allclose(w.grad, np.tensordot(h.data, g, (stack_axes, stack_axes)))
+    return np.einsum("...nk,dk->...nd", g, w.data)
+
+
 def test_matmul_shared_weight_broadcasts_over_batch():
     rng = np.random.default_rng(2)
     h = leaf(rng.normal(size=(4, 5, 3)))
     w = leaf(rng.normal(size=(3, 2)))
-    out = ad.matmul(h, w)
-    assert out.shape == (4, 5, 2)
-    ad.reduce_sum(out).backward()
-    assert w.grad.shape == (3, 2)
-    np.testing.assert_allclose(
-        w.grad, np.einsum("bnd,bnk->dk", h.data, np.ones((4, 5, 2))))
+    assert ad.matmul(h, w).shape == (4, 5, 2)
+    expected_h_grad = _shared_weight_matmul_grads(h, w, rng)
+    assert h.grad.shape == (4, 5, 3)
+    np.testing.assert_allclose(h.grad, expected_h_grad)
+
+
+def test_matmul_shared_weight_non_contiguous_stack():
+    rng = np.random.default_rng(3)
+    base = leaf(rng.normal(size=(4, 3, 5)))
+    h = ad.transpose_last2(base)
+    assert not h.data.flags["C_CONTIGUOUS"]
+    w = leaf(rng.normal(size=(3, 2)))
+    expected_h_grad = _shared_weight_matmul_grads(h, w, rng)
+    assert base.grad.shape == (4, 3, 5)
+    np.testing.assert_allclose(base.grad, np.swapaxes(expected_h_grad, -1, -2))
+
+
+def test_matmul_shared_weight_four_dim_stack():
+    rng = np.random.default_rng(4)
+    h = leaf(rng.normal(size=(2, 3, 5, 4)))
+    w = leaf(rng.normal(size=(4, 6)))
+    expected_h_grad = _shared_weight_matmul_grads(h, w, rng)
+    assert h.grad.shape == (2, 3, 5, 4)
+    np.testing.assert_allclose(h.grad, expected_h_grad)
 
 
 def test_transpose_last2():

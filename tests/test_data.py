@@ -68,6 +68,35 @@ def test_parse_hand_traced_dataset(tud_dir):
     assert [g.label for g in ds.graphs] == [0, 1, 0]
 
 
+def test_parse_interleaved_indicator_keeps_file_order(tmp_path):
+    # graph ids interleave in the indicator file; each graph's local nodes
+    # must follow the global file order, and attribute rows must follow them
+    d = tmp_path / "MIX"
+    d.mkdir()
+    (d / "MIX_graph_indicator.txt").write_text(
+        "".join(f"{g}\n" for g in (2, 1, 2, 3, 1, 3, 2)))
+    (d / "MIX_graph_labels.txt").write_text("0\n0\n1\n")
+    (d / "MIX_A.txt").write_text("1, 7\n7, 1\n3, 7\n2, 5\n6, 4\n")
+    (d / "MIX_node_attributes.txt").write_text(
+        "".join(f"{v}.0, {10 * v}.0\n" for v in range(1, 8)))
+    ds = dt.parse_tudataset(tmp_path, "MIX")
+
+    assert [g.node_count for g in ds.graphs] == [2, 3, 2]
+    assert ds.n_max == 3
+    # graph 1 holds global nodes 2, 5
+    np.testing.assert_allclose(ds.graphs[0].attributes, [[2, 20], [5, 50]])
+    np.testing.assert_allclose(ds.graphs[0].adjacency, [[0, 1], [1, 0]])
+    # graph 2 holds global nodes 1, 3, 7; node 7 (local 2) is the star centre
+    np.testing.assert_allclose(ds.graphs[1].attributes,
+                               [[1, 10], [3, 30], [7, 70]])
+    np.testing.assert_allclose(ds.graphs[1].adjacency,
+                               [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    # graph 3 holds global nodes 4, 6
+    np.testing.assert_allclose(ds.graphs[2].attributes, [[4, 40], [6, 60]])
+    np.testing.assert_allclose(ds.graphs[2].adjacency, [[0, 1], [1, 0]])
+    assert [g.label for g in ds.graphs] == [0, 0, 1]
+
+
 def test_parse_accepts_dataset_rooted_directly(tud_dir):
     ds = dt.parse_tudataset(tud_dir / "TOY", "TOY")
     assert len(ds.graphs) == 3

@@ -445,6 +445,46 @@ def test_checkpoint_missing_tensor_rejected(tmp_path, toy_model_config,
         M.load_params(path)
 
 
+def _rewrite_checkpoint(path, **dtypes):
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    for name, dtype in dtypes.items():
+        arrays[name] = arrays[name].astype(dtype)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_checkpoint_mixed_float_dtypes_rejected(tmp_path, toy_model_config,
+                                               toy_params):
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    _rewrite_checkpoint(path, enc1=np.float32, enc2=np.float32, enc3=np.float32,
+                        dec1=np.float32, dec2=np.float32,
+                        node_memory=np.float32, graph_memory=np.float64)
+    with pytest.raises(CheckpointError, match="graph_memory.*float64.*float32"):
+        M.load_params(path)
+
+
+def test_checkpoint_integer_dtype_rejected(tmp_path, toy_model_config,
+                                           toy_params):
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    _rewrite_checkpoint(path, dec1=np.int64)
+    with pytest.raises(CheckpointError, match="dec1.*int64"):
+        M.load_params(path)
+
+
+def test_checkpoint_uniform_float64_loads(tmp_path, toy_model_config):
+    params = M.init_params(toy_model_config, np.random.default_rng(1),
+                           dtype=np.float64)
+    path = tmp_path / "model.npz"
+    M.save_params(path, params, toy_model_config)
+    loaded, _ = M.load_params(path)
+    for (_, t1), (_, t2) in zip(params.named_tensors(), loaded.named_tensors()):
+        assert t2.dtype == np.float64
+        np.testing.assert_array_equal(t1.data, t2.data)
+
+
 def test_checkpoint_scores_identical_after_reload(tmp_path, toy_model_config,
                                                   toy_params, triangle_graph):
     path = tmp_path / "model.npz"

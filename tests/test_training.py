@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hiermem import autodiff as ad
 from hiermem import training as T
 from hiermem.data import Graph, make_er_dataset
 from hiermem.errors import ConfigurationError, TrainingDiverged
@@ -86,6 +87,27 @@ def test_memorized_graph_scores_below_random_graph():
     other = make_er_dataset(3, 0, seed=77,
                             n_range=(g.node_count, g.node_count)).graphs[1]
     assert anomaly_score(g, params, mcfg) < anomaly_score(other, params, mcfg)
+
+
+def test_divergence_names_the_non_finite_term(toy_dataset, monkeypatch):
+    normals = [g for g in toy_dataset.graphs if g.label == 0][:3]
+    real = T.batch_losses
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        bl = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) < 5:  # three batches per epoch: poison epoch 1, batch 1
+            return bl
+        bad = ad.add(ad.mul(bl.approximation, 0.0), np.nan)
+        return dataclasses.replace(bl, approximation=bad,
+                                   total=ad.add(bl.total, bad))
+
+    monkeypatch.setattr(T, "batch_losses", poisoned)
+    cfg = TrainConfig(epochs=3, batch_size=1, seed=0, **SMALL)
+    with pytest.raises(TrainingDiverged,
+                       match=r"non-finite approximation loss .* epoch 1, batch 1$"):
+        T.train(normals, cfg)
 
 
 def test_divergence_raises(toy_dataset):
