@@ -7,7 +7,17 @@ seeded run is bit-reproducible.
 
 Only the operations this model needs are provided. All of them keep the dtype
 of their inputs (float32 for training, float64 for gradient verification) and
-never emit NaN/Inf on finite input.
+never emit NaN/Inf on finite input. A Python int or float operand of `add`,
+`sub` or `mul` takes the dtype of the tensor it meets, so a float32 loss, its
+gradients and everything on its tape stay float32.
+
+The tape costs nothing where it is not needed. An op none of whose inputs
+requires a gradient records nothing: it returns a constant tensor with no
+parents and no backward closure. `backward()` consumes the tape it walks:
+each node drops its parents and its closure once its closure has run, so an
+activation is freed by reference counting as soon as the last op that read
+it has been differentiated, and a second `backward()` through the same tape
+raises `RuntimeError`.
 
 A stack times a shared 2-D matrix (every graph's node matrix times one layer
 weight) runs as one GEMM over the flattened rows, forward and backward, so
@@ -57,30 +67,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x, dtype=None) -> Tensor:
     """Wrap arrays and scalars as constant tensors; pass tensors through."""
@@ -88,6 +74,19 @@ def as_tensor(x, dtype=None) -> Tensor:
         return x
     arr = np.asarray(x, dtype=dtype)
     return Tensor(arr)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a Python scalar takes the other's dtype.
+
+    Without this a float becomes a 0-d float64 array, and numpy promotes a
+    float32 operand against it to float64.
+    """
+    if isinstance(a, (int, float)) and isinstance(b, Tensor):
+        return as_tensor(a, b.data.dtype), b
+    if isinstance(b, (int, float)) and isinstance(a, Tensor):
+        return a, as_tensor(b, a.data.dtype)
+    return as_tensor(a), as_tensor(b)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -114,15 +113,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, parents=tuple(parents),
-                  backward=backward if req else None)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(data)
+    return Tensor(data, requires_grad=True, parents=tuple(parents),
+                  backward=backward)
+
+
+def _consumed() -> None:
+    raise RuntimeError("backward() already ran through this tape")
 
 
 def backward(out: Tensor) -> None:
-    """Run reverse accumulation from a scalar tensor.
+    """Run reverse accumulation from a scalar tensor, consuming its tape.
 
-    Non-leaf gradients are dropped as soon as they have been consumed, which
+    Each node's gradient, closure and parent links are dropped as soon as its
+    closure has run. A closure refers to its own output, so without this a
+    tape would live until the cyclic garbage collector ran; with it every
+    activation is freed the moment the last op that read it is done, which
     keeps the peak memory of a big batch near the forward footprint.
     """
     if out.data.size != 1:
@@ -143,18 +150,22 @@ def backward(out: Tensor) -> None:
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
     out.grad = np.ones_like(out.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:              # a leaf keeps its gradient
+            continue
+        if node.grad is not None:
             node._backward()
-        if node._parents:
-            node.grad = None
+        node.grad = None
+        node._parents = ()
+        node._backward = _consumed
 
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def bw():
@@ -166,7 +177,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
 
     def bw():
@@ -178,7 +189,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def bw():

@@ -60,21 +60,29 @@ def grad_check(fn: Callable[[], Tensor], params: list[Tensor],
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for p in params]
     errs = np.zeros(len(params))
-    for k, p in enumerate(params):
-        flat = p.data.reshape(-1)
-        an = analytic[k].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_hi = float(fn().data)
-            flat[i] = orig - eps
-            f_lo = float(fn().data)
-            flat[i] = orig
-            numeric = (f_hi - f_lo) / (2.0 * eps)
-            if max(abs(an[i]), abs(numeric)) < ZERO_BAND:
-                continue
-            denom = max(abs(an[i]), abs(numeric), 1e-8)
-            errs[k] = max(errs[k], abs(an[i] - numeric) / denom)
+    # the finite-difference forwards are never differentiated: record no tape
+    requires = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        for k, p in enumerate(params):
+            flat = p.data.reshape(-1)
+            an = analytic[k].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                f_hi = float(fn().data)
+                flat[i] = orig - eps
+                f_lo = float(fn().data)
+                flat[i] = orig
+                numeric = (f_hi - f_lo) / (2.0 * eps)
+                if max(abs(an[i]), abs(numeric)) < ZERO_BAND:
+                    continue
+                denom = max(abs(an[i]), abs(numeric), 1e-8)
+                errs[k] = max(errs[k], abs(an[i] - numeric) / denom)
+    finally:
+        for p, req in zip(params, requires):
+            p.requires_grad = req
     return errs
 
 

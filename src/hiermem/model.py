@@ -96,6 +96,11 @@ class ModelParams:
     def tensor_names(self) -> list[str]:
         return [n for n, _ in self.named_tensors()]
 
+    def detached(self) -> "ModelParams":
+        """The same arrays as constants: a forward over them records no tape."""
+        return dataclasses.replace(
+            self, **{n: Tensor(t.data) for n, t in self.named_tensors()})
+
 
 @dataclass
 class MemoryAttention:
@@ -376,7 +381,7 @@ def _graph_arrays(graph: Graph, cfg: ModelConfig):
 def compute_losses(graph: Graph, params: ModelParams,
                    cfg: ModelConfig) -> LossBreakdown:
     adj, x, mask = _graph_arrays(graph, cfg)
-    out = forward_batch(params, cfg, adj, x, mask)
+    out = forward_batch(params.detached(), cfg, adj, x, mask)
     bl = batch_losses(out, adj, x, mask, cfg)
     return LossBreakdown(
         rec_structure=float(bl.rec_structure.data[0]),
@@ -399,8 +404,8 @@ def anomaly_score(graph: Graph, params: ModelParams, cfg: ModelConfig) -> float:
 
 def score_batch(params: ModelParams, cfg: ModelConfig, adj: np.ndarray,
                 x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Anomaly scores for a padded batch in one forward pass."""
-    out = forward_batch(params, cfg, adj, x, mask)
+    """Anomaly scores for a padded batch in one forward pass, with no tape."""
+    out = forward_batch(params.detached(), cfg, adj, x, mask)
     bl = batch_losses(out, adj, x, mask, cfg)
     return (bl.rec_structure.data + bl.rec_attribute.data
             + bl.approximation.data).astype(np.float64)

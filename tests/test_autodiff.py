@@ -1,5 +1,8 @@
 """Forward semantics and handwritten backward oracles for the tape ops."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +192,74 @@ def test_intermediate_grads_are_freed_leaves_kept():
     ad.reduce_sum(mid).backward()
     assert mid.grad is None
     assert a.grad is not None
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+@pytest.mark.parametrize("scalar", [2, 0.5, -1.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_python_scalar_takes_the_tensor_dtype(op, scalar, dtype):
+    t = Tensor(np.array([1.5, -2.0], dtype=dtype), requires_grad=True)
+    for out in (op(t, scalar), op(scalar, t)):
+        assert out.dtype == dtype
+        ad.reduce_sum(out).backward()
+        assert t.grad.dtype == dtype
+        t.grad = None
+
+
+def test_reduce_mean_keeps_float32():
+    a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    out = ad.reduce_mean(a)
+    assert out.dtype == np.float32
+    out.backward()
+    assert a.grad.dtype == np.float32
+
+
+def _with_gc_disabled(fn):
+    """Run fn with the cyclic collector off, so only reference counting frees."""
+    gc.disable()
+    try:
+        return fn()
+    finally:
+        gc.enable()
+
+
+def test_backward_frees_the_tape_by_reference_counting():
+    def step():
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        h = ad.relu(ad.matmul(np.ones((4, 3)), w))
+        probe = weakref.ref(h.data)
+        loss = ad.reduce_sum(ad.mul(h, h))
+        del h
+        ad.backward(loss)
+        del loss
+        return probe, w
+
+    probe, w = _with_gc_disabled(step)
+    assert probe() is None
+    np.testing.assert_allclose(w.grad, np.full((3, 2), 24.0))
+
+
+def test_ops_on_constants_record_nothing():
+    def run():
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        probe = weakref.ref(a.data)
+        out = ad.mul(ad.relu(a), 2.0)
+        del a
+        return probe, out
+
+    probe, out = _with_gc_disabled(run)
+    assert probe() is None
+    assert not out.requires_grad
+    np.testing.assert_array_equal(out.data, [[0.0, 2.0, 4.0], [6.0, 8.0, 10.0]])
+
+
+def test_second_backward_through_a_consumed_tape_raises():
+    a = leaf(np.ones(3))
+    loss = ad.reduce_sum(ad.mul(a, a))
+    loss.backward()
+    with pytest.raises(RuntimeError, match="already ran"):
+        loss.backward()
+    np.testing.assert_allclose(a.grad, np.full(3, 2.0))
 
 
 # ---------------------------------------------------------------------------

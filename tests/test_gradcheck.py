@@ -21,6 +21,35 @@ def test_grad_check_on_simple_quadratic():
     assert errs[0] < 1e-7
 
 
+def test_finite_difference_forwards_record_no_tape():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    seen = []
+
+    def fn():
+        out = ad.reduce_sum(ad.mul(p, p))
+        seen.append(out.requires_grad)
+        return out
+
+    gc.grad_check(fn, [p])
+    assert seen == [True] + [False] * 4
+    assert p.requires_grad
+
+
+def test_grad_check_restores_requires_grad_when_fn_raises():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    calls = []
+
+    def fn():
+        calls.append(1)
+        if len(calls) > 1:
+            raise FloatingPointError("numeric forward failed")
+        return ad.reduce_sum(ad.mul(p, p))
+
+    with pytest.raises(FloatingPointError):
+        gc.grad_check(fn, [p])
+    assert p.requires_grad
+
+
 def test_primitive_cases_all_pass_single_seed():
     results = gc.check_suite(seeds=[0], include_model=False)
     assert all(r.passed for r in results)

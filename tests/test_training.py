@@ -1,15 +1,18 @@
 """Training loop behavior: memorization, determinism, batching, failure modes."""
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hiermem import autodiff as ad
 from hiermem import training as T
-from hiermem.data import Graph, make_er_dataset
+from hiermem.data import Graph, make_er_dataset, pad_batch
 from hiermem.errors import ConfigurationError, TrainingDiverged
-from hiermem.model import anomaly_score
+from hiermem.model import anomaly_score, batch_losses, forward_batch, init_params
+from hiermem.optim import Adam
 from hiermem.training import TrainConfig
 
 from conftest import build_graph
@@ -184,3 +187,77 @@ def test_config_dict_round_trip():
     d = T.config_dict(cfg)
     assert d["epochs"] == 7
     assert TrainConfig(**d) == cfg
+
+
+def _tape_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_float32_step_keeps_loss_tape_gradients_and_moments_float32(toy_dataset):
+    normals = [g for g in toy_dataset.graphs if g.label == 0]
+    mcfg = T.make_model_config(TrainConfig(**SMALL), 2, toy_dataset.n_max)
+    params = init_params(mcfg, np.random.default_rng(0), dtype=np.float32)
+    batch = pad_batch(normals, toy_dataset.n_max)
+    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
+    bl = batch_losses(forward_batch(params, mcfg, *arrays), *arrays, mcfg)
+    loss = ad.reduce_mean(bl.total)
+    assert loss.data.dtype == np.float32
+    nodes = _tape_nodes(loss)
+    assert len(nodes) > 30
+    assert {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
+    opt = Adam(params.tensors())
+    ad.backward(loss)
+    opt.step()
+    assert {p.grad.dtype for p in params.tensors()} == {np.dtype(np.float32)}
+    assert {a.dtype for st in opt.states for a in (st.m, st.v)} == {
+        np.dtype(np.float32)}
+
+
+@pytest.fixture
+def scoring_setup():
+    ds = make_er_dataset(10, 6, seed=5, n_range=(12, 16))
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=0, hidden_dim=256,
+                      latent_dim=128)
+    params, _ = T.train([g for g in ds.graphs if g.label == 0], cfg)
+    return params, T.make_model_config(cfg, 1, 16), ds.graphs
+
+
+def test_score_graphs_records_no_tape(scoring_setup):
+    params, mcfg, graphs = scoring_setup
+    for p in params.tensors():
+        p.grad = None
+    gc.disable()
+    try:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scores = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert all(p.grad is None and p.requires_grad for p in params.tensors())
+    # only the returned scores outlive the call
+    assert after - before < scores.nbytes + 4096
+    activation = len(graphs) * 16 * mcfg.hidden_dim * 4    # (B, N, hidden) f32
+    assert peak - before < 5 * activation
+
+
+def test_score_graphs_equals_the_training_forward(scoring_setup):
+    params, mcfg, graphs = scoring_setup
+    got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+    batch = pad_batch(graphs, max(g.node_count for g in graphs))
+    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
+    out = forward_batch(params, mcfg, *arrays)
+    assert out.h_nodes.requires_grad
+    bl = batch_losses(out, *arrays, mcfg)
+    expected = (bl.rec_structure.data + bl.rec_attribute.data
+                + bl.approximation.data).astype(np.float64)
+    np.testing.assert_array_equal(got, expected)
