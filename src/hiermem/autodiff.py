@@ -7,9 +7,12 @@ seeded run is bit-reproducible.
 
 Only the operations this model needs are provided. All of them keep the dtype
 of their inputs (float32 for training, float64 for gradient verification) and
-never emit NaN/Inf on finite input. A Python int or float operand of `add`,
-`sub` or `mul` takes the dtype of the tensor it meets, so a float32 loss, its
-gradients and everything on its tape stay float32.
+never emit NaN/Inf on finite input. NaN passes through `relu` (as it does
+through `torch.relu`) rather than being clipped to 0, so a non-finite weight
+or activation reaches the loss and trips the divergence check. A Python int
+or float operand of `add`, `sub` or `mul` takes the dtype of the tensor it
+meets, so a float32 loss, its gradients and everything on its tape stay
+float32.
 
 The tape costs nothing where it is not needed. An op none of whose inputs
 requires a gradient records nothing: it returns a constant tensor with no
@@ -89,11 +92,18 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add `g` into `t.grad`. A `fresh` gradient, an array no one else holds,
+    becomes `t.grad` as it is; any other is copied first, so that a later
+    `+=` cannot write through to an array another tensor shares."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+        if not isinstance(g, np.ndarray):
+            g = np.asarray(g)
+        elif not fresh:
+            g = g.copy()
+        t.grad = g
     else:
         t.grad += g
 
@@ -224,9 +234,9 @@ def matmul(a, b) -> Tensor:
         def bw():
             g2 = out.grad.reshape(rows, b.data.shape[-1])
             if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), fresh=True)
             if b.requires_grad:
-                _accumulate(b, a2.T @ g2)
+                _accumulate(b, a2.T @ g2, fresh=True)
     else:
         out_data = a.data @ b.data
 
@@ -234,10 +244,10 @@ def matmul(a, b) -> Tensor:
             g = out.grad
             if a.requires_grad:
                 ga = g @ np.swapaxes(b.data, -1, -2)
-                _accumulate(a, _unbroadcast(ga, a.data.shape))
+                _accumulate(a, _unbroadcast(ga, a.data.shape), fresh=True)
             if b.requires_grad:
                 gb = np.swapaxes(a.data, -1, -2) @ g
-                _accumulate(b, _unbroadcast(gb, b.data.shape))
+                _accumulate(b, _unbroadcast(gb, b.data.shape), fresh=True)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -307,11 +317,13 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     if _relu_kink_log is not None:
         _relu_kink_log.append(float(np.min(np.abs(a.data))) if a.data.size else np.inf)
-    keep = a.data > 0  # subgradient at 0 is 0
-    out_data = np.where(keep, a.data, 0)
+    out_data = np.maximum(a.data, 0)  # NaN stays NaN
 
     def bw():
-        _accumulate(a, out.grad * keep)
+        # out.grad is this node's own array, dropped once bw returns, so it
+        # is masked in place and handed on (subgradient 0 at the kink)
+        g = np.multiply(out.grad, out_data > 0, out=out.grad)
+        _accumulate(a, g, fresh=True)
 
     out = _make(out_data, (a,), bw)
     return out

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +39,14 @@ class Graph:
         if a.shape != (n, n):
             raise StructuralError(f"graph {self.graph_id}: adjacency shape "
                                   f"{a.shape} for {n} nodes")
-        if not np.array_equal(a, a.T):
+        if not (a == a.T).all():
             raise StructuralError(f"graph {self.graph_id}: adjacency not symmetric")
-        if np.any(np.diagonal(a) != 0):
+        if a.diagonal().any():
             raise StructuralError(f"graph {self.graph_id}: self-loop present")
         if self.attributes.shape[0] != n:
             raise StructuralError(f"graph {self.graph_id}: {self.attributes.shape[0]} "
                                   f"attribute rows for {n} nodes")
-        if not np.all(np.isfinite(self.attributes)):
+        if not np.isfinite(self.attributes).all():
             raise StructuralError(f"graph {self.graph_id}: non-finite attribute")
         if self.label not in (0, 1):
             raise StructuralError(f"graph {self.graph_id}: label {self.label} "
@@ -99,20 +101,52 @@ class FoldSplit:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _read_lines(path: Path) -> list[str]:
+def _read_rows(path: Path, kind: type, width: int | None = None) -> np.ndarray:
+    """Every non-blank line of a comma-separated file as one row of an array.
+
+    numpy reads the whole file in one pass. Only when that fails (a bad
+    token, a changed column count, a whitespace-only line) or finds the
+    wrong width is the file walked again line by line, which either raises
+    the typed error naming the line or parses what numpy would not.
+    """
     if not path.is_file():
         raise DatasetParseError(f"missing dataset file: {path}")
-    return path.read_text().splitlines()
-
-
-def _parse_int_pair(line: str, path: Path, lineno: int) -> tuple[int, int]:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) != 2:
-        raise DatasetParseError(f"{path}:{lineno}: expected 'i, j', got {line!r}")
+    text = path.read_text()
+    if not text.strip():
+        return np.empty((0, width or 0), dtype=kind)
     try:
-        return int(parts[0]), int(parts[1])
+        rows = np.loadtxt(io.StringIO(text), dtype=kind, delimiter=",",
+                          comments=None, ndmin=2)
     except ValueError:
-        raise DatasetParseError(f"{path}:{lineno}: non-numeric token in {line!r}") from None
+        return _read_rows_by_line(path, text, kind, width)
+    if width is not None and rows.shape[1] != width:
+        return _read_rows_by_line(path, text, kind, width)
+    return rows
+
+
+def _read_rows_by_line(path: Path, text: str, kind: type,
+                       width: int | None) -> np.ndarray:
+    rows = []
+    for i, line in _numbered_lines(text):
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise DatasetParseError(
+                f"{path}:{i}: expected {width} values, got {len(parts)}")
+        try:
+            rows.append([kind(p) for p in parts])
+        except (ValueError, OverflowError):
+            raise DatasetParseError(
+                f"{path}:{i}: non-numeric or out-of-range token in {line!r}") from None
+    return np.array(rows, dtype=kind)
+
+
+def _numbered_lines(text: str):
+    """(1-based line number, line) of every non-blank line: row k of
+    `_read_rows` is the k-th of them."""
+    return ((i, line) for i, line in enumerate(text.split("\n"), 1)
+            if line.strip())
 
 
 def degree_features(graph: Graph) -> np.ndarray:
@@ -147,36 +181,18 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
     labels_path = base / f"{name}_graph_labels.txt"
     attrs_path = base / f"{name}_node_attributes.txt"
 
-    indicator = []
-    for i, line in enumerate(_read_lines(indicator_path), 1):
-        if not line.strip():
-            continue
-        try:
-            indicator.append(int(line.strip()))
-        except ValueError:
-            raise DatasetParseError(
-                f"{indicator_path}:{i}: non-numeric token {line!r}") from None
-    if not indicator:
+    indicator = _read_rows(indicator_path, np.int64, 1)[:, 0]
+    if not indicator.size:
         raise DatasetParseError(f"{indicator_path}: no nodes listed")
-
-    raw_labels = []
-    for i, line in enumerate(_read_lines(labels_path), 1):
-        if not line.strip():
-            continue
-        try:
-            raw_labels.append(int(line.strip()))
-        except ValueError:
-            raise DatasetParseError(
-                f"{labels_path}:{i}: non-numeric token {line!r}") from None
-
+    raw_labels = _read_rows(labels_path, np.int64, 1)[:, 0]
     num_graphs = len(raw_labels)
-    if sorted(set(indicator)) != list(range(1, num_graphs + 1)):
+    if not np.array_equal(np.unique(indicator), np.arange(1, num_graphs + 1)):
         raise DatasetParseError(
             f"{indicator_path}: graph ids must cover 1..{num_graphs} "
             "(one label line per graph)")
 
     num_nodes = len(indicator)
-    node_graph = np.asarray(indicator) - 1
+    node_graph = indicator - 1
     counts = np.bincount(node_graph, minlength=num_graphs)
     # global node ids grouped by graph, in file order within each graph
     # (a stable sort), so graph g owns by_graph[starts[g]:starts[g + 1]]
@@ -187,57 +203,47 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
 
     attributes = None
     if attrs_path.is_file():
-        rows = []
-        width = None
-        for i, line in enumerate(_read_lines(attrs_path), 1):
-            if not line.strip():
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DatasetParseError(
-                    f"{attrs_path}:{i}: expected {width} values, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise DatasetParseError(
-                    f"{attrs_path}:{i}: non-numeric token in {line!r}") from None
-        if len(rows) != num_nodes:
+        attributes = _read_rows(attrs_path, np.float64)
+        if len(attributes) != num_nodes:
             raise DatasetParseError(
-                f"{attrs_path}: {len(rows)} attribute rows for {num_nodes} nodes")
-        attributes = np.asarray(rows, dtype=float)
+                f"{attrs_path}: {len(attributes)} attribute rows for {num_nodes} nodes")
+        attributes = attributes[by_graph]
 
-    adjacencies = [np.zeros((c, c)) for c in counts]
-    for i, line in enumerate(_read_lines(edges_path), 1):
-        if not line.strip():
-            continue
-        u, v = _parse_int_pair(line, edges_path, i)
-        if not (1 <= u <= num_nodes and 1 <= v <= num_nodes):
-            raise StructuralError(
-                f"{edges_path}:{i}: node id outside 1..{num_nodes}")
-        gu, gv = node_graph[u - 1], node_graph[v - 1]
-        if gu != gv:
-            raise StructuralError(f"{edges_path}:{i}: edge joins graphs "
-                                  f"{gu + 1} and {gv + 1}")
-        if u == v:
-            raise StructuralError(f"{edges_path}:{i}: self-loop on node {u}")
-        lu, lv = local_index[u - 1], local_index[v - 1]
-        adjacencies[gu][lu, lv] = 1.0
-        adjacencies[gu][lv, lu] = 1.0
+    edges = _read_rows(edges_path, np.int64, 2) - 1
+    u, v = edges[:, 0], edges[:, 1]
+    outside = (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
+    gu = node_graph[np.where(outside, 0, u)]
+    gv = node_graph[np.where(outside, 0, v)]
+    bad = outside | (gu != gv) | (u == v)
+    if bad.any():
+        r = int(np.argmax(bad))
+        lineno = next(islice(_numbered_lines(edges_path.read_text()), r, None))[0]
+        at = f"{edges_path}:{lineno}"
+        if outside[r]:
+            raise StructuralError(f"{at}: node id outside 1..{num_nodes}")
+        if gu[r] != gv[r]:
+            raise StructuralError(f"{at}: edge joins graphs {gu[r] + 1} and {gv[r] + 1}")
+        raise StructuralError(f"{at}: self-loop on node {u[r] + 1}")
 
-    labels = label_anomalies(raw_labels)
+    # every adjacency matrix is a slice of one flat buffer; setting both
+    # directions symmetrises the edges and repeats de-duplicate themselves
+    cells = np.concatenate(([0], np.cumsum(counts * counts)))
+    flat = np.zeros(cells[-1])
+    size, lu, lv = counts[gu], local_index[u], local_index[v]
+    flat[cells[gu] + lu * size + lv] = 1.0
+    flat[cells[gu] + lv * size + lu] = 1.0
+
+    labels = label_anomalies(raw_labels.tolist())
     graphs = []
     for g in range(num_graphs):
-        n = counts[g]
-        if n == 0:
-            raise DatasetParseError(f"{indicator_path}: graph {g + 1} has no nodes")
+        n = int(counts[g])
+        adjacency = flat[cells[g]:cells[g + 1]].reshape(n, n)
         if attributes is not None:
-            attr = attributes[by_graph[starts[g]:starts[g + 1]]]
+            attr = attributes[starts[g]:starts[g + 1]]
         else:
-            attr = adjacencies[g].sum(axis=0, dtype=float)[:, None]
-        graphs.append(Graph(adjacency=adjacencies[g], attributes=attr,
-                            label=labels[g], node_count=int(n), graph_id=g))
+            attr = adjacency.sum(axis=0, dtype=float)[:, None]
+        graphs.append(Graph(adjacency=adjacency, attributes=attr,
+                            label=labels[g], node_count=n, graph_id=g))
 
     return GraphDataset(graphs=graphs,
                         attribute_dim=graphs[0].attributes.shape[1],

@@ -221,7 +221,10 @@ def encode(params: ModelParams, a_norm: np.ndarray, x: np.ndarray) -> Tensor:
         raise ConfigurationError(
             f"attribute dim {x.shape[-1]} does not match encoder "
             f"input dim {params.enc1.data.shape[0]}")
-    h = ad.relu(ad.matmul(a_norm, ad.matmul(x, params.enc1)))
+    # (a_norm @ x) @ W1 equals a_norm @ (x @ W1), but x has a few columns
+    # where W1 has hundreds: the batched N x N product runs on the narrow
+    # side, once per batch, and records nothing on the tape
+    h = ad.relu(ad.matmul(ad.matmul(a_norm, x), params.enc1))
     h = ad.relu(ad.matmul(a_norm, ad.matmul(h, params.enc2)))
     h = ad.relu(ad.matmul(a_norm, ad.matmul(h, params.enc3)))
     return h
@@ -484,6 +487,8 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
                 raise CheckpointError(
                     f"tensor {name!r} has dtype {arr.dtype}, but the checkpoint's "
                     f"other tensors are {first.dtype}")
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"tensor {name!r} holds a non-finite value")
             loaded[name] = Tensor(np.ascontiguousarray(arr), requires_grad=True)
     return ModelParams(
         enc1=loaded["enc1"], enc2=loaded["enc2"], enc3=loaded["enc3"],

@@ -273,6 +273,28 @@ def test_relu_forward_and_subgradient_zero_at_zero():
     np.testing.assert_allclose(a.grad, [0.0, 0.0, 1.0])
 
 
+
+def test_relu_propagates_nan_and_routes_no_gradient_through_it():
+    for dtype in (np.float32, np.float64):
+        a = Tensor(np.array([np.nan, -1.0, 3.0], dtype=dtype), requires_grad=True)
+        out = ad.relu(a)
+        assert out.dtype == dtype
+        assert np.isnan(out.data[0])
+        np.testing.assert_array_equal(out.data[1:], [0.0, 3.0])
+        ad.reduce_sum(ad.mul(out, np.array([1.0, 1.0, 2.0], dtype=dtype))).backward()
+        np.testing.assert_array_equal(a.grad, [0.0, 0.0, 2.0])
+
+
+def test_relu_hands_its_gradient_on_without_aliasing_fanout():
+    # relu masks its own output gradient in place and passes that array on;
+    # the other consumers of x must still add into a gradient of their own
+    x = leaf([-1.0, 2.0, 3.0])
+    h1, h2 = ad.relu(x), ad.relu(x)
+    loss = ad.add(ad.add(ad.reduce_sum(ad.mul(h1, 2.0)), ad.reduce_sum(ad.mul(h2, 5.0))),
+                  ad.reduce_sum(ad.mul(x, x)))
+    loss.backward()
+    np.testing.assert_allclose(x.grad, [-2.0, 11.0, 13.0])
+
 def test_sigmoid_matches_closed_form_and_saturates_cleanly():
     x = np.array([-1000.0, -3.0, 0.0, 3.0, 1000.0])
     out = ad.sigmoid(leaf(x))

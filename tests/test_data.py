@@ -1,7 +1,13 @@
 """Dataset parsing, labeling, folds, contamination, batching."""
 
+import re
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermem import data as dt
 from hiermem.errors import ConfigurationError, DatasetParseError, StructuralError
@@ -172,6 +178,111 @@ def test_write_then_parse_round_trip(tud_dir, tmp_path):
         np.testing.assert_allclose(a.attributes, b.attributes)
         assert a.label == b.label
 
+
+
+def _assert_same_graphs(got, want):
+    assert len(got.graphs) == len(want.graphs)
+    assert (got.attribute_dim, got.n_max) == (want.attribute_dim, want.n_max)
+    for a, b in zip(got.graphs, want.graphs):
+        assert (a.graph_id, a.label, a.node_count) == (b.graph_id, b.label, b.node_count)
+        np.testing.assert_array_equal(a.adjacency, b.adjacency)
+        np.testing.assert_array_equal(a.attributes, b.attributes)
+
+
+def test_parse_empty_edge_file_gives_isolated_nodes_without_warning(tmp_path):
+    d = write_tud_files(tmp_path, "TOY")
+    (d / "TOY_A.txt").write_text("")
+    (d / "TOY_graph_indicator.txt").write_text("1\n1\n1\n2\n3\n3\n3\n3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = dt.parse_tudataset(tmp_path, "TOY")
+    assert [g.node_count for g in ds.graphs] == [3, 1, 4]
+    for g in ds.graphs:
+        np.testing.assert_array_equal(g.adjacency, np.zeros((g.node_count,) * 2))
+    np.testing.assert_array_equal(ds.graphs[1].attributes, [[4.0, 1.5]])
+
+
+def test_parse_skips_blank_lines_and_reads_crlf(tud_dir, tmp_path):
+    clean = dt.parse_tudataset(tud_dir, "TOY")
+    d = write_tud_files(tmp_path / "messy", "TOY")
+    for path in d.iterdir():
+        lines = path.read_text().splitlines()
+        lines.insert(2, "")
+        lines.insert(4, "   ")
+        path.write_bytes(("\n\n" + "\r\n".join(lines) + "\r\n\r\n").encode())
+    _assert_same_graphs(dt.parse_tudataset(tmp_path / "messy", "TOY"), clean)
+
+
+@pytest.mark.parametrize("suffix, text, error, line, message", [
+    ("A.txt", "1, 2\n\n\n2, x\n", DatasetParseError, 4, "non-numeric"),
+    ("A.txt", "1, 2\n \n2, 3, 1\n", DatasetParseError, 3, "expected 2 values, got 3"),
+    ("A.txt", "\n1, 2\n\n1, 99\n", StructuralError, 4, "node id outside 1..8"),
+    ("A.txt", "\n\n1, 2\n  \n\n0, 1\n", StructuralError, 6, "node id outside"),
+    ("A.txt", "1, 2\n\n2, 1\n\n\n3, 4\n", StructuralError, 6, "edge joins graphs 1 and 2"),
+    ("A.txt", "\r\n1, 2\r\n\r\n5, 5\r\n", StructuralError, 4, "self-loop on node 5"),
+    ("node_attributes.txt", "1.0, 2.0\n\n3.0, 4.0\n\n5.0\n", DatasetParseError, 5,
+     "expected 2 values, got 1"),
+    ("node_attributes.txt", "\n1.0, 2.0\n0.5, abc\n", DatasetParseError, 3,
+     "non-numeric"),
+    ("graph_indicator.txt", "1\n\n1\n1, 2\n", DatasetParseError, 4,
+     "expected 1 values, got 2"),
+    ("graph_labels.txt", "0\n\n\n1.5\n", DatasetParseError, 4, "non-numeric"),
+    ("A.txt", "1, 2\n\n2, 99999999999999999999\n", DatasetParseError, 3,
+     "non-numeric or out-of-range token"),
+])
+def test_parse_errors_name_the_exact_line(tmp_path, suffix, text, error, line,
+                                          message):
+    d = write_tud_files(tmp_path, "TOY")
+    path = d / f"TOY_{suffix}"
+    path.write_text(text)
+    with pytest.raises(error, match=re.escape(f"{path}:{line}: {message}")):
+        dt.parse_tudataset(tmp_path, "TOY")
+
+
+def test_parse_symmetrises_and_deduplicates_edges(tud_dir, tmp_path):
+    clean = dt.parse_tudataset(tud_dir, "TOY")
+    d = write_tud_files(tmp_path / "one-way", "TOY")
+    # one direction only for the triangle and the path, repeats of both
+    # directions for the single edge
+    (d / "TOY_A.txt").write_text(
+        "1, 2\n3, 1\n2, 3\n1, 2\n4, 5\n5, 4\n5, 4\n4, 5\n7, 6\n7, 8\n")
+    _assert_same_graphs(dt.parse_tudataset(tmp_path / "one-way", "TOY"), clean)
+
+
+@st.composite
+def _datasets(draw):
+    num_graphs = draw(st.integers(3, 7))
+    labels = [0] * num_graphs
+    for i in draw(st.sets(st.integers(0, num_graphs - 1), min_size=1,
+                          max_size=(num_graphs - 1) // 2)):
+        labels[i] = 1
+    dim = draw(st.integers(1, 3))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    graphs = []
+    for gid, label in enumerate(labels):
+        n = draw(st.integers(1, 6))
+        upper = np.triu(np.array(draw(st.lists(st.booleans(), min_size=n * n,
+                                               max_size=n * n))).reshape(n, n), 1)
+        attrs = draw(st.lists(values, min_size=n * dim, max_size=n * dim))
+        graphs.append(dt.Graph(adjacency=(upper | upper.T).astype(float),
+                               attributes=np.array(attrs).reshape(n, dim),
+                               label=label, node_count=n, graph_id=gid))
+    return dt.GraphDataset(graphs=graphs, attribute_dim=dim,
+                           n_max=max(g.node_count for g in graphs), name="RT")
+
+
+@given(_datasets(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_write_then_parse_round_trips_any_dataset(ds, rnd):
+    with tempfile.TemporaryDirectory() as root:
+        dt.write_tudataset(ds, root)
+        edges = f"{root}/RT/RT_A.txt"
+        with open(edges) as fh:
+            lines = fh.read().splitlines()
+        rnd.shuffle(lines)
+        with open(edges, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        _assert_same_graphs(dt.parse_tudataset(root, "RT"), ds)
 
 def test_checksum_stable_and_sensitive(tud_dir):
     c1 = dt.dataset_checksum(tud_dir, "TOY")

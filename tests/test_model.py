@@ -474,6 +474,20 @@ def test_checkpoint_integer_dtype_rejected(tmp_path, toy_model_config,
         M.load_params(path)
 
 
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_non_finite_value_rejected(tmp_path, toy_model_config,
+                                              toy_params, value):
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["enc2"][1, 2] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(CheckpointError, match="'enc2' holds a non-finite value"):
+        M.load_params(path)
+
 def test_checkpoint_uniform_float64_loads(tmp_path, toy_model_config):
     params = M.init_params(toy_model_config, np.random.default_rng(1),
                            dtype=np.float64)

@@ -113,6 +113,21 @@ def test_divergence_names_the_non_finite_term(toy_dataset, monkeypatch):
         T.train(normals, cfg)
 
 
+
+def test_nan_weight_makes_training_diverge(toy_dataset, monkeypatch):
+    # ReLU passes NaN through, so one bad weight reaches the loss instead
+    # of being clipped to 0 and scoring silently
+    def poisoned(*args, **kwargs):
+        params = init_params(*args, **kwargs)
+        params.enc1.data[0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(T, "init_params", poisoned)
+    normals = [g for g in toy_dataset.graphs if g.label == 0][:4]
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=0, **SMALL)
+    with pytest.raises(TrainingDiverged, match=r"epoch 0, batch 0$"):
+        T.train(normals, cfg)
+
 def test_divergence_raises(toy_dataset):
     normals = [g for g in toy_dataset.graphs if g.label == 0]
     cfg = TrainConfig(epochs=200, learning_rate=1e12, seed=0, **SMALL)
