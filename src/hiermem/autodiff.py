@@ -22,15 +22,21 @@ activation is freed by reference counting as soon as the last op that read
 it has been differentiated, and a second `backward()` through the same tape
 raises `RuntimeError`.
 
-A stack times a shared 2-D matrix (every graph's node matrix times one layer
-weight) runs as one GEMM over the flattened rows, forward and backward, so
-results are deterministic per seed but not bit-identical across versions of
+A batch of graphs is ragged, never padded. Node-wise tensors hold the real
+node rows of every graph, concatenated in batch order, so a product with a
+layer weight is one 2-D GEMM. The batch is a sequence of runs, `runs`, each
+a `(count, size)` pair: `count` consecutive graphs of `size` nodes. The
+per-graph ops (`propagate`, `gram`, `matrix_cosine`, `block_readout`,
+`graph_mean`) loop over the runs inside one tape node, and `frobenius_sq`
+sums per graph given each graph's length (`segments`). So the tape of a
+batch has the same nodes however many sizes it mixes.
+
+Results are deterministic per seed but not bit-identical across versions of
 this library that sum in a different order.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,7 +101,10 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add `g` into `t.grad`. A `fresh` gradient, an array no one else holds,
     becomes `t.grad` as it is; any other is copied first, so that a later
-    `+=` cannot write through to an array another tensor shares."""
+    `+=` cannot write through to an array another tensor shares.
+
+    A closure's own output gradient is dropped once the closure returns, so
+    it, or a view of it, is fresh when exactly one parent receives it."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -179,8 +188,11 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bw():
-        _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+        ga = _unbroadcast(out.grad, a.data.shape)
+        gb = _unbroadcast(out.grad, b.data.shape)
+        _accumulate(a, ga, fresh=True)
+        # the same array handed to both parents is owned by the first one
+        _accumulate(b, gb, fresh=gb is not ga or not a.requires_grad)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -191,8 +203,9 @@ def sub(a, b) -> Tensor:
     out_data = a.data - b.data
 
     def bw():
-        _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        _accumulate(b, -_unbroadcast(out.grad, b.data.shape))
+        _accumulate(a, _unbroadcast(out.grad, a.data.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(out.grad, b.data.shape), fresh=True)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -204,9 +217,11 @@ def mul(a, b) -> Tensor:
 
     def bw():
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
+            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape),
+                        fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
+            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape),
+                        fresh=True)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -223,33 +238,108 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        # a stack times one shared matrix: fold the stack into the rows so
-        # the forward and both gradients are each one 2-D GEMM, not one small
-        # product per stacked matrix (plus, for gb, a stack summed away)
-        rows = math.prod(a.data.shape[:-1])
-        a2 = a.data.reshape(rows, a.data.shape[-1])
-        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+    out_data = a.data @ b.data
 
-        def bw():
-            g2 = out.grad.reshape(rows, b.data.shape[-1])
-            if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), fresh=True)
-            if b.requires_grad:
-                _accumulate(b, a2.T @ g2, fresh=True)
-    else:
-        out_data = a.data @ b.data
-
-        def bw():
-            g = out.grad
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                _accumulate(a, _unbroadcast(ga, a.data.shape), fresh=True)
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                _accumulate(b, _unbroadcast(gb, b.data.shape), fresh=True)
+    def bw():
+        g = out.grad
+        if a.requires_grad:
+            ga = g @ np.swapaxes(b.data, -1, -2)
+            _accumulate(a, _unbroadcast(ga, a.data.shape), fresh=True)
+        if b.requires_grad:
+            gb = np.swapaxes(a.data, -1, -2) @ g
+            _accumulate(b, _unbroadcast(gb, b.data.shape), fresh=True)
 
     out = _make(out_data, (a, b), bw)
+    return out
+
+
+def _run_spans(runs, rows: int | None = None) -> list[tuple]:
+    """(graph slice, row slice, cell slice, count, size) of each run.
+
+    Graphs, node rows and n x n cells are each laid out in batch order. With
+    `rows` given, the runs must cover exactly that many node rows.
+    """
+    spans = []
+    g0 = r0 = c0 = 0
+    for count, size in runs:
+        count, size = int(count), int(size)
+        if count < 1 or size < 1:
+            raise ValueError(f"a run needs at least one graph of at least one "
+                             f"node, got ({count}, {size})")
+        spans.append((slice(g0, g0 + count), slice(r0, r0 + count * size),
+                      slice(c0, c0 + count * size * size), count, size))
+        g0, r0, c0 = g0 + count, r0 + count * size, c0 + count * size * size
+    if rows is not None and r0 != rows:
+        raise ValueError(f"runs cover {r0} node rows, the tensor has {rows}")
+    return spans
+
+
+def _run_graphs(spans) -> int:
+    return spans[-1][0].stop if spans else 0
+
+
+def _segment_starts(lengths: np.ndarray, rows: int) -> np.ndarray:
+    """First row of each segment of consecutive rows, checked."""
+    if lengths.ndim != 1 or np.any(lengths < 1) or lengths.sum() != rows:
+        raise ValueError(f"segment lengths must be positive and sum to {rows}")
+    return np.concatenate(([0], np.cumsum(lengths[:-1])))
+
+
+def propagate(adj, h) -> Tensor:
+    """Each graph's constant matrix times its own node rows.
+
+    adj: one (count, n, n) array per run of equal node count, in batch
+    order; h: (sum n, F) node rows. Graph i's rows of the result are
+    adj_i @ h_i.
+    """
+    h = as_tensor(h)
+    spans = _run_spans([a.shape[:2] for a in adj], h.data.shape[0])
+    F = h.data.shape[1]
+
+    def apply(mats, src, dst):
+        for a, (_, rows, _, count, size) in zip(mats, spans):
+            np.matmul(a, src[rows].reshape(count, size, F),
+                      out=dst[rows].reshape(count, size, F))
+        return dst
+
+    out_data = apply(adj, h.data,
+                     np.empty(h.data.shape, np.result_type(h.data, *adj)))
+
+    def bw():
+        gh = apply([np.swapaxes(a, -1, -2) for a in adj], out.grad,
+                   np.empty(h.data.shape, h.data.dtype))
+        _accumulate(h, gh, fresh=True)
+
+    out = _make(out_data, (h,), bw)
+    return out
+
+
+def gram(h, runs) -> Tensor:
+    """Each graph's node rows times their own transpose, H_i @ H_i^T.
+
+    h: (sum n, D) node rows; runs: (count, size) pairs. Returns every
+    graph's n x n block flattened row-major, concatenated: (sum n^2,).
+    """
+    h = as_tensor(h)
+    spans = _run_spans(runs, h.data.shape[0])
+    D = h.data.shape[1]
+    cells_total = spans[-1][2].stop if spans else 0
+    out_data = np.empty(cells_total, h.data.dtype)
+    for _, rows, cells, count, size in spans:
+        hb = h.data[rows].reshape(count, size, D)
+        np.matmul(hb, np.swapaxes(hb, -1, -2),
+                  out=out_data[cells].reshape(count, size, size))
+
+    def bw():
+        gh = np.empty(h.data.shape, h.data.dtype)
+        for _, rows, cells, count, size in spans:
+            g = out.grad[cells].reshape(count, size, size)
+            np.matmul(g + np.swapaxes(g, -1, -2),
+                      h.data[rows].reshape(count, size, D),
+                      out=gh[rows].reshape(count, size, D))
+        _accumulate(h, gh, fresh=True)
+
+    out = _make(out_data, (h,), bw)
     return out
 
 
@@ -258,7 +348,7 @@ def transpose_last2(a) -> Tensor:
     out_data = np.swapaxes(a.data, -1, -2)
 
     def bw():
-        _accumulate(a, np.swapaxes(out.grad, -1, -2))
+        _accumulate(a, np.swapaxes(out.grad, -1, -2), fresh=True)
 
     out = _make(out_data, (a,), bw)
     return out
@@ -269,7 +359,7 @@ def reshape(a, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def bw():
-        _accumulate(a, out.grad.reshape(a.data.shape))
+        _accumulate(a, out.grad.reshape(a.data.shape), fresh=True)
 
     out = _make(out_data, (a,), bw)
     return out
@@ -284,7 +374,7 @@ def crop(a, axis: int, length: int) -> Tensor:
     def bw():
         g = np.zeros_like(a.data)
         g[idx] = out.grad
-        _accumulate(a, g)
+        _accumulate(a, g, fresh=True)
 
     out = _make(out_data, (a,), bw)
     return out
@@ -339,7 +429,7 @@ def sigmoid(a) -> Tensor:
     out_data[~pos] = ex / (1.0 + ex)
 
     def bw():
-        _accumulate(a, out.grad * out_data * (1.0 - out_data))
+        _accumulate(a, out.grad * out_data * (1.0 - out_data), fresh=True)
 
     out = _make(out_data, (a,), bw)
     return out
@@ -355,7 +445,7 @@ def row_softmax(a) -> Tensor:
     def bw():
         g = out.grad
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(a, out_data * (g - dot))
+        _accumulate(a, out_data * (g - dot), fresh=True)
 
     out = _make(out_data, (a,), bw)
     return out
@@ -389,24 +479,15 @@ def cosine_rows(x, m, eps: float = COSINE_EPS) -> Tensor:
             nx_safe = np.where(nx > 0, nx, 1.0)
             c = (g * out_data * nm[None, :] / den).sum(axis=1)
             gx = a_coef @ m.data - (c / nx_safe)[:, None] * x.data
-            _accumulate(x, gx)
+            _accumulate(x, gx, fresh=True)
         if m.requires_grad:
             nm_safe = np.where(nm > 0, nm, 1.0)
             c = (g * out_data * nx[:, None] / den).sum(axis=0)
             gm = a_coef.T @ x.data - (c / nm_safe)[:, None] * m.data
-            _accumulate(m, gm)
+            _accumulate(m, gm, fresh=True)
 
     out = _make(out_data, (x, m), bw)
     return out
-
-
-def cosine(u, v, eps: float = COSINE_EPS) -> Tensor:
-    """Cosine similarity of two vectors; zero vectors map to 0 by the eps rule."""
-    u, v = as_tensor(u), as_tensor(v)
-    if u.data.ndim != 1 or v.data.ndim != 1:
-        raise ValueError("cosine expects 1-D vectors")
-    rows = cosine_rows(reshape(u, (1, -1)), reshape(v, (1, -1)), eps=eps)
-    return reshape(rows, ())
 
 
 def masked_matrix_cosine(h, m, mask, eps: float = COSINE_EPS) -> Tensor:
@@ -443,15 +524,105 @@ def masked_matrix_cosine(h, m, mask, eps: float = COSINE_EPS) -> Tensor:
             nh_safe = np.where(nh > 0, nh, 1.0)
             c = (g * out_data * nm / den).sum(axis=1)  # (B,)
             ghf = a_coef @ mf - (c / nh_safe)[:, None] * hf
-            _accumulate(h, ghf.reshape(B, N, D) * mask[:, :, None])
+            _accumulate(h, ghf.reshape(B, N, D) * mask[:, :, None], fresh=True)
         if m.requires_grad:
             nm_safe = np.where(nm > 0, nm, 1.0)
             gmf = a_coef.T @ hf                        # (P, N*D)
             d_coef = -(g * out_data * nh[:, None] / den) / nm_safe  # (B,P)
             gm = gmf.reshape(P, N, D) + m.data * (d_coef.T @ mask)[:, :, None]
-            _accumulate(m, gm)
+            _accumulate(m, gm, fresh=True)
 
     out = _make(out_data, (h, m), bw)
+    return out
+
+
+def matrix_cosine(h, m, runs, eps: float = COSINE_EPS) -> Tensor:
+    """Cosine similarity between each graph's node matrix and every memory
+    block cropped to that graph's node count.
+
+    h: (sum n, D) node rows; m: (P, N, D) blocks, N at least the widest
+    graph; runs: (count, size) pairs. Returns (B, P). A graph of n nodes is
+    compared, flattened, with the first n rows of each block, flattened; the
+    +eps denominator maps an all-zero matrix to similarity 0.
+    """
+    h, m = as_tensor(h), as_tensor(m)
+    spans = _run_spans(runs, h.data.shape[0])
+    P, N, D = m.data.shape
+    if h.data.ndim != 2 or h.data.shape[1] != D:
+        raise ValueError(f"node rows {h.data.shape} do not match memory {m.data.shape}")
+    width = max((span[4] for span in spans), default=0)
+    if width > N:
+        raise ValueError(f"a graph of {width} nodes exceeds memory width {N}")
+    out_data = np.empty((_run_graphs(spans), P), np.result_type(h.data, m.data))
+    norms = []
+    for graphs, rows, _, count, size in spans:
+        hf = h.data[rows].reshape(count, size * D)
+        mf = m.data[:, :size].reshape(P, size * D)
+        nh = np.sqrt((hf * hf).sum(axis=1))
+        nm = np.sqrt((mf * mf).sum(axis=1))
+        den = nh[:, None] * nm[None, :] + eps
+        out_data[graphs] = (hf @ mf.T) / den
+        norms.append((nh, nm, den))
+
+    def bw():
+        gh = np.empty(h.data.shape, h.data.dtype) if h.requires_grad else None
+        gm = np.zeros_like(m.data) if m.requires_grad else None
+        for (graphs, rows, _, count, size), (nh, nm, den) in zip(spans, norms):
+            hf = h.data[rows].reshape(count, size * D)
+            mf = m.data[:, :size].reshape(P, size * D)
+            g, cos = out.grad[graphs], out_data[graphs]
+            a_coef = g / den
+            if gh is not None:
+                c = (g * cos * nm[None, :] / den).sum(axis=1)
+                ghf = a_coef @ mf - (c / np.where(nh > 0, nh, 1.0))[:, None] * hf
+                gh[rows] = ghf.reshape(count * size, D)
+            if gm is not None:
+                c = (g * cos * nh[:, None] / den).sum(axis=0)
+                gmf = a_coef.T @ hf - (c / np.where(nm > 0, nm, 1.0))[:, None] * mf
+                gm[:, :size] += gmf.reshape(P, size, D)
+        if gh is not None:
+            _accumulate(h, gh, fresh=True)
+        if gm is not None:
+            _accumulate(m, gm, fresh=True)
+
+    out = _make(out_data, (h, m), bw)
+    return out
+
+
+def block_readout(w, m, runs) -> Tensor:
+    """Each graph's node rows read out of memory: the w-weighted sum of the
+    blocks cropped to its node count.
+
+    w: (B, P) weights; m: (P, N, D) blocks; runs: (count, size) pairs.
+    Returns (sum n, D) node rows.
+    """
+    w, m = as_tensor(w), as_tensor(m)
+    spans = _run_spans(runs)
+    P, N, D = m.data.shape
+    if w.data.shape != (_run_graphs(spans), P):
+        raise ValueError(f"weights {w.data.shape} do not match {_run_graphs(spans)} "
+                         f"graphs and {P} blocks")
+    rows_total = spans[-1][1].stop if spans else 0
+    out_data = np.empty((rows_total, D), np.result_type(w.data, m.data))
+    for graphs, rows, _, count, size in spans:
+        np.matmul(w.data[graphs], m.data[:, :size].reshape(P, size * D),
+                  out=out_data[rows].reshape(count, size * D))
+
+    def bw():
+        gw = np.empty(w.data.shape, w.data.dtype) if w.requires_grad else None
+        gm = np.zeros_like(m.data) if m.requires_grad else None
+        for graphs, rows, _, count, size in spans:
+            g = out.grad[rows].reshape(count, size * D)
+            if gw is not None:
+                gw[graphs] = g @ m.data[:, :size].reshape(P, size * D).T
+            if gm is not None:
+                gm[:, :size] += (w.data[graphs].T @ g).reshape(P, size, D)
+        if gw is not None:
+            _accumulate(w, gw, fresh=True)
+        if gm is not None:
+            _accumulate(m, gm, fresh=True)
+
+    out = _make(out_data, (w, m), bw)
     return out
 
 
@@ -479,7 +650,7 @@ def hard_shrink(w, lam: float) -> Tensor:
     def bw():
         g = out.grad
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(w, keep * (g - dot) / s_safe)
+        _accumulate(w, keep * (g - dot) / s_safe, fresh=True)
 
     out = _make(out_data, (w,), bw)
     return out
@@ -494,7 +665,7 @@ def entropy(w) -> Tensor:
 
     def bw():
         g = np.expand_dims(out.grad, -1)
-        _accumulate(w, np.where(pos, -g * (logw + 1.0), 0))
+        _accumulate(w, np.where(pos, -g * (logw + 1.0), 0), fresh=True)
 
     out = _make(out_data, (w,), bw)
     return out
@@ -520,17 +691,43 @@ def masked_mean(h, mask) -> Tensor:
 
     def bw():
         g = out.grad / counts[..., None]
-        _accumulate(h, np.expand_dims(g, -2) * mask[..., None])
+        _accumulate(h, np.expand_dims(g, -2) * mask[..., None], fresh=True)
 
     out = _make(out_data, (h,), bw)
     return out
 
 
-def frobenius_sq(a, b, mask=None, batch_dims: int = 0) -> Tensor:
+def graph_mean(h, runs) -> Tensor:
+    """Mean of each graph's node rows.
+
+    h: (sum n, D) node rows; runs: (count, size) pairs. Returns (B, D).
+    """
+    h = as_tensor(h)
+    spans = _run_spans(runs, h.data.shape[0])
+    D = h.data.shape[1]
+    out_data = np.empty((_run_graphs(spans), D), h.data.dtype)
+    for graphs, rows, _, count, size in spans:
+        np.sum(h.data[rows].reshape(count, size, D), axis=1, out=out_data[graphs])
+        out_data[graphs] /= size
+
+    def bw():
+        gh = np.empty(h.data.shape, h.data.dtype)
+        for graphs, rows, _, count, size in spans:
+            gh[rows].reshape(count, size, D)[:] = out.grad[graphs, None, :] / size
+        _accumulate(h, gh, fresh=True)
+
+    out = _make(out_data, (h,), bw)
+    return out
+
+
+def frobenius_sq(a, b, mask=None, batch_dims: int = 0,
+                 segments=None) -> Tensor:
     """Squared Frobenius distance sum(mask * (a-b)^2).
 
     With batch_dims=0 the result is a scalar; batch_dims=k keeps the first k
-    axes, reducing only over the rest (per-graph losses use batch_dims=1).
+    axes, reducing only over the rest. With `segments`, the lengths of
+    consecutive blocks along the first axis (one per graph of a ragged
+    batch), it is one sum per block.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape:
@@ -541,16 +738,27 @@ def frobenius_sq(a, b, mask=None, batch_dims: int = 0) -> Tensor:
             raise ValueError(f"frobenius_sq mask shape {mask.shape} != {a.data.shape}")
     diff = a.data - b.data
     sq = diff * diff if mask is None else mask * diff * diff
-    axes = tuple(range(batch_dims, a.data.ndim))
-    out_data = sq.sum(axis=axes)
+    if segments is not None:
+        if batch_dims:
+            raise ValueError("frobenius_sq takes segments or batch_dims, not both")
+        segments = np.asarray(segments)
+        starts = _segment_starts(segments, a.data.shape[0])
+        per_row = sq if sq.ndim == 1 else sq.reshape(len(sq), -1).sum(axis=1)
+        out_data = np.add.reduceat(per_row, starts)
+    else:
+        out_data = sq.sum(axis=tuple(range(batch_dims, a.data.ndim)))
 
     def bw():
-        g = out.grad.reshape(out.grad.shape + (1,) * (a.data.ndim - batch_dims))
+        if segments is not None:
+            g = np.repeat(out.grad, segments)
+            g = g.reshape(g.shape + (1,) * (a.data.ndim - 1))
+        else:
+            g = out.grad.reshape(out.grad.shape + (1,) * (a.data.ndim - batch_dims))
         core = 2.0 * diff if mask is None else 2.0 * mask * diff
         if a.requires_grad:
-            _accumulate(a, core * g)
+            _accumulate(a, core * g, fresh=True)
         if b.requires_grad:
-            _accumulate(b, -core * g)
+            _accumulate(b, -core * g, fresh=True)
 
     out = _make(out_data, (a, b), bw)
     return out

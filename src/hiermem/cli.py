@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .data import (dataset_checksum, export_folds_csv, make_er_dataset,
-                   make_folds, parse_tudataset)
+from .data import (atomic_open, dataset_checksum, export_folds_csv,
+                   make_er_dataset, make_folds, parse_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
 from .evaluation import (EvalReport, run_ablation, run_contamination_sweep,
@@ -122,15 +122,13 @@ FIELDS: dict[str, Field] = {f.name: f for f in [
     Field("out-dir", str, "runs", "directory for run outputs"),
     Field("eps", float, 1e-5, "finite-difference step (gradcheck)"),
     Field("seeds", int, 10, "number of random seeds (gradcheck)"),
-    Field("unmasked-losses", None, False,
-          "include padded entries in reconstruction losses", True),
     Field("normalize-losses", None, False,
           "divide loss terms by their entry counts", True),
 ]}
 
 _COMMON = ["dataset", "data-dir", "folds", "seed", "epochs", "lr",
            "batch-size", "alpha", "shrink-lambda", "p", "q", "tau", "variant",
-           "jobs", "out-dir", "unmasked-losses", "normalize-losses"]
+           "jobs", "out-dir", "normalize-losses"]
 _GRADCHECK = ["eps", "seeds", "seed", "out-dir"]
 
 
@@ -212,7 +210,6 @@ def build_train_config(values: dict, p: int, q: int, variant: str) -> TrainConfi
         learning_rate=values["lr"], alpha=values["alpha"],
         shrink_lambda=values["shrink-lambda"], num_node_memory=p,
         num_graph_memory=q, seed=values["seed"], variant=variant,
-        masked_losses=not values["unmasked-losses"],
         normalize_losses=values["normalize-losses"])
 
 
@@ -230,7 +227,8 @@ def load_dataset(values: dict):
 
 def write_resolved_cfg(path: Path, values: dict) -> None:
     lines = [f"{name}={_fmt(val)}" for name, val in values.items()]
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
@@ -246,7 +244,7 @@ def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
         "provenance": provenance,
         "outputs": sorted(outputs),
     }
-    with open(out_dir / "manifest.json", "w") as fh:
+    with atomic_open(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -339,7 +337,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"variant={variant}: mean AUC {report.mean_auc:.4f} "
                   f"+/- {report.std_auc:.4f}")
 
-    with open(out_dir / "index.json", "w") as fh:
+    with atomic_open(out_dir / "index.json") as fh:
         json.dump({"protocol": args.protocol, "cells": index}, fh,
                   sort_keys=True, indent=2)
         fh.write("\n")

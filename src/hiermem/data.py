@@ -12,7 +12,9 @@ import csv
 import hashlib
 import io
 import math
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -365,9 +367,29 @@ def inject_contamination(split: FoldSplit, anomaly_pool: list[Graph],
                      fold_index=split.fold_index, seed=split.seed)
 
 
+@contextmanager
+def atomic_open(path, newline: str | None = None):
+    """Open a text file for writing that appears at `path` only once the
+    block completes.
+
+    The text goes to a temporary file beside `path`, which `os.replace` then
+    moves into place; if the block raises, the temporary file is removed and
+    whatever `path` held before is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def export_folds_csv(folds: list[FoldSplit], path) -> None:
     """Audit file: one row per (graph, fold) membership."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["graph_id", "fold", "role"])
         for split in folds:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FoldSplit, GraphDataset, inject_contamination, make_folds
+from .data import (FoldSplit, GraphDataset, atomic_open, inject_contamination,
+                   make_folds)
 from .errors import ConfigurationError
 from .model import VARIANTS
 from .training import (HISTORY_FIELDS, TrainConfig, make_model_config,
@@ -195,14 +196,14 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def write_report_json(report: EvalReport, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def write_report_csv(report: EvalReport, path) -> None:
     """Per-fold summary: dataset, variant, p, q, tau, fold, auc."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "variant", "p", "q", "tau", "fold", "auc"])
         for f, auc in enumerate(report.per_fold_auc):
@@ -212,7 +213,7 @@ def write_report_csv(report: EvalReport, path) -> None:
 
 
 def write_history_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fold"] + list(HISTORY_FIELDS))
         for f, history in enumerate(report.fold_histories):

@@ -128,14 +128,14 @@ def _case_mul(rng):
 
 
 def _case_matmul(rng):
-    # a stack times a shared matrix, as in every h @ W of the model
-    a, b = _leaf(rng, (2, 3, 4)), _leaf(rng, (4, 5))
+    # node rows times a layer weight, as in every h @ W of the model
+    a, b = _leaf(rng, (6, 4)), _leaf(rng, (4, 5))
     proj = _projector(rng)
     return CheckCase([a, b], ["a", "b"], lambda: proj(ad.matmul(a, b)))
 
 
 def _case_matmul_batched(rng):
-    # a stack times a stack, as in a_norm @ H and h_hat @ h_hat^T
+    # a stack times a stack
     a, b = _leaf(rng, (2, 3, 3)), _leaf(rng, (2, 3, 4))
     proj = _projector(rng)
     return CheckCase([a, b], ["a", "b"], lambda: proj(ad.matmul(a, b)))
@@ -218,17 +218,6 @@ def _case_entropy(rng):
                      lambda: proj(ad.entropy(ad.row_softmax(a))))
 
 
-def _case_cosine(rng):
-    u, v = _leaf(rng, (6,)), _leaf(rng, (6,))
-
-    def guard():
-        return min(np.linalg.norm(u.data), np.linalg.norm(v.data)) > 1e-2
-
-    proj = _projector(rng)
-    return CheckCase([u, v], ["u", "v"],
-                     lambda: proj(ad.cosine(u, v)), guard)
-
-
 def _case_cosine_rows(rng):
     x, m = _leaf(rng, (3, 5)), _leaf(rng, (4, 5))
 
@@ -240,6 +229,64 @@ def _case_cosine_rows(rng):
     proj = _projector(rng)
     return CheckCase([x, m], ["x", "m"],
                      lambda: proj(ad.cosine_rows(x, m)), guard)
+
+
+# a ragged batch of five graphs: one of 1 node, two of 3, two of 2
+_RUNS = ((1, 1), (2, 3), (2, 2))
+_ROWS = sum(count * size for count, size in _RUNS)
+_NODE_COUNTS = np.repeat([size for _, size in _RUNS], [c for c, _ in _RUNS])
+
+
+def _run_matrices(rng):
+    return [rng.normal(size=(count, size, size)) for count, size in _RUNS]
+
+
+def _case_propagate(rng):
+    adj = _run_matrices(rng)
+    h = _leaf(rng, (_ROWS, 3))
+    proj = _projector(rng)
+    return CheckCase([h], ["h"], lambda: proj(ad.propagate(adj, h)))
+
+
+def _case_gram(rng):
+    h = _leaf(rng, (_ROWS, 3))
+    proj = _projector(rng)
+    return CheckCase([h], ["h"], lambda: proj(ad.gram(h, _RUNS)))
+
+
+def _case_matrix_cosine(rng):
+    h, m = _leaf(rng, (_ROWS, 2)), _leaf(rng, (3, 4, 2))
+
+    def guard():
+        starts = np.concatenate(([0], np.cumsum(_NODE_COUNTS)[:-1]))
+        nh = np.sqrt(np.add.reduceat((h.data ** 2).sum(axis=1), starts)).min()
+        nm = np.linalg.norm(m.data[:, :1].reshape(3, -1), axis=1).min()
+        return min(nh, nm) > 1e-2
+
+    proj = _projector(rng)
+    return CheckCase([h, m], ["h", "m"],
+                     lambda: proj(ad.matrix_cosine(h, m, _RUNS)), guard)
+
+
+def _case_block_readout(rng):
+    w, m = _leaf(rng, (len(_NODE_COUNTS), 3)), _leaf(rng, (3, 4, 2))
+    proj = _projector(rng)
+    return CheckCase([w, m], ["w", "m"],
+                     lambda: proj(ad.block_readout(w, m, _RUNS)))
+
+
+def _case_graph_mean(rng):
+    h = _leaf(rng, (_ROWS, 3))
+    proj = _projector(rng)
+    return CheckCase([h], ["h"], lambda: proj(ad.graph_mean(h, _RUNS)))
+
+
+def _case_frobenius_sq_segments(rng):
+    a, b = _leaf(rng, (_ROWS, 2)), _leaf(rng, (_ROWS, 2))
+    proj = _projector(rng)
+    return CheckCase(
+        [a, b], ["a", "b"],
+        lambda: proj(ad.frobenius_sq(a, b, segments=_NODE_COUNTS)))
 
 
 def _case_masked_matrix_cosine(rng):
@@ -296,16 +343,22 @@ PRIMITIVE_CASES: dict[str, Callable] = {
     "row_softmax": _case_row_softmax,
     "hard_shrink": _case_hard_shrink,
     "entropy": _case_entropy,
-    "cosine": _case_cosine,
     "cosine_rows": _case_cosine_rows,
+    "propagate": _case_propagate,
+    "gram": _case_gram,
+    "matrix_cosine": _case_matrix_cosine,
+    "block_readout": _case_block_readout,
+    "graph_mean": _case_graph_mean,
     "masked_matrix_cosine": _case_masked_matrix_cosine,
     "masked_mean": _case_masked_mean,
     "frobenius_sq": _case_frobenius_sq,
+    "frobenius_sq_segments": _case_frobenius_sq_segments,
 }
 
 
 def _full_loss_case(rng: np.random.Generator) -> CheckCase:
-    """Whole-model training loss on one 6-node toy graph.
+    """Whole-model training loss on one batch of three toy graphs with 1, 3
+    and 6 nodes, so that every per-graph op runs over several runs.
 
     Widths are shrunk so the finite-difference sweep stays within the time
     budget; every parameter tensor of the real architecture is still present
@@ -317,18 +370,18 @@ def _full_loss_case(rng: np.random.Generator) -> CheckCase:
                         num_node_memory=2, num_graph_memory=3, max_nodes=6,
                         shrink_lambda=0.05)
     params = M.init_params(cfg, rng, dtype=np.float64)
-    n = 6
-    upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-    adj = (upper | upper.T).astype(np.float64)[None]
-    x = rng.normal(size=(1, n, cfg.feature_dim))
-    mask = np.ones((1, n))
+    runs = []
+    for n in (1, 3, 6):
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+        adj = (upper | upper.T).astype(np.float64)[None]
+        runs.append((adj, rng.normal(size=(1, n, cfg.feature_dim))))
+    batch = M.ragged_batch(runs, np.float64)
     batch_cell: dict = {}
 
     def fn():
-        out = M.forward_batch(params, cfg, adj, x, mask)
+        out = M.forward_batch(params, cfg, batch)
         batch_cell["out"] = out
-        losses = M.batch_losses(out, adj, x, mask, cfg)
-        return ad.reduce_mean(losses.total)
+        return ad.reduce_mean(M.batch_losses(out, cfg).total)
 
     def guard():
         out = batch_cell["out"]
@@ -337,10 +390,10 @@ def _full_loss_case(rng: np.random.Generator) -> CheckCase:
             if raw is not None:
                 margins.append(float(np.min(np.abs(raw.data - cfg.shrink_lambda))))
         # cosine denominators must sit well away from the eps floor
+        starts = np.concatenate(([0], np.cumsum(batch.node_counts)[:-1]))
+        node_norms = np.add.reduceat((out.h_nodes.data ** 2).sum(axis=1), starts)
         norms = min(float(np.linalg.norm(out.h_graph.data, axis=-1).min()),
-                    float(np.linalg.norm(
-                        (out.h_nodes.data * mask[:, :, None]).reshape(1, -1),
-                        axis=-1).min()))
+                    float(np.sqrt(node_norms.min())))
         return min(margins) > KINK_MARGIN and norms > 1e-2
 
     return CheckCase(params.tensors(), params.tensor_names(), fn, guard)

@@ -1,13 +1,18 @@
 """Memory-augmented graph autoencoder.
 
-A three-layer GCN encoder maps each padded graph to node representations and
-a mean-pooled graph representation. Two learned memory banks approximate what
+A three-layer GCN encoder maps each graph to node representations and a
+mean-pooled graph representation. Two learned memory banks approximate what
 the encoder produced: graph-level blocks approximate the pooled vector, and
 node-level blocks approximate the whole node matrix. The decoders reconstruct
 adjacency (inner product + sigmoid) and attributes (two-layer GCN) from the
 memory approximation, so reconstruction quality reflects how well the stored
 normal patterns explain the input. The anomaly score is the reconstruction
 error plus the graph-level approximation error.
+
+A batch is ragged (`RaggedBatch`): the real node rows of all its graphs,
+grouped into runs of equal node count. Nothing is computed on padding: every
+`h @ W` is one GEMM over the batch's node rows, and each per-graph product
+runs once per run (see `autodiff`).
 
 Variants for ablations:
   full      both memory banks (default)
@@ -21,9 +26,11 @@ gradients into them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +53,6 @@ class ModelConfig:
     shrink_lambda: float = 0.01
     alpha: float = 0.01
     variant: str = "full"
-    masked_losses: bool = True
     normalize_losses: bool = False
 
     def __post_init__(self):
@@ -128,19 +134,111 @@ class BatchLosses:
     total: Tensor
 
 
+@dataclass(eq=False)
+class RaggedBatch:
+    """A batch of graphs as runs of equal node count; nothing is padded.
+
+    runs: one (count, size) pair per run, in batch order. a_norm: one
+    normalized adjacency stack (count, size, size) per run. x: (sum n, d)
+    attribute rows, each graph's rows contiguous. target: (sum n^2,) the
+    structure target, each graph's adjacency plus self-loops flattened.
+    node_counts: (B,) nodes per graph.
+    """
+    runs: tuple[tuple[int, int], ...]
+    a_norm: tuple[np.ndarray, ...]
+    x: np.ndarray
+    target: np.ndarray
+    node_counts: np.ndarray
+
+    def pad_cells(self, cells: np.ndarray) -> np.ndarray:
+        """Flattened n x n blocks as a (B, N, N) stack zero-padded to the
+        widest graph."""
+        width = max(size for _, size in self.runs)
+        out = np.zeros((len(self.node_counts), width, width), cells.dtype)
+        g0 = c0 = 0
+        for count, size in self.runs:
+            cells_end = c0 + count * size * size
+            out[g0:g0 + count, :size, :size] = cells[c0:cells_end].reshape(
+                count, size, size)
+            g0, c0 = g0 + count, cells_end
+        return out
+
+
+def ragged_batch(runs: Sequence[tuple[np.ndarray, np.ndarray]],
+                 dtype) -> RaggedBatch:
+    """Prepare a batch from one (adjacency, attributes) pair per run.
+
+    Each pair holds `count` graphs of the same `size` nodes, unpadded:
+    (count, size, size) and (count, size, d). Everything the forward pass
+    and the losses read but never change is built here, once, in `dtype`.
+    """
+    shapes, a_norm, xs, targets = [], [], [], []
+    for adj, x in runs:
+        adj = np.asarray(adj)
+        count, size = adj.shape[:2]
+        shapes.append((count, size))
+        a_norm.append(normalize_adjacency(adj, np.ones((count, size)))
+                      .astype(dtype, copy=False))
+        xs.append(np.asarray(x, dtype=dtype).reshape(count * size, -1))
+        # the inner-product decoder scores each node against itself, so the
+        # structure target carries self-loops
+        targets.append((adj + np.eye(size)).astype(dtype).reshape(-1))
+    return RaggedBatch(runs=tuple(shapes), a_norm=tuple(a_norm),
+                       x=np.concatenate(xs), target=np.concatenate(targets),
+                       node_counts=np.repeat([n for _, n in shapes],
+                                             [c for c, _ in shapes]))
+
+
+def _prefix_counts(mask: np.ndarray) -> np.ndarray:
+    """Real nodes per graph of a (B, N) mask that selects a non-empty prefix
+    of each graph's rows, as `data.pad_batch` builds it."""
+    real = np.asarray(mask) > 0
+    counts = real.sum(axis=-1)
+    if np.any(counts == 0) or not np.array_equal(
+            real, np.arange(real.shape[-1]) < counts[..., None]):
+        raise ValueError("each mask row must select a non-empty prefix of "
+                         "the graph's rows")
+    return counts
+
+
+def _padded_batch(adj: np.ndarray, x: np.ndarray, mask: np.ndarray,
+                  dtype) -> RaggedBatch:
+    """A zero-padded stack, cut into runs of consecutive graphs of equal
+    node count with their padding dropped."""
+    adj, x = np.asarray(adj), np.asarray(x)
+    runs, start = [], 0
+    for size, same in itertools.groupby(_prefix_counts(mask).tolist()):
+        end = start + len(list(same))
+        runs.append((adj[start:end, :size, :size], x[start:end, :size]))
+        start = end
+    return ragged_batch(runs, dtype)
+
+
 @dataclass
 class ModelOutputs:
-    """Forward-pass tensors kept for losses and diagnostics."""
+    """Forward-pass tensors kept for losses and diagnostics.
+
+    Node-wise tensors (h_nodes, h_hat, x_hat) are (sum n, .) rows in the
+    layout of `batch`; a_hat_cells holds each graph's decoded n x n block,
+    flattened; per-graph tensors are (B, .).
+    """
+    batch: RaggedBatch
     h_nodes: Tensor
     h_graph: Tensor | None
     h_graph_hat: Tensor | None
     h_hat: Tensor
-    a_hat: Tensor
+    a_hat_cells: Tensor
     x_hat: Tensor
     node_weights_raw: Tensor | None
     node_weights: Tensor | None
     graph_weights_raw: Tensor | None
     graph_weights: Tensor | None
+
+    @property
+    def a_hat(self) -> Tensor:
+        """The decoded adjacency as a constant (B, N, N) stack, zero-padded
+        to the widest graph, for inspection."""
+        return Tensor(self.batch.pad_cells(self.a_hat_cells.data))
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
@@ -214,20 +312,27 @@ def normalize_adjacency(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def encode(params: ModelParams, a_norm: np.ndarray, x: np.ndarray) -> Tensor:
-    """Three GCN layers, ReLU each. Padded rows come out exactly zero because
-    their rows of a_norm and x are zero."""
+def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
+    """Three GCN layers, ReLU each, over node rows.
+
+    a_norm: the normalized adjacency, one (count, n, n) stack per run; x:
+    (sum n, d) attribute rows. A zero-padded (B, N, N) / (B, N, d) pair is
+    read as one run and gives (B, N, D); its pad rows come out exactly zero.
+    """
     if x.shape[-1] != params.enc1.data.shape[0]:
         raise ConfigurationError(
             f"attribute dim {x.shape[-1]} does not match encoder "
             f"input dim {params.enc1.data.shape[0]}")
+    stack = x.shape[:-1] if x.ndim == 3 else None
+    if stack is not None:
+        a_norm, x = (a_norm,), x.reshape(-1, x.shape[-1])
     # (a_norm @ x) @ W1 equals a_norm @ (x @ W1), but x has a few columns
-    # where W1 has hundreds: the batched N x N product runs on the narrow
-    # side, once per batch, and records nothing on the tape
-    h = ad.relu(ad.matmul(ad.matmul(a_norm, x), params.enc1))
-    h = ad.relu(ad.matmul(a_norm, ad.matmul(h, params.enc2)))
-    h = ad.relu(ad.matmul(a_norm, ad.matmul(h, params.enc3)))
-    return h
+    # where W1 has hundreds: the propagation runs on the narrow side and
+    # records nothing on the tape
+    h = ad.relu(ad.matmul(ad.propagate(a_norm, x), params.enc1))
+    h = ad.relu(ad.propagate(a_norm, ad.matmul(h, params.enc2)))
+    h = ad.relu(ad.propagate(a_norm, ad.matmul(h, params.enc3)))
+    return h if stack is None else ad.reshape(h, stack + h.shape[-1:])
 
 
 def _attend_graph(h_graph: Tensor, memory: Tensor, lam: float):
@@ -238,68 +343,64 @@ def _attend_graph(h_graph: Tensor, memory: Tensor, lam: float):
     return raw, weights, approx
 
 
-def _attend_nodes(h_nodes: Tensor, memory: Tensor, mask: np.ndarray, lam: float):
-    b, n, d = h_nodes.data.shape
-    if n > memory.data.shape[1]:
+def _attend_nodes(h_nodes: Tensor, memory: Tensor, runs, lam: float):
+    width = max(size for _, size in runs)
+    if width > memory.data.shape[1]:
         raise ConfigurationError(
-            f"batch width {n} exceeds memory width {memory.data.shape[1]}")
-    if n < memory.data.shape[1]:
-        # pad rows beyond the batch width are masked out of the similarity
-        # and of every loss, so cropping the bank is exact
-        memory = ad.crop(memory, 1, n)
-    p = memory.data.shape[0]
-    sims = ad.masked_matrix_cosine(h_nodes, memory, mask)
+            f"batch width {width} exceeds memory width {memory.data.shape[1]}")
+    # a graph of n nodes reads the first n rows of every block
+    sims = ad.matrix_cosine(h_nodes, memory, runs)
     raw = ad.row_softmax(sims)
     weights = ad.hard_shrink(raw, lam)
-    flat = ad.matmul(weights, ad.reshape(memory, (p, n * d)))
-    approx = ad.mul(ad.reshape(flat, (b, n, d)),
-                    mask[:, :, None].astype(h_nodes.data.dtype))
+    approx = ad.block_readout(weights, memory, runs)
     return raw, weights, approx
 
 
-def decode_structure(h_hat: Tensor) -> Tensor:
-    return ad.sigmoid(ad.matmul(h_hat, ad.transpose_last2(h_hat)))
+def decode_structure(h_hat: Tensor, runs) -> Tensor:
+    """sigmoid(H H^T) of each graph, as flattened n x n cells (sum n^2,)."""
+    return ad.sigmoid(ad.gram(h_hat, runs))
 
 
-def decode_attributes(params: ModelParams, h_hat: Tensor,
-                      a_norm: np.ndarray) -> Tensor:
-    t = ad.relu(ad.matmul(a_norm, ad.matmul(h_hat, params.dec1)))
-    return ad.matmul(a_norm, ad.matmul(t, params.dec2))
+def decode_attributes(params: ModelParams, h_hat: Tensor, a_norm) -> Tensor:
+    """Two GCN layers from node rows back to attribute rows."""
+    t = ad.relu(ad.propagate(a_norm, ad.matmul(h_hat, params.dec1)))
+    return ad.propagate(a_norm, ad.matmul(t, params.dec2))
 
 
-def forward_batch(params: ModelParams, cfg: ModelConfig, adj: np.ndarray,
-                  x: np.ndarray, mask: np.ndarray) -> ModelOutputs:
-    """Run the full network on a zero-padded batch.
+def forward_batch(params: ModelParams, cfg: ModelConfig, adj,
+                  x: np.ndarray | None = None,
+                  mask: np.ndarray | None = None) -> ModelOutputs:
+    """Run the full network on one batch.
 
-    adj: (B,N,N) binary symmetric, x: (B,N,d), mask: (B,N). N may be smaller
-    than cfg.max_nodes when the batch holds only small graphs.
+    `adj` is a `RaggedBatch` (x and mask omitted), or a zero-padded stack:
+    adj (B,N,N) binary symmetric, x (B,N,d) and mask (B,N), whose real nodes
+    are a prefix of each graph's rows. A stack is cut into runs of equal
+    node count, so both forms run the same computation.
     """
-    dtype = params.enc1.data.dtype
-    adj = np.asarray(adj, dtype=dtype)
-    x = np.asarray(x, dtype=dtype)
-    mask = np.asarray(mask, dtype=dtype)
-    a_norm = normalize_adjacency(adj, mask)
-    h = encode(params, a_norm, x)
+    batch = adj if isinstance(adj, RaggedBatch) else _padded_batch(
+        adj, x, mask, params.enc1.data.dtype)
+    h = encode(params, batch.a_norm, batch.x)
 
     h_graph = None
     h_graph_hat = None
     graph_raw = graph_w = None
     if cfg.uses_graph_memory:
-        h_graph = ad.masked_mean(h, mask)
+        h_graph = ad.graph_mean(h, batch.runs)
         graph_raw, graph_w, h_graph_hat = _attend_graph(
             h_graph, params.graph_memory, cfg.shrink_lambda)
 
     node_raw = node_w = None
     if cfg.uses_node_memory:
         node_raw, node_w, h_hat = _attend_nodes(
-            h, params.node_memory, mask, cfg.shrink_lambda)
+            h, params.node_memory, batch.runs, cfg.shrink_lambda)
     else:
         h_hat = h
 
-    a_hat = decode_structure(h_hat)
-    x_hat = decode_attributes(params, h_hat, a_norm)
-    return ModelOutputs(h_nodes=h, h_graph=h_graph, h_graph_hat=h_graph_hat,
-                        h_hat=h_hat, a_hat=a_hat, x_hat=x_hat,
+    a_hat = decode_structure(h_hat, batch.runs)
+    x_hat = decode_attributes(params, h_hat, batch.a_norm)
+    return ModelOutputs(batch=batch, h_nodes=h, h_graph=h_graph,
+                        h_graph_hat=h_graph_hat, h_hat=h_hat,
+                        a_hat_cells=a_hat, x_hat=x_hat,
                         node_weights_raw=node_raw, node_weights=node_w,
                         graph_weights_raw=graph_raw, graph_weights=graph_w)
 
@@ -307,38 +408,18 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, adj: np.ndarray,
 # ---------------------------------------------------------------------------
 # losses and scores
 
-def batch_losses(out: ModelOutputs, adj: np.ndarray, x: np.ndarray,
-                 mask: np.ndarray, cfg: ModelConfig) -> BatchLosses:
+def batch_losses(out: ModelOutputs, cfg: ModelConfig) -> BatchLosses:
     """Per-graph loss terms, each a (B,) tensor.
 
     total = rec_structure + rec_attribute + approximation + alpha * entropy.
     """
+    batch = out.batch
     dtype = out.h_hat.data.dtype
-    adj = np.asarray(adj, dtype=dtype)
-    x = np.asarray(x, dtype=dtype)
-    mask = np.asarray(mask, dtype=dtype)
-    b, n = mask.shape
-    d = x.shape[-1]
+    n = batch.node_counts
+    b = len(n)
 
-    if cfg.masked_losses:
-        mask2 = mask[:, :, None] * mask[:, None, :]
-        maskx = np.broadcast_to(mask[:, :, None], x.shape)
-        n_real = mask.sum(axis=1)
-        cnt_struct = n_real * n_real
-        cnt_attr = n_real * d
-    else:
-        mask2 = maskx = None
-        cnt_struct = np.full(b, float(n * n))
-        cnt_attr = np.full(b, float(n * d))
-
-    # the inner-product decoder scores each node against itself, so the
-    # structure target carries self-loops on real nodes
-    idx = np.arange(n)
-    target = adj.copy()
-    target[:, idx, idx] += mask
-
-    rec_s = ad.frobenius_sq(out.a_hat, target, mask=mask2, batch_dims=1)
-    rec_a = ad.frobenius_sq(out.x_hat, x, mask=maskx, batch_dims=1)
+    rec_s = ad.frobenius_sq(out.a_hat_cells, batch.target, segments=n * n)
+    rec_a = ad.frobenius_sq(out.x_hat, batch.x, segments=n)
 
     if out.h_graph_hat is not None:
         approx = ad.frobenius_sq(out.h_graph_hat, out.h_graph, batch_dims=1)
@@ -346,8 +427,8 @@ def batch_losses(out: ModelOutputs, adj: np.ndarray, x: np.ndarray,
         approx = Tensor(np.zeros(b, dtype=dtype))
 
     if cfg.normalize_losses:
-        rec_s = ad.mul(rec_s, (1.0 / cnt_struct).astype(dtype))
-        rec_a = ad.mul(rec_a, (1.0 / cnt_attr).astype(dtype))
+        rec_s = ad.mul(rec_s, (1.0 / (n * n)).astype(dtype))
+        rec_a = ad.mul(rec_a, (1.0 / (n * batch.x.shape[1])).astype(dtype))
         if out.h_graph_hat is not None:
             approx = ad.mul(approx, 1.0 / cfg.latent_dim)
 
@@ -366,26 +447,17 @@ def batch_losses(out: ModelOutputs, adj: np.ndarray, x: np.ndarray,
                        approximation=approx, entropy=entropy, total=total)
 
 
-def _graph_arrays(graph: Graph, cfg: ModelConfig):
-    # masked losses are padding-invariant, so a lone graph needs no padding;
-    # the unmasked ablation reads the literal max_nodes-padded matrices
-    n = graph.node_count if cfg.masked_losses else max(cfg.max_nodes,
-                                                       graph.node_count)
-    adj = np.zeros((1, n, n))
-    x = np.zeros((1, n, graph.attributes.shape[1]))
-    mask = np.zeros((1, n))
-    k = graph.node_count
-    adj[0, :k, :k] = graph.adjacency
-    x[0, :k, :] = graph.attributes
-    mask[0, :k] = 1.0
-    return adj, x, mask
+def _graph_arrays(graph: Graph, cfg: ModelConfig | None = None):
+    """One graph as a batch of one: (1,n,n), (1,n,d), (1,n), unpadded. The
+    arrays do not depend on cfg."""
+    return (graph.adjacency[None], graph.attributes[None],
+            np.ones((1, graph.node_count)))
 
 
 def compute_losses(graph: Graph, params: ModelParams,
                    cfg: ModelConfig) -> LossBreakdown:
-    adj, x, mask = _graph_arrays(graph, cfg)
-    out = forward_batch(params.detached(), cfg, adj, x, mask)
-    bl = batch_losses(out, adj, x, mask, cfg)
+    out = forward_batch(params.detached(), cfg, *_graph_arrays(graph))
+    bl = batch_losses(out, cfg)
     return LossBreakdown(
         rec_structure=float(bl.rec_structure.data[0]),
         rec_attribute=float(bl.rec_attribute.data[0]),
@@ -405,11 +477,13 @@ def anomaly_score(graph: Graph, params: ModelParams, cfg: ModelConfig) -> float:
     return lb.rec_structure + lb.rec_attribute + lb.approximation
 
 
-def score_batch(params: ModelParams, cfg: ModelConfig, adj: np.ndarray,
-                x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Anomaly scores for a padded batch in one forward pass, with no tape."""
+def score_batch(params: ModelParams, cfg: ModelConfig, adj,
+                x: np.ndarray | None = None,
+                mask: np.ndarray | None = None) -> np.ndarray:
+    """Anomaly scores for one batch (as `forward_batch` takes it) in one
+    forward pass, with no tape."""
     out = forward_batch(params.detached(), cfg, adj, x, mask)
-    bl = batch_losses(out, adj, x, mask, cfg)
+    bl = batch_losses(out, cfg)
     return (bl.rec_structure.data + bl.rec_attribute.data
             + bl.approximation.data).astype(np.float64)
 
@@ -427,11 +501,15 @@ def graph_memory_attend(h_graph: np.ndarray, graph_memory: np.ndarray,
 
 def node_memory_attend(h_nodes: np.ndarray, node_memory: np.ndarray,
                        mask: np.ndarray, lam: float) -> MemoryAttention:
-    _, w, approx = _attend_nodes(Tensor(np.asarray(h_nodes)[None]),
-                                 Tensor(np.asarray(node_memory)),
-                                 np.asarray(mask)[None], lam)
-    return MemoryAttention(weights=w.data[0].copy(),
-                           approximation=approx.data[0].copy())
+    """Attention of one graph's (N, D) node matrix whose mask selects its
+    real rows, a prefix; pad rows of the approximation are zero."""
+    h = np.asarray(h_nodes)
+    n = int(_prefix_counts(np.asarray(mask)[None])[0])
+    _, w, approx = _attend_nodes(Tensor(h[:n]), Tensor(np.asarray(node_memory)),
+                                 ((1, n),), lam)
+    full = np.zeros(h.shape, approx.data.dtype)
+    full[:n] = approx.data
+    return MemoryAttention(weights=w.data[0].copy(), approximation=full)
 
 
 def hard_shrink_weights(weights: np.ndarray, lam: float) -> np.ndarray:
@@ -466,6 +544,13 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
         if _CONFIG_KEY not in z:
             raise CheckpointError(f"{path} has no embedded config")
         cfg_dict = json.loads(str(z[_CONFIG_KEY]))
+        # older checkpoints carry the removed padding ablation's flag; its
+        # default, losses over real nodes only, is what this model computes
+        masked = cfg_dict.pop("masked_losses", True)
+        if masked is not True:
+            raise CheckpointError(
+                f"{path} was trained with masked_losses={masked!r}, a padding "
+                "ablation this version no longer computes")
         try:
             cfg = ModelConfig(**cfg_dict)
         except TypeError as e:

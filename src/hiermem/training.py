@@ -1,24 +1,28 @@
 """Minibatch training and batched scoring.
 
-Batches are bucketed by graph size: graphs are sorted by node count, chunked,
-and each chunk is padded only to its own widest member. Under masked losses
-this is exact (padded rows contribute nothing to any term) and it cuts the
-cost of the dense matrix products severalfold on size-skewed datasets. Batch
-order is reshuffled every epoch under the training seed.
+Graphs are sorted by (node count, graph id) and chunked into batches. A
+batch is built with one `pad_batch` call per node count it holds, at that
+count's own width, so nothing is padded, and is prepared for the model once
+(`model.ragged_batch`); bucketed training reuses its prepared batches every
+epoch. Batch order is reshuffled every epoch under the training seed;
+without bucketing, each epoch chunks a fresh permutation of the graphs, and
+each chunk is sorted the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Graph, GraphBatch, pad_batch
+from .data import Graph, pad_batch
 from .errors import ConfigurationError, TrainingDiverged
-from .model import (ModelConfig, ModelParams, batch_losses, forward_batch,
-                    init_params, score_batch)
+from .model import (ModelConfig, ModelParams, RaggedBatch, batch_losses,
+                    forward_batch, init_params, ragged_batch, score_batch)
 from .optim import Adam
 
 HISTORY_FIELDS = ("epoch", "total", "rec_structure", "rec_attribute",
@@ -38,7 +42,6 @@ class TrainConfig:
     latent_dim: int = 256
     seed: int = 0
     variant: str = "full"
-    masked_losses: bool = True
     normalize_losses: bool = False
     bucket_by_size: bool = True
 
@@ -61,20 +64,28 @@ def make_model_config(config: TrainConfig, feature_dim: int,
                        max_nodes=max_nodes,
                        shrink_lambda=config.shrink_lambda, alpha=config.alpha,
                        variant=config.variant,
-                       masked_losses=config.masked_losses,
                        normalize_losses=config.normalize_losses)
 
 
-def _size_buckets(graphs: list[Graph], batch_size: int,
-                  pad_to: int | None) -> list[GraphBatch]:
-    order = sorted(range(len(graphs)),
-                   key=lambda i: (graphs[i].node_count, graphs[i].graph_id))
-    batches = []
+def _size_key(graph: Graph) -> tuple[int, int]:
+    return graph.node_count, graph.graph_id
+
+
+def _batches(graphs: list[Graph], order, batch_size: int,
+             dtype) -> Iterator[tuple[list[int], RaggedBatch]]:
+    """Chunks of `batch_size` graph indices taken in `order`, each sorted by
+    size, with the prepared batch of its graphs."""
     for start in range(0, len(order), batch_size):
-        chunk = [graphs[i] for i in order[start:start + batch_size]]
-        width = pad_to if pad_to is not None else max(g.node_count for g in chunk)
-        batches.append(pad_batch(chunk, width))
-    return batches
+        idx = sorted(order[start:start + batch_size],
+                     key=lambda i: _size_key(graphs[i]))
+        runs = [pad_batch(list(run), size) for size, run in itertools.groupby(
+            (graphs[i] for i in idx), key=lambda g: g.node_count)]
+        yield idx, ragged_batch([(r.adjacency_padded, r.attributes_padded)
+                                 for r in runs], dtype)
+
+
+def _size_order(graphs: list[Graph]) -> list[int]:
+    return sorted(range(len(graphs)), key=lambda i: _size_key(graphs[i]))
 
 
 def train(train_graphs: list[Graph], config: TrainConfig,
@@ -101,34 +112,26 @@ def train(train_graphs: list[Graph], config: TrainConfig,
         return params, []
 
     batch_size = min(config.batch_size, len(train_graphs))
-    # unmasked losses read the literal padded matrices, so every batch must
-    # carry the full max_nodes width; masked losses allow per-bucket widths
-    pad_to = None if config.masked_losses else max_nodes
     opt = Adam(params.tensors(), lr=config.learning_rate)
     history: list[dict] = []
 
     if config.bucket_by_size:
-        batches = _size_buckets(train_graphs, batch_size, pad_to)
+        batches = [b for _, b in _batches(train_graphs, _size_order(train_graphs),
+                                          batch_size, np.float32)]
 
     n_total = len(train_graphs)
     for epoch in range(config.epochs):
         if config.bucket_by_size:
             epoch_batches = [batches[i] for i in rng.permutation(len(batches))]
         else:
-            order = rng.permutation(n_total)
-            epoch_batches = []
-            for start in range(0, n_total, batch_size):
-                chunk = [train_graphs[i] for i in order[start:start + batch_size]]
-                width = pad_to if pad_to is not None else max(
-                    g.node_count for g in chunk)
-                epoch_batches.append(pad_batch(chunk, width))
+            epoch_batches = (b for _, b in _batches(
+                train_graphs, rng.permutation(n_total).tolist(), batch_size,
+                np.float32))
 
         sums = {k: 0.0 for k in HISTORY_FIELDS[1:]}
         for bi, batch in enumerate(epoch_batches):
-            out = forward_batch(params, cfg, batch.adjacency_padded,
-                                batch.attributes_padded, batch.node_mask)
-            bl = batch_losses(out, batch.adjacency_padded,
-                              batch.attributes_padded, batch.node_mask, cfg)
+            out = forward_batch(params, cfg, batch)
+            bl = batch_losses(out, cfg)
             loss = ad.reduce_mean(bl.total)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
@@ -157,18 +160,10 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     """Anomaly scores aligned to the input order, computed in size buckets."""
     if not graphs:
         return np.zeros(0)
-    order = sorted(range(len(graphs)),
-                   key=lambda i: (graphs[i].node_count, graphs[i].graph_id))
-    pad_to = None if cfg.masked_losses else max(cfg.max_nodes,
-                                                max(g.node_count for g in graphs))
     scores = np.zeros(len(graphs))
-    for start in range(0, len(order), batch_size):
-        idx = order[start:start + batch_size]
-        chunk = [graphs[i] for i in idx]
-        width = pad_to if pad_to is not None else max(g.node_count for g in chunk)
-        batch = pad_batch(chunk, width)
-        scores[idx] = score_batch(params, cfg, batch.adjacency_padded,
-                                  batch.attributes_padded, batch.node_mask)
+    for idx, batch in _batches(graphs, _size_order(graphs), batch_size,
+                               params.enc1.data.dtype):
+        scores[idx] = score_batch(params, cfg, batch)
     return scores
 
 

@@ -65,7 +65,7 @@ def toy_train_config():
                        num_node_memory=2, num_graph_memory=2, seed=0)
 
 
-def write_tud_files(root, name, *, extra_node_labels=False):
+def write_tud_files(root, name):
     """Write a 3-graph dataset in the four-file benchmark layout by hand.
 
     Graph 1: triangle (nodes 1..3), class 0.
@@ -86,8 +86,6 @@ def write_tud_files(root, name, *, extra_node_labels=False):
             (5.0, 1.5), (6.0, 2.5), (7.0, 2.5), (8.0, 2.5)]
     (d / f"{name}_node_attributes.txt").write_text(
         "".join(f"{a}, {b}\n" for a, b in rows))
-    if extra_node_labels:
-        (d / f"{name}_node_labels.txt").write_text("0\n" * 8)
     return d
 
 

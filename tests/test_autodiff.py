@@ -74,6 +74,53 @@ def test_fanout_accumulates():
     np.testing.assert_allclose(x.grad, 2 * x.data + 1)
 
 
+def test_add_hands_distinct_parents_gradients_that_do_not_alias():
+    a, b = leaf(np.ones(3)), leaf(np.ones(3))
+    g = np.array([1.0, 2.0, 3.0])
+    ad.reduce_sum(ad.mul(ad.add(a, b), g)).backward()
+    np.testing.assert_array_equal(a.grad, g)
+    np.testing.assert_array_equal(b.grad, g)
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0                         # a later += must not reach b
+    np.testing.assert_array_equal(b.grad, g)
+
+
+def test_add_of_a_tensor_to_itself_doubles_its_gradient():
+    a = leaf(np.ones(3))
+    g = np.array([1.0, 2.0, 3.0])
+    ad.reduce_sum(ad.mul(ad.add(a, a), g)).backward()
+    np.testing.assert_array_equal(a.grad, 2 * g)
+    b = leaf(np.ones(3))
+    ad.reduce_sum(ad.mul(ad.sub(b, b), g)).backward()
+    np.testing.assert_array_equal(b.grad, np.zeros(3))
+
+
+def test_fanout_graph_float32_gradients_match_float64():
+    # every op that hands a gradient on uncopied, with each input read by
+    # several consumers; float32 must track the float64 gradients
+    rng = np.random.default_rng(12)
+    x0, w0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+
+    def grads(dtype):
+        x = Tensor(x0.astype(dtype), requires_grad=True)
+        w = Tensor(w0.astype(dtype), requires_grad=True)
+        h = ad.matmul(x, w)
+        r = ad.relu(h)
+        s = ad.sigmoid(h)
+        t = ad.add(ad.add(r, s), ad.transpose_last2(ad.transpose_last2(h)))
+        u = ad.sub(ad.mul(t, x), ad.reshape(ad.reshape(r, (12,)), (4, 3)))
+        p = ad.hard_shrink(ad.row_softmax(u), 0.05)
+        loss = ad.add(ad.reduce_sum(ad.mul(p, t)), ad.reduce_sum(ad.entropy(p)))
+        loss = ad.add(loss, ad.frobenius_sq(ad.add(x, x), t))
+        loss = ad.add(loss, ad.reduce_sum(ad.cosine_rows(u, x)))
+        loss.backward()
+        return x.grad, w.grad
+
+    for got, want in zip(grads(np.float32), grads(np.float64)):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+
+
 def test_matmul_forward_backward():
     a = leaf(np.arange(6.0).reshape(2, 3))
     b = leaf(np.arange(12.0).reshape(3, 4))
@@ -368,12 +415,15 @@ def test_cosine_rows_backward_against_finite_differences():
     np.testing.assert_allclose(m.grad, gm, atol=1e-7)
 
 
-def test_cosine_vector_form():
-    u = np.array([1.0, 0.0])
-    v = np.array([1.0, 1.0])
-    out = ad.cosine(Tensor(u), Tensor(v))
-    assert out.item() == pytest.approx(1 / np.sqrt(2), rel=1e-7)
-    assert ad.cosine(Tensor(u), Tensor(u)).item() == pytest.approx(1.0, rel=1e-7)
+def test_cosine_rows_one_row_form():
+    u = np.array([[1.0, 0.0]])
+    v = np.array([[1.0, 1.0]])
+    out = ad.cosine_rows(Tensor(u), Tensor(v))
+    assert out.shape == (1, 1)
+    assert out.data[0, 0] == pytest.approx(1 / np.sqrt(2), rel=1e-7)
+    assert ad.cosine_rows(Tensor(u), Tensor(u)).data[0, 0] == pytest.approx(
+        1.0, rel=1e-7)
+    assert ad.cosine_rows(Tensor(np.zeros((1, 2))), Tensor(v)).data[0, 0] == 0.0
 
 
 def test_masked_matrix_cosine_ignores_pad_rows():
@@ -419,6 +469,103 @@ def test_masked_matrix_cosine_backward_against_finite_differences():
     np.testing.assert_allclose(h.grad, gh, atol=1e-7)
     np.testing.assert_allclose(m.grad, gm, atol=1e-7)
     assert np.all(h.grad[0, 2] == 0)  # pad row gets no gradient
+
+
+# ---------------------------------------------------------------------------
+# ragged batches: runs of equal node count
+
+RUNS = ((2, 3), (1, 1), (3, 2))             # graphs of 3, 3, 1, 2, 2, 2 nodes
+SIZES = [3, 3, 1, 2, 2, 2]
+
+
+def _padded(rows, width):
+    """Node rows of the RUNS layout as a zero-padded stack and its mask."""
+    out = np.zeros((len(SIZES), width) + rows.shape[1:])
+    mask = np.zeros((len(SIZES), width))
+    start = 0
+    for i, n in enumerate(SIZES):
+        out[i, :n] = rows[start:start + n]
+        mask[i, :n] = 1.0
+        start += n
+    return out, mask
+
+
+def _per_graph(rows):
+    starts = np.cumsum([0] + SIZES)
+    return [rows[a:b] for a, b in zip(starts[:-1], starts[1:])]
+
+
+def test_propagate_multiplies_each_graph_by_its_own_matrix():
+    rng = np.random.default_rng(20)
+    adj = [rng.normal(size=(c, n, n)) for c, n in RUNS]
+    h = rng.normal(size=(sum(SIZES), 4))
+    out = ad.propagate(adj, Tensor(h)).data
+    mats = [m for stack in adj for m in stack]
+    expected = np.concatenate([m @ hg for m, hg in zip(mats, _per_graph(h))])
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
+def test_gram_holds_each_graph_block_flattened():
+    rng = np.random.default_rng(21)
+    h = rng.normal(size=(sum(SIZES), 3))
+    out = ad.gram(Tensor(h), RUNS).data
+    expected = np.concatenate([(hg @ hg.T).ravel() for hg in _per_graph(h)])
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
+def test_matrix_cosine_equals_the_masked_cosine_on_the_padded_stack():
+    rng = np.random.default_rng(22)
+    h = rng.normal(size=(sum(SIZES), 2))
+    m = rng.normal(size=(4, 5, 2))
+    out = ad.matrix_cosine(Tensor(h), Tensor(m), RUNS).data
+    stack, mask = _padded(h, 5)
+    expected = ad.masked_matrix_cosine(Tensor(stack), Tensor(m), mask).data
+    np.testing.assert_allclose(out, expected, rtol=1e-10)
+    zero = ad.matrix_cosine(Tensor(np.zeros_like(h)), Tensor(m), RUNS).data
+    np.testing.assert_array_equal(zero, np.zeros((len(SIZES), 4)))
+
+
+def test_block_readout_crops_every_block_to_the_graph():
+    rng = np.random.default_rng(23)
+    w = rng.random((len(SIZES), 4))
+    m = rng.normal(size=(4, 5, 2))
+    out = ad.block_readout(Tensor(w), Tensor(m), RUNS).data
+    expected = np.concatenate([np.tensordot(w[i], m[:, :n], axes=1)
+                               for i, n in enumerate(SIZES)])
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
+def test_graph_mean_equals_the_masked_mean_on_the_padded_stack():
+    rng = np.random.default_rng(24)
+    h = rng.normal(size=(sum(SIZES), 3))
+    stack, mask = _padded(h, 3)
+    np.testing.assert_allclose(
+        ad.graph_mean(Tensor(h), RUNS).data,
+        ad.masked_mean(Tensor(stack), mask).data, rtol=1e-12)
+
+
+def test_frobenius_sq_segments_sum_each_graph():
+    rng = np.random.default_rng(25)
+    a, b = rng.normal(size=(sum(SIZES), 2)), rng.normal(size=(sum(SIZES), 2))
+    out = ad.frobenius_sq(Tensor(a), Tensor(b), segments=SIZES).data
+    expected = [((ag - bg) ** 2).sum()
+                for ag, bg in zip(_per_graph(a), _per_graph(b))]
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
+    with pytest.raises(ValueError):
+        ad.frobenius_sq(Tensor(a), Tensor(b), batch_dims=1, segments=SIZES)
+
+
+def test_runs_must_cover_the_rows_exactly():
+    h = Tensor(np.ones((sum(SIZES) + 1, 2)))
+    with pytest.raises(ValueError, match="runs cover"):
+        ad.gram(h, RUNS)
+    with pytest.raises(ValueError, match="at least one"):
+        ad.gram(Tensor(np.ones((0, 2))), ((1, 0),))
+    with pytest.raises(ValueError, match="sum to"):
+        ad.frobenius_sq(h, h, segments=SIZES)
+    with pytest.raises(ValueError, match="exceeds memory width"):
+        ad.matrix_cosine(Tensor(np.ones((sum(SIZES), 2))),
+                         Tensor(np.ones((2, 2, 2))), RUNS)
 
 
 # ---------------------------------------------------------------------------

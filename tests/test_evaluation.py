@@ -1,6 +1,7 @@
 """AUC against a pairwise oracle, cross-validation reports, sweeps, writers."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermem import cli
 from hiermem import evaluation as ev
 from hiermem.data import make_er_dataset
 from hiermem.errors import ConfigurationError
@@ -207,3 +209,28 @@ def test_history_csv_covers_every_epoch(small_report, tmp_path):
     total_col = rows[0].index("total")
     recomputed = float(rows[1][total_col])
     assert recomputed == small_report.fold_histories[0][0]["total"]
+
+
+def _raises_mid_write(report, path):
+    """Writers given a report whose serialisation fails part-way through."""
+    bad_json = dataclasses.replace(report, config={"a": 1, "z": object()})
+    bad_rows = dataclasses.replace(
+        report, fold_histories=[report.fold_histories[0] + [{"epoch": 99}]])
+    return {"report.json": lambda: ev.write_report_json(bad_json, path),
+            "history.csv": lambda: ev.write_history_csv(bad_rows, path),
+            "manifest.json": lambda: cli.write_manifest(
+                path.parent, "cv", {"seed": object()}, {}, "", [])}
+
+
+@pytest.mark.parametrize("name", ["report.json", "history.csv", "manifest.json"])
+def test_failed_write_keeps_the_previous_file(small_report, tmp_path, name):
+    path = tmp_path / name
+    path.write_text("previous\n")
+    with pytest.raises((TypeError, KeyError)):
+        _raises_mid_write(small_report, path)[name]()
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+    # and a write that succeeds replaces it, leaving no temporary file
+    ev.write_report_json(small_report, tmp_path / "report.json")
+    assert json.loads((tmp_path / "report.json").read_text())["seed"] == 0
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

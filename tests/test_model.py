@@ -6,8 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hiermem import autodiff as ad
 from hiermem import model as M
 from hiermem.autodiff import Tensor
+from hiermem.data import Graph, pad_batch
 from hiermem.errors import CheckpointError, ConfigurationError, StructuralError
 
 from conftest import build_graph
@@ -235,21 +237,21 @@ def test_hard_shrink_weights_wrapper():
 # decoders
 
 def test_decode_structure_zero_latents_give_half():
-    out = M.decode_structure(Tensor(np.zeros((1, 4, 3))))
-    np.testing.assert_allclose(out.data, np.full((1, 4, 4), 0.5))
+    out = M.decode_structure(Tensor(np.zeros((4, 3))), ((1, 4),))
+    np.testing.assert_allclose(out.data, np.full(16, 0.5))
 
 
 def test_decode_structure_symmetric_in_unit_interval():
     rng = np.random.default_rng(4)
-    h = Tensor(rng.normal(size=(2, 5, 3)))
-    out = M.decode_structure(h).data
+    h = Tensor(rng.normal(size=(10, 3)))
+    out = M.decode_structure(h, ((2, 5),)).data.reshape(2, 5, 5)
     np.testing.assert_allclose(out, np.swapaxes(out, -1, -2), rtol=1e-12)
     assert np.all((out > 0) & (out < 1))
 
 
 def test_decode_structure_orthonormal_rows():
-    h = Tensor(np.eye(3)[None] * 4.0)
-    out = M.decode_structure(h).data[0]
+    h = Tensor(np.eye(3) * 4.0)
+    out = M.decode_structure(h, ((1, 3),)).data.reshape(3, 3)
     sig = 1 / (1 + np.exp(-16.0))
     np.testing.assert_allclose(np.diagonal(out), np.full(3, sig), rtol=1e-7)
     off = out[~np.eye(3, dtype=bool)]
@@ -257,10 +259,10 @@ def test_decode_structure_orthonormal_rows():
 
 
 def test_decode_attributes_zero_latents_give_zero(toy_params):
-    a_norm = np.eye(4, dtype=np.float32)[None]
-    out = M.decode_attributes(toy_params, Tensor(np.zeros((1, 4, 5),
+    a_norm = (np.eye(4, dtype=np.float32)[None],)
+    out = M.decode_attributes(toy_params, Tensor(np.zeros((4, 5),
                                                           dtype=np.float32)), a_norm)
-    np.testing.assert_allclose(out.data, np.zeros((1, 4, 2)))
+    np.testing.assert_allclose(out.data, np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ def test_structure_target_is_adjacency_plus_self_loops(toy_model_config, toy_par
     # perfect off-diagonal reconstruction still scores the diagonal against 1
     g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
     out, (adj, x, mask) = _forward_single(g, toy_params, toy_model_config)
-    bl = M.batch_losses(out, adj, x, mask, toy_model_config)
+    bl = M.batch_losses(out, toy_model_config)
     target = adj[0] + np.eye(3)
     manual = ((out.a_hat.data[0] - target) ** 2).sum()
     assert bl.rec_structure.data[0] == pytest.approx(manual, rel=1e-6)
@@ -317,7 +319,7 @@ def test_approximation_zero_when_memory_matches(toy_model_config):
     with_block[:] = out.h_graph.data[0]  # every block equals the query
     params.graph_memory.data = with_block
     out2, _ = _forward_single(g, params, toy_model_config)
-    bl = M.batch_losses(out2, adj, x, mask, toy_model_config)
+    bl = M.batch_losses(out2, toy_model_config)
     assert bl.approximation.data[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -344,15 +346,6 @@ def test_batched_scores_match_single_graph_scores(toy_model_config, toy_params,
                             batch.node_mask)
     singles = [M.anomaly_score(g, toy_params, toy_model_config) for g in graphs]
     np.testing.assert_allclose(batched, singles, rtol=1e-4)
-
-
-def test_unmasked_losses_depend_on_padding(toy_model_config, toy_params):
-    cfg = dataclasses.replace(toy_model_config, masked_losses=False)
-    g = build_graph([(0, 1), (1, 2)], 3)
-    masked = M.anomaly_score(g, toy_params, toy_model_config)
-    unmasked = M.anomaly_score(g, toy_params, cfg)
-    # pad rows now contribute sigmoid(0)=0.5 entries against zero targets
-    assert unmasked > masked
 
 
 def test_forward_variants_outputs():
@@ -507,3 +500,129 @@ def test_checkpoint_scores_identical_after_reload(tmp_path, toy_model_config,
     s1 = M.anomaly_score(triangle_graph, toy_params, toy_model_config)
     s2 = M.anomaly_score(triangle_graph, loaded, cfg)
     assert s1 == pytest.approx(s2, rel=1e-12)
+
+
+def test_legacy_masked_losses_key_loads_only_when_true(tmp_path,
+                                                       toy_model_config,
+                                                       toy_params):
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    import json as js
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    cfg = js.loads(str(arrays["__config__"]))
+    for value, ok in ((True, True), (False, False)):
+        arrays["__config__"] = np.array(js.dumps(dict(cfg, masked_losses=value)))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        if ok:
+            assert M.load_params(path)[1] == toy_model_config
+        else:
+            with pytest.raises(CheckpointError, match="masked_losses"):
+                M.load_params(path)
+
+
+# ---------------------------------------------------------------------------
+# ragged batches
+
+def _mixed_graphs(sizes, attr_dim=2, seed=0):
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for gid, n in enumerate(sizes):
+        upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+        adj = (upper | upper.T).astype(float)
+        graphs.append(Graph(adjacency=adj, attributes=rng.normal(size=(n, attr_dim)),
+                            label=0, node_count=n, graph_id=gid))
+    return graphs
+
+
+def _mixed_config(**kw):
+    return M.ModelConfig(**dict(dict(feature_dim=2, hidden_dim=8, latent_dim=5,
+                                     num_node_memory=2, num_graph_memory=3,
+                                     max_nodes=40), **kw))
+
+
+def test_mixed_size_batch_scores_equal_single_graph_scores():
+    cfg = _mixed_config()
+    params = M.init_params(cfg, np.random.default_rng(1))
+    graphs = _mixed_graphs([1, 2, 7, 40, 7, 2])
+    batch = pad_batch(graphs, 40)
+    padded = M.score_batch(params, cfg, batch.adjacency_padded,
+                           batch.attributes_padded, batch.node_mask)
+    singles = [M.anomaly_score(g, params, cfg) for g in graphs]
+    np.testing.assert_allclose(padded, singles, rtol=1e-5)
+    out = M.forward_batch(params, cfg, batch.adjacency_padded,
+                          batch.attributes_padded, batch.node_mask)
+    # runs are consecutive graphs of equal size, in batch order
+    assert out.batch.runs == ((1, 1), (1, 2), (1, 7), (1, 40), (1, 7), (1, 2))
+    assert out.h_nodes.shape == (59, 5)
+    assert out.a_hat.shape == (6, 40, 40)
+
+
+def test_padded_stack_needs_prefix_masks():
+    cfg = _mixed_config()
+    params = M.init_params(cfg, np.random.default_rng(1))
+    batch = pad_batch(_mixed_graphs([2, 3]), 3)
+    mask = batch.node_mask.copy()
+    mask[1] = [1.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="prefix"):
+        M.forward_batch(params, cfg, batch.adjacency_padded,
+                        batch.attributes_padded, mask)
+
+
+def test_single_node_graphs_and_isolated_nodes_score_and_differentiate():
+    cfg = _mixed_config(max_nodes=6)
+    params = M.init_params(cfg, np.random.default_rng(2))
+    lone = build_graph([], 1, graph_id=1)
+    isolated = build_graph([(0, 1)], 6, graph_id=2)         # nodes 2..5 alone
+    empty = build_graph([], 4, graph_id=3)                  # no edge at all
+    graphs = [lone, isolated, empty]
+    batch = pad_batch(graphs, 6)
+    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
+    scores = M.score_batch(params, cfg, *arrays)
+    assert np.all(np.isfinite(scores))
+    np.testing.assert_allclose(
+        scores, [M.anomaly_score(g, params, cfg) for g in graphs], rtol=1e-5)
+    loss = ad.reduce_mean(M.batch_losses(M.forward_batch(params, cfg, *arrays),
+                                         cfg).total)
+    loss.backward()
+    assert all(np.all(np.isfinite(p.grad)) for p in params.tensors())
+
+
+def test_all_zero_attributes_take_the_cosine_eps_path():
+    # zero attributes make every node row zero: both cosines divide by eps
+    cfg = _mixed_config(max_nodes=7)
+    params = M.init_params(cfg, np.random.default_rng(3))
+    graphs = [Graph(adjacency=g.adjacency, attributes=np.zeros_like(g.attributes),
+                    label=0, node_count=g.node_count, graph_id=g.graph_id)
+              for g in _mixed_graphs([3, 7, 7])]
+    batch = pad_batch(graphs, 7)
+    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
+    out = M.forward_batch(params, cfg, *arrays)
+    assert not out.h_nodes.data.any()
+    np.testing.assert_array_equal(out.node_weights_raw.data, 0.5)
+    bl = M.batch_losses(out, cfg)
+    assert np.all(np.isfinite(bl.total.data))
+    ad.reduce_mean(bl.total).backward()
+    for p in params.tensors():
+        assert p.grad is not None and np.all(np.isfinite(p.grad))
+
+
+def test_normalize_losses_divides_each_term_by_its_entry_count():
+    cfg = _mixed_config(max_nodes=9)
+    params = M.init_params(cfg, np.random.default_rng(4), dtype=np.float64)
+    graphs = _mixed_graphs([1, 4, 4, 9], seed=5)
+    batch = pad_batch(graphs, 9)
+    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
+    raw = M.batch_losses(M.forward_batch(params, cfg, *arrays), cfg)
+    norm_cfg = dataclasses.replace(cfg, normalize_losses=True)
+    scaled = M.batch_losses(M.forward_batch(params, norm_cfg, *arrays), norm_cfg)
+    n = np.array([1.0, 4.0, 4.0, 9.0])
+    np.testing.assert_allclose(scaled.rec_structure.data,
+                               raw.rec_structure.data / n ** 2, rtol=1e-12)
+    np.testing.assert_allclose(scaled.rec_attribute.data,
+                               raw.rec_attribute.data / (n * 2), rtol=1e-12)
+    np.testing.assert_allclose(scaled.approximation.data,
+                               raw.approximation.data / cfg.latent_dim,
+                               rtol=1e-12)
+    np.testing.assert_array_equal(scaled.entropy.data, raw.entropy.data)

@@ -1,0 +1,26 @@
+"""The benchmark's own self-tests, run as part of this suite.
+
+`perfbench/` wraps hiermem functions by name (`data.pad_batch`,
+`model.forward_batch`, `model.encode`, `training.Adam`, ...) and attributes
+encoder matmuls to `enc1`-`enc3`; its tests fail when one of those is renamed
+or no longer called. They run in a subprocess because `perfbench/` and
+`tests/` each have a `conftest` module, which one pytest run cannot hold.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_self_tests_pass():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "perfbench"], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]

@@ -220,7 +220,7 @@ def test_float32_step_keeps_loss_tape_gradients_and_moments_float32(toy_dataset)
     params = init_params(mcfg, np.random.default_rng(0), dtype=np.float32)
     batch = pad_batch(normals, toy_dataset.n_max)
     arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
-    bl = batch_losses(forward_batch(params, mcfg, *arrays), *arrays, mcfg)
+    bl = batch_losses(forward_batch(params, mcfg, *arrays), mcfg)
     loss = ad.reduce_mean(bl.total)
     assert loss.data.dtype == np.float32
     nodes = _tape_nodes(loss)
@@ -272,7 +272,64 @@ def test_score_graphs_equals_the_training_forward(scoring_setup):
     arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
     out = forward_batch(params, mcfg, *arrays)
     assert out.h_nodes.requires_grad
-    bl = batch_losses(out, *arrays, mcfg)
+    bl = batch_losses(out, mcfg)
     expected = (bl.rec_structure.data + bl.rec_attribute.data
                 + bl.approximation.data).astype(np.float64)
     np.testing.assert_array_equal(got, expected)
+
+
+def _graphs_of_sizes(sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for gid, n in enumerate(sizes):
+        upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+        graphs.append(Graph(adjacency=(upper | upper.T).astype(float),
+                            attributes=rng.normal(size=(n, 2)), label=0,
+                            node_count=n, graph_id=gid))
+    return graphs
+
+
+def test_score_graphs_on_a_mixed_batch_equals_single_graph_scores():
+    graphs = _graphs_of_sizes([40, 1, 7, 2, 7, 1])
+    cfg = TrainConfig(epochs=1, batch_size=6, seed=0, **SMALL)
+    params, _ = T.train(graphs, cfg)
+    mcfg = T.make_model_config(cfg, 2, 40)
+    got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+    expected = [anomaly_score(g, params, mcfg) for g in graphs]
+    np.testing.assert_allclose(got, expected, rtol=1e-5)
+
+
+def test_training_with_every_shrink_row_dead_falls_back_to_argmax():
+    # with two blocks every softmax weight is below 0.9, so hard shrink
+    # keeps only each row's largest weight
+    graphs = _graphs_of_sizes([3, 5, 5, 8, 1])
+    cfg = TrainConfig(epochs=3, batch_size=5, seed=0, shrink_lambda=0.9,
+                      **SMALL)
+    params, history = T.train(graphs, cfg)
+    assert all(np.isfinite(row[k]) for row in history for k in row)
+    assert all(np.all(np.isfinite(t.data)) for t in params.tensors())
+    mcfg = T.make_model_config(cfg, 2, 8)
+    batch = pad_batch(graphs, 8)
+    out = forward_batch(params, mcfg, batch.adjacency_padded,
+                        batch.attributes_padded, batch.node_mask)
+    for w in (out.node_weights, out.graph_weights):
+        assert set(np.unique(w.data)) == {0.0, 1.0}
+    assert history[-1]["entropy"] == 0.0
+
+
+def test_tape_nodes_do_not_depend_on_how_many_sizes_a_batch_mixes():
+    mcfg = T.make_model_config(TrainConfig(**SMALL), 2, 9)
+
+    def step_nodes(sizes):
+        params = init_params(mcfg, np.random.default_rng(0))
+        batch = next(T._batches(_graphs_of_sizes(sizes), list(range(len(sizes))),
+                                len(sizes), np.float32))[1]
+        loss = ad.reduce_mean(batch_losses(forward_batch(params, mcfg, batch),
+                                           mcfg).total)
+        assert np.isfinite(float(loss.data))
+        return len(batch.runs), len(_tape_nodes(loss))
+
+    one_size = step_nodes([5] * 8)
+    many_sizes = step_nodes([1, 2, 3, 4, 5, 6, 8, 9])
+    assert one_size[0] == 1 and many_sizes[0] == 8
+    assert one_size[1] == many_sizes[1]
