@@ -42,7 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 # Populated by the gradient checker to detect ReLU kink proximity; when it is
-# a list, relu() appends min|x| of every call.
+# a list, every ReLU, `relu()` or one fused into an op, appends min|x| of its
+# input.
 _relu_kink_log: list | None = None
 
 
@@ -230,8 +231,12 @@ def mul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 
-def matmul(a, b) -> Tensor:
-    """Matrix product, with numpy stacking rules for leading batch axes."""
+def matmul(a, b, relu: bool = False) -> Tensor:
+    """Matrix product, with numpy stacking rules for leading batch axes.
+
+    With `relu`, the product is clamped at 0 in place: the same values and
+    gradients as `relu(matmul(a, b))`, with one array and one tape node.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul needs operands with at least 2 dimensions")
@@ -239,9 +244,11 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
+    if relu:
+        _relu_in_place(out_data)
 
     def bw():
-        g = out.grad
+        g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
             _accumulate(a, _unbroadcast(ga, a.data.shape), fresh=True)
@@ -285,12 +292,13 @@ def _segment_starts(lengths: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths[:-1])))
 
 
-def propagate(adj, h) -> Tensor:
+def propagate(adj, h, relu: bool = False) -> Tensor:
     """Each graph's constant matrix times its own node rows.
 
     adj: one (count, n, n) array per run of equal node count, in batch
     order; h: (sum n, F) node rows. Graph i's rows of the result are
-    adj_i @ h_i.
+    adj_i @ h_i. With `relu`, the result is clamped at 0 in place, as in
+    `matmul`.
     """
     h = as_tensor(h)
     spans = _run_spans([a.shape[:2] for a in adj], h.data.shape[0])
@@ -304,9 +312,12 @@ def propagate(adj, h) -> Tensor:
 
     out_data = apply(adj, h.data,
                      np.empty(h.data.shape, np.result_type(h.data, *adj)))
+    if relu:
+        _relu_in_place(out_data)
 
     def bw():
-        gh = apply([np.swapaxes(a, -1, -2) for a in adj], out.grad,
+        g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
+        gh = apply([np.swapaxes(a, -1, -2) for a in adj], g,
                    np.empty(h.data.shape, h.data.dtype))
         _accumulate(h, gh, fresh=True)
 
@@ -403,7 +414,23 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
+def _relu_in_place(x: np.ndarray) -> np.ndarray:
+    """ReLU of an array an op has just made and no one else holds, written
+    over it (the `relu=True` of `matmul` and `propagate`)."""
+    if _relu_kink_log is not None:
+        _relu_kink_log.append(float(np.min(np.abs(x))) if x.size else np.inf)
+    return np.maximum(x, 0, out=x)  # NaN stays NaN
+
+
+def _relu_grad_in_place(g: np.ndarray, out_data: np.ndarray) -> np.ndarray:
+    """Mask a fused op's own output gradient by its clamped output, in place
+    (subgradient 0 at the kink and at NaN)."""
+    return np.multiply(g, out_data > 0, out=g)
+
+
 def relu(a) -> Tensor:
+    """The ReLU op. The model fuses it into the op that feeds it (`relu=` of
+    `matmul` and `propagate`), which gives the same bits."""
     a = as_tensor(a)
     if _relu_kink_log is not None:
         _relu_kink_log.append(float(np.min(np.abs(a.data))) if a.data.size else np.inf)

@@ -15,11 +15,14 @@ configuration or unreadable data.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from . import __version__
 from .data import (atomic_open, dataset_checksum, export_folds_csv,
@@ -34,6 +37,50 @@ from .model import VARIANTS
 from .training import TrainConfig
 
 MANIFEST_SCHEMA_VERSION = 1
+
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it
+# accepts on a 64-bit system
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+def _keep_heap() -> bool:
+    """Make glibc keep freed memory for the next training step.
+
+    By default glibc serves every array of 128 KiB or more with its own
+    mmap and gives the top of the heap back to the kernel once 128 KiB of
+    it is free, so the arrays a training step frees are returned after
+    every backward and the next forward faults them in again. This serves
+    arrays up to 32 MiB from the heap and trims it only when 64 MiB at its
+    top is free, the pair glibc's own dynamic threshold settles on after
+    freeing a 32 MiB block. Returns whether both settings took; does
+    nothing where the C library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1
+    trim_ok = mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX) == 1
+    return mmap_ok and trim_ok
+
+
+def _blas_threads() -> int | str:
+    """Threads numpy's bundled OpenBLAS uses, or "unknown" where numpy
+    bundles no OpenBLAS."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("libscipy_openblas*")):
+        try:
+            getter = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes = ()
+        getter.restype = ctypes.c_int
+        return int(getter())
+    return "unknown"
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -232,7 +279,8 @@ def write_resolved_cfg(path: Path, values: dict) -> None:
 
 
 def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
-                   checksum: str, outputs: list[str]) -> None:
+                   checksum: str, outputs: list[str],
+                   heap_kept: bool = False) -> None:
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "command": command,
@@ -243,6 +291,8 @@ def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
         "resolved_config": {k: v for k, v in values.items()},
         "provenance": provenance,
         "outputs": sorted(outputs),
+        "blas_threads": _blas_threads(),
+        "heap_kept": heap_kept,
     }
     with atomic_open(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -282,7 +332,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
     outputs.append(folds_path.name)
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     outputs.append("resolved.cfg")
-    write_manifest(out_dir, "cv", values, provenance, checksum, outputs)
+    write_manifest(out_dir, "cv", values, provenance, checksum, outputs,
+                   args.heap_kept)
     print(f"cv {dataset.name}: mean AUC {report.mean_auc:.4f} "
           f"+/- {report.std_auc:.4f} over {values['folds']} folds")
     for f, auc in enumerate(report.per_fold_auc):
@@ -345,13 +396,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     outputs.append("resolved.cfg")
     write_manifest(out_dir, f"sweep {args.protocol}", values, provenance,
-                   checksum, outputs)
+                   checksum, outputs, args.heap_kept)
     print(f"outputs: {out_dir}")
     return 0
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     values, provenance = resolve_fields(args, _GRADCHECK)
+    if values["seeds"] < 1:
+        raise ConfigurationError(f"--seeds must be >= 1, got {values['seeds']}")
     base = values["seed"]
     results = check_suite(seeds=range(base, base + values["seeds"]),
                           eps=values["eps"])
@@ -372,7 +425,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     write_manifest(out_dir, "gradcheck", values, provenance, "",
-                   ["resolved.cfg"])
+                   ["resolved.cfg"], args.heap_kept)
     if not payload["all_passed"]:
         offenders = [n for n, c in cases.items() if not c["passed"]]
         print("FAILED: " + ", ".join(sorted(offenders)), file=sys.stderr)
@@ -406,8 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    heap_kept = _keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.heap_kept = heap_kept
     try:
         return args.func(args)
     except (ConfigurationError, DatasetParseError, StructuralError) as e:

@@ -106,6 +106,8 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
     `seed` drives the fold split; fold f trains under seed + f. With tau > 0
     each fold's training set is contaminated from its own anomaly pool.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     t0 = time.perf_counter()
     base_cfg = dataclasses.replace(config, seed=seed)
     folds = make_folds(dataset, k, seed)

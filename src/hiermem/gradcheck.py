@@ -179,6 +179,13 @@ def _case_relu(rng):
     return CheckCase([a], ["a"], lambda: proj(ad.relu(a)))
 
 
+def _case_matmul_relu(rng):
+    a, b = _leaf(rng, (6, 4)), _leaf(rng, (4, 5))
+    proj = _projector(rng)
+    return CheckCase([a, b], ["a", "b"],
+                     lambda: proj(ad.matmul(a, b, relu=True)))
+
+
 def _case_sigmoid(rng):
     a = _leaf(rng, (4, 5))
     proj = _projector(rng)
@@ -246,6 +253,14 @@ def _case_propagate(rng):
     h = _leaf(rng, (_ROWS, 3))
     proj = _projector(rng)
     return CheckCase([h], ["h"], lambda: proj(ad.propagate(adj, h)))
+
+
+def _case_propagate_relu(rng):
+    adj = _run_matrices(rng)
+    h = _leaf(rng, (_ROWS, 3))
+    proj = _projector(rng)
+    return CheckCase([h], ["h"],
+                     lambda: proj(ad.propagate(adj, h, relu=True)))
 
 
 def _case_gram(rng):
@@ -333,6 +348,7 @@ PRIMITIVE_CASES: dict[str, Callable] = {
     "mul": _case_mul,
     "matmul": _case_matmul,
     "matmul_batched": _case_matmul_batched,
+    "matmul_relu": _case_matmul_relu,
     "transpose_last2": _case_transpose_last2,
     "reshape": _case_reshape,
     "crop": _case_crop,
@@ -345,6 +361,7 @@ PRIMITIVE_CASES: dict[str, Callable] = {
     "entropy": _case_entropy,
     "cosine_rows": _case_cosine_rows,
     "propagate": _case_propagate,
+    "propagate_relu": _case_propagate_relu,
     "gram": _case_gram,
     "matrix_cosine": _case_matrix_cosine,
     "block_readout": _case_block_readout,

@@ -313,7 +313,8 @@ def normalize_adjacency(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
-    """Three GCN layers, ReLU each, over node rows.
+    """Three GCN layers, ReLU each, over node rows. Each ReLU is fused into
+    the op that makes its input, so a layer keeps one activation array.
 
     a_norm: the normalized adjacency, one (count, n, n) stack per run; x:
     (sum n, d) attribute rows. A zero-padded (B, N, N) / (B, N, d) pair is
@@ -329,9 +330,9 @@ def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
     # (a_norm @ x) @ W1 equals a_norm @ (x @ W1), but x has a few columns
     # where W1 has hundreds: the propagation runs on the narrow side and
     # records nothing on the tape
-    h = ad.relu(ad.matmul(ad.propagate(a_norm, x), params.enc1))
-    h = ad.relu(ad.propagate(a_norm, ad.matmul(h, params.enc2)))
-    h = ad.relu(ad.propagate(a_norm, ad.matmul(h, params.enc3)))
+    h = ad.matmul(ad.propagate(a_norm, x), params.enc1, relu=True)
+    h = ad.propagate(a_norm, ad.matmul(h, params.enc2), relu=True)
+    h = ad.propagate(a_norm, ad.matmul(h, params.enc3), relu=True)
     return h if stack is None else ad.reshape(h, stack + h.shape[-1:])
 
 
@@ -363,7 +364,7 @@ def decode_structure(h_hat: Tensor, runs) -> Tensor:
 
 def decode_attributes(params: ModelParams, h_hat: Tensor, a_norm) -> Tensor:
     """Two GCN layers from node rows back to attribute rows."""
-    t = ad.relu(ad.propagate(a_norm, ad.matmul(h_hat, params.dec1)))
+    t = ad.propagate(a_norm, ad.matmul(h_hat, params.dec1), relu=True)
     return ad.propagate(a_norm, ad.matmul(t, params.dec2))
 
 

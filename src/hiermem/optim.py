@@ -1,4 +1,8 @@
-"""Adam optimizer for tape tensors."""
+"""Adam optimizer for tape tensors.
+
+The moments are updated in place and each update is built in scratch space
+made once per parameter, so after the first step Adam allocates nothing.
+"""
 
 from __future__ import annotations
 
@@ -11,22 +15,49 @@ from .autodiff import Tensor
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one parameter."""
+    """First/second moment accumulators for one parameter, plus scratch
+    space for building its update: two arrays of its shape, made on the
+    first step when not given."""
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: np.ndarray | None = None
 
 
 def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """Apply one bias-corrected Adam update to `value` in place."""
+    """Apply one bias-corrected Adam update to `value` in place.
+
+    `state.m` and `state.v` are updated in place. Every operation, its
+    operands and its order are those of the out-of-place expressions
+
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * (grad * grad)
+        value -= (lr * (m / c1) / (sqrt(v / c2) + eps)).astype(value.dtype)
+
+    with c1 = 1 - beta1**t and c2 = 1 - beta2**t, so the result is the
+    same to the bit.
+    """
+    m, v = state.m, state.v
+    if state.scratch is None:
+        state.scratch = np.empty((2,) + m.shape, m.dtype)
+    num, den = state.scratch
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * (grad * grad)
-    mhat = state.m / (1.0 - beta1 ** state.step)
-    vhat = state.v / (1.0 - beta2 ** state.step)
-    value -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(value.dtype, copy=False)
+    np.multiply(m, beta1, out=m)
+    np.multiply(grad, 1.0 - beta1, out=num)
+    np.add(m, num, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(grad, grad, out=num)
+    np.multiply(num, 1.0 - beta2, out=num)
+    np.add(v, num, out=v)
+    np.divide(m, 1.0 - beta1 ** state.step, out=num)
+    np.multiply(num, lr, out=num)
+    np.divide(v, 1.0 - beta2 ** state.step, out=den)
+    np.sqrt(den, out=den)
+    np.add(den, eps, out=den)
+    np.divide(num, den, out=num)
+    value -= num.astype(value.dtype, copy=False)
 
 
 @dataclass

@@ -342,6 +342,64 @@ def test_relu_hands_its_gradient_on_without_aliasing_fanout():
     loss.backward()
     np.testing.assert_allclose(x.grad, [-2.0, 11.0, 13.0])
 
+def _fused_and_unfused(op_name, dtype, nan):
+    """One op with relu=True and the same op followed by ad.relu, on inputs
+    with a row whose output is exactly 0 (and, with `nan`, a NaN): (output,
+    gradients, kink-log entries) of each, under the same loss."""
+    rng = np.random.default_rng(31)
+    h = rng.normal(size=(9, 4)).astype(dtype)
+    h[2] = 0.0                                    # an output row at the kink
+    if nan:
+        h[5, 1] = np.nan
+    w = rng.normal(size=(4, 3)).astype(dtype)
+    proj = rng.normal(size=(9, 3)).astype(dtype)
+    # the one-node graph's matrix is 0, so propagate has a row at the kink
+    adj = [np.zeros((1, 1, 1), dtype), rng.normal(size=(2, 4, 4)).astype(dtype)]
+
+    def run(fused):
+        hh, ww = Tensor(h.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+        ad._relu_kink_log = []
+        try:
+            if op_name == "matmul":
+                out = (ad.matmul(hh, ww, relu=True) if fused
+                       else ad.relu(ad.matmul(hh, ww)))
+            else:
+                x = ad.matmul(hh, ww)
+                out = (ad.propagate(adj, x, relu=True) if fused
+                       else ad.relu(ad.propagate(adj, x)))
+            kinks = ad._relu_kink_log
+        finally:
+            ad._relu_kink_log = None
+        data = out.data.copy()
+        ad.reduce_sum(ad.mul(out, proj)).backward()
+        return data, (hh.grad, ww.grad), kinks, out
+
+    return run(True), run(False)
+
+
+@pytest.mark.parametrize("op_name", ["matmul", "propagate"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("nan", [False, True])
+def test_fused_relu_is_bit_equal_to_relu_on_the_ops_output(op_name, dtype, nan):
+    (f_out, f_grads, f_kinks, _), (u_out, u_grads, u_kinks, _) = \
+        _fused_and_unfused(op_name, dtype, nan)
+    assert f_out.dtype == dtype
+    assert (f_out == 0).any() and np.isnan(f_out).any() == nan
+    assert f_out.tobytes() == u_out.tobytes()
+    for fg, ug in zip(f_grads, u_grads):
+        assert fg.dtype == dtype
+        assert fg.tobytes() == ug.tobytes()
+    assert np.isnan(f_grads[1]).any() == nan      # NaN reaches the weight
+    np.testing.assert_array_equal(f_kinks, u_kinks)
+    assert len(f_kinks) == 1 and (nan or f_kinks[0] == 0.0)
+
+
+def test_fused_relu_records_one_tape_node():
+    a, b = leaf(np.ones((2, 3))), leaf(np.ones((3, 2)))
+    out = ad.matmul(a, b, relu=True)
+    assert out._parents == (a, b)
+
+
 def test_sigmoid_matches_closed_form_and_saturates_cleanly():
     x = np.array([-1000.0, -3.0, 0.0, 3.0, 1000.0])
     out = ad.sigmoid(leaf(x))

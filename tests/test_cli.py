@@ -1,7 +1,13 @@
 """End-to-end command-line runs: exit codes, artifacts, config precedence."""
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hiermem import cli
@@ -103,6 +109,35 @@ def test_cv_writes_reports_and_manifest(disk_dataset, tmp_path, capsys):
     assert manifest["provenance"]["epochs"] == "flag"
     assert manifest["provenance"]["lr"] == "default"
     assert manifest["resolved_config"]["folds"] == 2
+    threads = manifest["blas_threads"]
+    assert threads == "unknown" or (isinstance(threads, int) and threads >= 1)
+    assert manifest["heap_kept"] is cli._keep_heap()
+
+
+def test_manifest_records_blas_threads_and_heap_setting(disk_dataset, tmp_path,
+                                                        capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_keep_heap", lambda: False)
+    monkeypatch.setattr(cli, "_blas_threads", lambda: 3)
+    assert main(run_cv_args(disk_dataset, tmp_path)) == 0
+    manifest = json.loads((tmp_path / "cv-ERS-s0" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == 3
+    assert manifest["heap_kept"] is False
+
+
+def test_blas_threads_reads_the_bundled_openblas():
+    threads = cli._blas_threads()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas == "scipy-openblas":
+        assert isinstance(threads, int) and threads >= 1
+    else:
+        assert threads == "unknown"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cv_rejects_a_job_count_below_one(disk_dataset, tmp_path, capsys, jobs):
+    code = main(run_cv_args(disk_dataset, tmp_path, ["--jobs", jobs]))
+    assert code == 2
+    assert f"got {jobs}" in capsys.readouterr().err
 
 
 def test_cv_synthetic_dataset_needs_no_files(tmp_path, capsys):
@@ -221,6 +256,15 @@ def test_gradcheck_command_passes_and_reports(tmp_path, capsys):
     assert manifest["command"] == "gradcheck"
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_gradcheck_without_a_seed_is_usage_error(tmp_path, capsys, seeds):
+    code = main(["gradcheck", "--seeds", seeds, "--out-dir", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"--seeds must be >= 1, got {seeds}" in captured.err
+    assert captured.out == ""
+
+
 def test_gradcheck_failure_exit_code(tmp_path, capsys, monkeypatch):
     import numpy as np
 
@@ -234,3 +278,46 @@ def test_gradcheck_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 1
     captured = capsys.readouterr()
     assert "FAILED: relu" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# allocator
+
+_REFAULT_SCRIPT = """
+import resource
+from hiermem import cli, training
+from hiermem.data import make_er_dataset
+
+assert cli._keep_heap()
+graphs = make_er_dataset(80, 0, seed=0, n_range=(10, 30)).graphs
+config = training.TrainConfig(epochs=1, batch_size=40, seed=0)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    training.train(graphs, config)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[0], faults[1])
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_kept_heap_does_not_fault_a_repeated_training_in_again():
+    # without the heap kept, the second training faults in about as many
+    # pages as the first, because glibc gave the freed ones back
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _REFAULT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    first, second = map(int, done.stdout.split())
+    assert second < 0.1 * first, (first, second)

@@ -136,6 +136,15 @@ def test_run_cv_parallel_matches_serial(er_dataset):
     assert serial.per_graph_scores == parallel.per_graph_scores
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_cv_rejects_a_job_count_below_one(er_dataset, jobs):
+    cfg = TrainConfig(seed=0, **SMALL)
+    with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
+        ev.run_cv(er_dataset, cfg, k=3, seed=0, jobs=jobs)
+    with pytest.raises(ConfigurationError, match="jobs"):
+        ev.run_contamination_sweep(er_dataset, cfg, [0.0], k=3, seed=0, jobs=jobs)
+
+
 def test_contamination_sweep_orders_and_validates(er_dataset):
     cfg = TrainConfig(seed=0, **SMALL)
     reports = ev.run_contamination_sweep(er_dataset, cfg, [0.0, 50.0],

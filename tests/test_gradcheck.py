@@ -90,6 +90,26 @@ def test_fault_injection_detected(monkeypatch):
     assert results[0].max_rel_err > gc.DEFAULT_TOL
 
 
+def test_fault_injection_in_fused_relu_detected(monkeypatch):
+    def bad_mask(g, out_data):
+        return np.multiply(g, (out_data > 0) * 1.01, out=g)  # planted 1% error
+
+    monkeypatch.setattr(ad, "_relu_grad_in_place", bad_mask)
+    results = gc.check_suite(seeds=[0],
+                             names=["matmul_relu", "propagate_relu", "full_loss"])
+    assert [r.passed for r in results] == [False, False, False]
+    assert all(r.max_rel_err > gc.DEFAULT_TOL for r in results)
+
+
+def test_full_loss_forward_logs_one_kink_entry_per_relu(monkeypatch):
+    # enc1, enc2, enc3 and dec1 each apply a ReLU fused into their op; the
+    # redraw past kinks needs every one of them in the log
+    case = gc._full_loss_case(np.random.default_rng(0))
+    monkeypatch.setattr(ad, "_relu_kink_log", [])
+    case.fn()
+    assert len(ad._relu_kink_log) == 4
+
+
 def test_fault_injection_in_matmul_detected(monkeypatch):
     def bad_matmul(a, b):
         a, b = ad.as_tensor(a), ad.as_tensor(b)

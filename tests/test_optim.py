@@ -78,3 +78,40 @@ def test_state_step_counter_advances():
         a.grad = np.ones(1)
         opt.step()
     assert opt.states[0].step == 3
+
+
+def out_of_place_adam_step(value, grad, state, lr, beta1=0.9, beta2=0.999,
+                           eps=1e-8):
+    """`adam_step` as written before it updated in place, kept verbatim as
+    the bit-level reference."""
+    state.step += 1
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * (grad * grad)
+    mhat = state.m / (1.0 - beta1 ** state.step)
+    vhat = state.v / (1.0 - beta2 ** state.step)
+    value -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(value.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_step_is_bit_equal_to_the_out_of_place_expression(dtype):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(5, 7)).astype(dtype)
+    grads = [(rng.normal(size=(5, 7)) * 10.0 ** k).astype(dtype)
+             for k in range(-3, 3)]
+    ref_x = x.copy()
+    ref = AdamState(np.zeros_like(x), np.zeros_like(x))
+    a = Tensor(x.copy(), requires_grad=True)
+    opt = Adam([a], lr=0.01)
+    state = opt.states[0]
+    m, v = state.m, state.v
+    for g in grads:
+        out_of_place_adam_step(ref_x, g, ref, lr=0.01)
+        a.grad = g.copy()
+        opt.step()
+        assert a.data.tobytes() == ref_x.tobytes()
+        assert state.m.tobytes() == ref.m.tobytes()
+        assert state.v.tobytes() == ref.v.tobytes()
+        assert state.m is m and state.v is v
+        assert a.grad.tobytes() == g.tobytes()      # the gradient is left alone
+    assert a.data.dtype == state.m.dtype == dtype
+    assert state.step == len(grads)
