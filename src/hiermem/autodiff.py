@@ -449,11 +449,10 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
+    # below. min(x, -x) is -|x| that keeps a NaN's sign bit, as exp(x) does.
+    e = np.exp(np.minimum(x, -x))
+    out_data = np.where(x >= 0, 1, e) / (1 + e)
 
     def bw():
         _accumulate(a, out.grad * out_data * (1.0 - out_data), fresh=True)

@@ -1,0 +1,57 @@
+"""The thread count of numpy's bundled OpenBLAS, read and pinned in-process.
+
+Numpy wheels bundle OpenBLAS as `numpy.libs/libscipy_openblas*`, which
+exports a getter and a setter for its thread count. Where numpy bundles no
+such library (another BLAS, a source build), `threads()` returns None and
+nothing is ever pinned.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
+
+import numpy as np
+
+
+@functools.cache
+def _openblas():
+    """The bundled OpenBLAS's (get, set) thread-count functions, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+def threads() -> int | None:
+    """Threads the bundled OpenBLAS runs with, or None without it."""
+    funcs = _openblas()
+    return None if funcs is None else int(funcs[0]())
+
+
+@contextmanager
+def pinned(n: int) -> Iterator[None]:
+    """Run the block with the bundled OpenBLAS on `n` threads, then restore
+    the count it had. Without the bundled OpenBLAS it changes nothing."""
+    funcs = _openblas()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)

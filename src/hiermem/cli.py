@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from . import __version__
+from . import __version__, blas
 from .data import (atomic_open, dataset_checksum, export_folds_csv,
                    make_er_dataset, make_folds, parse_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
@@ -66,21 +64,6 @@ def _keep_heap() -> bool:
     mmap_ok = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1
     trim_ok = mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX) == 1
     return mmap_ok and trim_ok
-
-
-def _blas_threads() -> int | str:
-    """Threads numpy's bundled OpenBLAS uses, or "unknown" where numpy
-    bundles no OpenBLAS."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                       .glob("libscipy_openblas*")):
-        try:
-            getter = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        getter.argtypes = ()
-        getter.restype = ctypes.c_int
-        return int(getter())
-    return "unknown"
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -291,7 +274,7 @@ def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
         "resolved_config": {k: v for k, v in values.items()},
         "provenance": provenance,
         "outputs": sorted(outputs),
-        "blas_threads": _blas_threads(),
+        "blas_threads": blas.threads() or "unknown",
         "heap_kept": heap_kept,
     }
     with atomic_open(out_dir / "manifest.json") as fh:

@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +113,8 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
     args = [(split, base_cfg, tau, dataset.attribute_dim, dataset.n_max)
             for split in folds]
     if jobs > 1:
+        # imported here: it loads multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fold_worker, args))
     else:

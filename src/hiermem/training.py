@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .data import Graph, pad_batch
 from .errors import ConfigurationError, TrainingDiverged
 from .model import (ModelConfig, ModelParams, RaggedBatch, batch_losses,
@@ -27,6 +29,11 @@ from .optim import Adam
 
 HISTORY_FIELDS = ("epoch", "total", "rec_structure", "rec_attribute",
                   "approximation", "entropy")
+
+# fewest node rows a scoring part is given: below it, one part per OpenBLAS
+# thread scores slower than one multithreaded pass (measured crossover,
+# CHANGES.md)
+SPLIT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -71,17 +78,28 @@ def _size_key(graph: Graph) -> tuple[int, int]:
     return graph.node_count, graph.graph_id
 
 
+def _chunks(graphs: list[Graph], order, batch_size: int) -> Iterator[list[int]]:
+    """Chunks of `batch_size` graph indices taken in `order`, each sorted by
+    size."""
+    for start in range(0, len(order), batch_size):
+        yield sorted(order[start:start + batch_size],
+                     key=lambda i: _size_key(graphs[i]))
+
+
+def _ragged(graphs: list[Graph], idx, dtype) -> RaggedBatch:
+    """The prepared batch of the size-sorted graphs `idx`."""
+    runs = [pad_batch(list(run), size) for size, run in itertools.groupby(
+        (graphs[i] for i in idx), key=lambda g: g.node_count)]
+    return ragged_batch([(r.adjacency_padded, r.attributes_padded)
+                         for r in runs], dtype)
+
+
 def _batches(graphs: list[Graph], order, batch_size: int,
              dtype) -> Iterator[tuple[list[int], RaggedBatch]]:
     """Chunks of `batch_size` graph indices taken in `order`, each sorted by
     size, with the prepared batch of its graphs."""
-    for start in range(0, len(order), batch_size):
-        idx = sorted(order[start:start + batch_size],
-                     key=lambda i: _size_key(graphs[i]))
-        runs = [pad_batch(list(run), size) for size, run in itertools.groupby(
-            (graphs[i] for i in idx), key=lambda g: g.node_count)]
-        yield idx, ragged_batch([(r.adjacency_padded, r.attributes_padded)
-                                 for r in runs], dtype)
+    for idx in _chunks(graphs, order, batch_size):
+        yield idx, _ragged(graphs, idx, dtype)
 
 
 def _size_order(graphs: list[Graph]) -> list[int]:
@@ -155,15 +173,57 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     return params, history
 
 
+def _parts(graphs: list[Graph], idx: list[int],
+           threads: int) -> list[list[int]]:
+    """`idx` cut into at most `threads` contiguous parts of about equal node
+    rows, at least SPLIT_ROWS of them per part on average."""
+    counts = np.array([graphs[i].node_count for i in idx])
+    k = min(threads, int(counts.sum()) // SPLIT_ROWS)
+    if k < 2:
+        return [idx]
+    # a graph goes to the part its middle node row falls in
+    middles = np.cumsum(counts) - counts / 2
+    cuts = np.searchsorted(middles, counts.sum() * np.arange(1, k) / k)
+    return [part.tolist() for part in np.split(np.asarray(idx), cuts)
+            if part.size]
+
+
 def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
                  batch_size: int = 300) -> np.ndarray:
-    """Anomaly scores aligned to the input order, computed in size buckets."""
+    """Anomaly scores aligned to the input order, computed in size buckets.
+
+    A bucket of at least 2 * SPLIT_ROWS node rows is cut into up to one part
+    per OpenBLAS thread (`_parts`), and the parts are scored at the same time
+    on a thread pool, with OpenBLAS on one thread per part. Smaller buckets
+    are scored one after another with OpenBLAS as it is.
+    """
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if not graphs:
         return np.zeros(0)
     scores = np.zeros(len(graphs))
-    for idx, batch in _batches(graphs, _size_order(graphs), batch_size,
-                               params.enc1.data.dtype):
-        scores[idx] = score_batch(params, cfg, batch)
+    dtype = params.enc1.data.dtype
+
+    def score(idx):
+        scores[idx] = score_batch(params, cfg, _ragged(graphs, idx, dtype))
+
+    threads = blas.threads() or 1
+    split = []
+    for idx in _chunks(graphs, _size_order(graphs), batch_size):
+        parts = _parts(graphs, idx, threads)
+        if len(parts) == 1:
+            score(idx)
+        else:
+            split.append(parts)
+    if split:
+        # pinned once for the call, not per bucket: OpenBLAS workers keep
+        # spinning for a while after a GEMM and would compete with the pool
+        with blas.pinned(1), ThreadPoolExecutor(threads - 1) as pool:
+            for parts in split:
+                futures = [pool.submit(score, part) for part in parts[1:]]
+                score(parts[0])
+                for future in futures:
+                    future.result()
     return scores
 
 

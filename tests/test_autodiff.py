@@ -409,6 +409,30 @@ def test_sigmoid_matches_closed_form_and_saturates_cleanly():
     assert out.data[4] == pytest.approx(1.0)
 
 
+def _sigmoid_by_gathers(x):
+    """The boolean-gather sigmoid `ad.sigmoid` computed before."""
+    out_data = np.empty_like(x)
+    pos = x >= 0
+    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out_data[~pos] = ex / (1.0 + ex)
+    return out_data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bit_equal_to_the_gather_form(dtype):
+    special = np.array([0.0, -0.0, 88.0, -88.0, -104.0, 710.0, -745.0, np.nan,
+                        -np.nan, np.inf, -np.inf, 1e-30, -1e-30], dtype=dtype)
+    rng = np.random.default_rng(0)
+    x = np.concatenate([special, rng.normal(0, 20, 20000).astype(dtype),
+                        rng.uniform(-120, 120, 20000).astype(dtype)])
+    got = ad.sigmoid(Tensor(x)).data
+    assert got.dtype == dtype
+    uint = np.uint32 if dtype == np.float32 else np.uint64
+    np.testing.assert_array_equal(got.view(uint),
+                                  _sigmoid_by_gathers(x).view(uint))
+
+
 def test_sigmoid_gradient():
     a = leaf([0.3, -0.7])
     out = ad.sigmoid(a)

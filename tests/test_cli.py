@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiermem import cli
+from hiermem import blas, cli
 from hiermem.cli import main, parse_float_list, parse_int_list
 from hiermem.data import make_er_dataset, write_tudataset
 from hiermem.errors import ConfigurationError
@@ -117,7 +117,7 @@ def test_cv_writes_reports_and_manifest(disk_dataset, tmp_path, capsys):
 def test_manifest_records_blas_threads_and_heap_setting(disk_dataset, tmp_path,
                                                         capsys, monkeypatch):
     monkeypatch.setattr(cli, "_keep_heap", lambda: False)
-    monkeypatch.setattr(cli, "_blas_threads", lambda: 3)
+    monkeypatch.setattr(blas, "threads", lambda: 3)
     assert main(run_cv_args(disk_dataset, tmp_path)) == 0
     manifest = json.loads((tmp_path / "cv-ERS-s0" / "manifest.json").read_text())
     assert manifest["blas_threads"] == 3
@@ -125,12 +125,12 @@ def test_manifest_records_blas_threads_and_heap_setting(disk_dataset, tmp_path,
 
 
 def test_blas_threads_reads_the_bundled_openblas():
-    threads = cli._blas_threads()
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    if blas == "scipy-openblas":
+    threads = blas.threads()
+    name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if name == "scipy-openblas":
         assert isinstance(threads, int) and threads >= 1
     else:
-        assert threads == "unknown"
+        assert threads is None
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -2,12 +2,15 @@
 
 import dataclasses
 import gc
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hiermem import autodiff as ad
+from hiermem import blas
+from hiermem import model as M
 from hiermem import training as T
 from hiermem.data import Graph, make_er_dataset, pad_batch
 from hiermem.errors import ConfigurationError, TrainingDiverged
@@ -333,3 +336,179 @@ def test_tape_nodes_do_not_depend_on_how_many_sizes_a_batch_mixes():
     many_sizes = step_nodes([1, 2, 3, 4, 5, 6, 8, 9])
     assert one_size[0] == 1 and many_sizes[0] == 8
     assert one_size[1] == many_sizes[1]
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_score_graphs_rejects_a_batch_size_below_one(batch_size, toy_model_config,
+                                                     toy_params, triangle_graph):
+    with pytest.raises(ConfigurationError,
+                       match=f"batch_size must be >= 1, got {batch_size}"):
+        T.score_graphs(toy_params, toy_model_config, [triangle_graph],
+                       batch_size=batch_size)
+
+
+# ---------------------------------------------------------------------------
+# scoring a bucket in parts on a thread pool
+
+def _real_blas_threads():
+    """The bundled OpenBLAS's own count, whatever `blas.threads` is patched
+    to; None without it."""
+    funcs = blas._openblas()
+    return None if funcs is None else funcs[0]()
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Buckets of 8 or more node rows split into up to 3 parts."""
+    monkeypatch.setattr(T, "SPLIT_ROWS", 4)
+    monkeypatch.setattr(blas, "threads", lambda: 3)
+
+
+@pytest.fixture
+def split_setup():
+    graphs = _graphs_of_sizes([9, 1, 7, 2, 7, 1, 5, 6, 3, 8, 4, 9], seed=3)
+    cfg = TrainConfig(epochs=1, batch_size=6, seed=0, **SMALL)
+    params, _ = T.train(graphs, cfg)
+    return params, T.make_model_config(cfg, 2, 9), graphs
+
+
+def _record_parts(monkeypatch):
+    """Wrap the `score_batch` that `score_graphs` calls; returns the list of
+    (batch, scores, OpenBLAS threads during the call) it fills."""
+    calls, real = [], T.score_batch
+
+    def recording(params, cfg, batch):
+        out = real(params, cfg, batch)
+        calls.append((batch, out, _real_blas_threads()))
+        return out
+
+    monkeypatch.setattr(T, "score_batch", recording)
+    return calls
+
+
+def test_parts_are_contiguous_and_balanced_by_node_rows(monkeypatch):
+    monkeypatch.setattr(T, "SPLIT_ROWS", 4)
+    graphs = _graphs_of_sizes([1, 1, 2, 7, 7, 40, 3, 3, 3, 3])
+    assert T._parts(graphs, list(range(6)), 1) == [list(range(6))]
+    # the 40-node graph holds more than a third of the rows: 2 parts, not 3
+    assert T._parts(graphs, list(range(6)), 3) == [[0, 1, 2, 3, 4], [5]]
+    assert T._parts(graphs, list(range(6, 10)), 2) == [[6, 7], [8, 9]]
+    assert T._parts(graphs, list(range(6, 10)), 3) == [[6], [7, 8], [9]]
+    # 12 rows make at most 3 parts of 4 rows on average, whatever the threads
+    assert T._parts(graphs, list(range(6, 10)), 8) == [[6], [7, 8], [9]]
+    assert T._parts(graphs, [6, 7], 8) == [[6, 7]]       # 6 rows: one part
+
+
+def test_split_scores_equal_each_part_scored_serially(split_setup, forced_split,
+                                                      monkeypatch):
+    params, mcfg, graphs = split_setup
+    calls = _record_parts(monkeypatch)
+    got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+
+    order = sorted(range(len(graphs)), key=lambda i: graphs[i].node_count)
+    parts = T._parts(graphs, order, 3)
+    assert len(parts) == 3 and len(calls) == 3
+    expected = np.zeros(len(graphs))
+    with blas.pinned(1):
+        for part in parts:
+            expected[part] = M.score_batch(
+                params, mcfg, T._ragged(graphs, part, np.float32))
+    np.testing.assert_array_equal(got, expected)
+
+    monkeypatch.setattr(T, "SPLIT_ROWS", 10**9)
+    whole = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+    assert len(calls) == 4
+    np.testing.assert_allclose(got, whole, rtol=1e-5)
+
+
+def test_split_over_more_threads_than_cores_loses_no_score(split_setup,
+                                                           monkeypatch):
+    params, mcfg, _ = split_setup
+    graphs = _graphs_of_sizes([1 + i % 9 for i in range(120)], seed=4)
+    monkeypatch.setattr(T, "SPLIT_ROWS", 4)
+    monkeypatch.setattr(blas, "threads", lambda: 8)
+    calls = _record_parts(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = T.score_graphs(params, mcfg, graphs, batch_size=40)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 3 * 8
+    order = sorted(range(len(graphs)), key=lambda i: graphs[i].node_count)
+    expected = np.zeros(len(graphs))
+    with blas.pinned(1):
+        for start in range(0, len(order), 40):
+            for part in T._parts(graphs, order[start:start + 40], 8):
+                expected[part] = M.score_batch(
+                    params, mcfg, T._ragged(graphs, part, np.float32))
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_split_pins_openblas_to_one_thread_and_restores_it(split_setup,
+                                                           forced_split,
+                                                           monkeypatch):
+    params, mcfg, graphs = split_setup
+    if _real_blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    calls = _record_parts(monkeypatch)
+    with blas.pinned(2):
+        before = _real_blas_threads()
+        T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+        assert _real_blas_threads() == before
+        assert len(calls) == 3 and {c[2] for c in calls} == {1}
+
+        # the widest graph lands in the last part, which a pool thread scores
+        narrow = dataclasses.replace(mcfg, max_nodes=8)
+        narrow_params = init_params(narrow, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError,
+                           match="batch width 9 exceeds memory width 8"):
+            T.score_graphs(narrow_params, narrow, graphs,
+                           batch_size=len(graphs))
+        assert _real_blas_threads() == before
+
+
+def test_no_openblas_means_no_pool_and_no_pin(split_setup, monkeypatch):
+    params, mcfg, graphs = split_setup
+    serial = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scoring must stay serial")
+
+    monkeypatch.setattr(T, "SPLIT_ROWS", 4)
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    monkeypatch.setattr(blas, "pinned", refuse)
+    monkeypatch.setattr(T, "ThreadPoolExecutor", refuse)
+    calls = _record_parts(monkeypatch)
+    got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got, serial)
+
+
+def test_cv_with_two_jobs_equals_serial_while_scoring_splits(forced_split,
+                                                             monkeypatch):
+    from hiermem.evaluation import run_cv
+    ds = make_er_dataset(20, 10, seed=4)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=0, **SMALL)
+    calls = _record_parts(monkeypatch)
+    serial = run_cv(ds, cfg, k=3, seed=3, jobs=1)
+    assert len(calls) > 3       # three folds of one bucket each, split
+    parallel = run_cv(ds, cfg, k=3, seed=3, jobs=2)
+    assert serial.per_fold_auc == parallel.per_fold_auc
+    assert serial.per_graph_scores == parallel.per_graph_scores
+
+
+def test_a_float64_checkpoint_scores_in_float64_through_the_split(
+        split_setup, forced_split, monkeypatch, tmp_path):
+    _, mcfg, graphs = split_setup
+    M.save_params(tmp_path / "model.npz",
+                  init_params(mcfg, np.random.default_rng(2), dtype=np.float64),
+                  mcfg)
+    params, cfg = M.load_params(tmp_path / "model.npz")
+    calls = _record_parts(monkeypatch)
+    got = T.score_graphs(params, cfg, graphs, batch_size=len(graphs))
+    assert len(calls) == 3
+    assert {c[0].x.dtype for c in calls} == {np.dtype(np.float64)}
+    monkeypatch.setattr(T, "SPLIT_ROWS", 10**9)
+    whole = T.score_graphs(params, cfg, graphs, batch_size=len(graphs))
+    np.testing.assert_allclose(got, whole, rtol=1e-12)
