@@ -1,8 +1,9 @@
 """Minibatch training and batched scoring.
 
-Graphs are sorted by (node count, graph id) and chunked into batches. A
-batch is built with one `pad_batch` call per node count it holds, at that
-count's own width, so nothing is padded, and is prepared for the model once
+Graphs are sorted by (node count, graph id) and chunked into batches;
+scoring also caps each chunk's node rows (CHUNK_ROWS). A batch is built
+with one `pad_batch` call per node count it holds, at that count's own
+width, so nothing is padded, and is prepared for the model once
 (`model.ragged_batch`); bucketed training reuses its prepared batches every
 epoch. Batch order is reshuffled every epoch under the training seed;
 without bucketing, each epoch chunks a fresh permutation of the graphs, and
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -34,6 +36,10 @@ HISTORY_FIELDS = ("epoch", "total", "rec_structure", "rec_attribute",
 # thread scores slower than one multithreaded pass (measured crossover,
 # CHANGES.md)
 SPLIT_ROWS = 1024
+
+# most node rows a scoring chunk holds: the chunk's activations, not its
+# graph count, set scoring's working set (measured sweep, CHANGES.md)
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -78,12 +84,23 @@ def _size_key(graph: Graph) -> tuple[int, int]:
     return graph.node_count, graph.graph_id
 
 
-def _chunks(graphs: list[Graph], order, batch_size: int) -> Iterator[list[int]]:
-    """Chunks of `batch_size` graph indices taken in `order`, each sorted by
-    size."""
-    for start in range(0, len(order), batch_size):
-        yield sorted(order[start:start + batch_size],
-                     key=lambda i: _size_key(graphs[i]))
+def _chunks(graphs: list[Graph], order, batch_size: int,
+            max_rows: float = math.inf) -> Iterator[list[int]]:
+    """Chunks of graph indices taken in `order`, each sorted by size.
+
+    A chunk holds at most `batch_size` graphs and at most `max_rows` node
+    rows; a graph of more than `max_rows` nodes forms a chunk of its own.
+    """
+    chunk, rows = [], 0
+    for i in order:
+        n = graphs[i].node_count
+        if chunk and (len(chunk) == batch_size or rows + n > max_rows):
+            yield sorted(chunk, key=lambda j: _size_key(graphs[j]))
+            chunk, rows = [], 0
+        chunk.append(i)
+        rows += n
+    if chunk:
+        yield sorted(chunk, key=lambda j: _size_key(graphs[j]))
 
 
 def _ragged(graphs: list[Graph], idx, dtype) -> RaggedBatch:
@@ -192,10 +209,14 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
                  batch_size: int = 300) -> np.ndarray:
     """Anomaly scores aligned to the input order, computed in size buckets.
 
-    A bucket of at least 2 * SPLIT_ROWS node rows is cut into up to one part
-    per OpenBLAS thread (`_parts`), and the parts are scored at the same time
-    on a thread pool, with OpenBLAS on one thread per part. Smaller buckets
-    are scored one after another with OpenBLAS as it is.
+    A bucket holds at most `batch_size` graphs and at most CHUNK_ROWS node
+    rows (a larger graph is scored alone), so scoring's memory does not grow
+    with the largest graphs of a collection; cross-validation folds at the
+    default batch sizes stay below the cap. A bucket of at least
+    2 * SPLIT_ROWS node rows is cut into up to one part per OpenBLAS thread
+    (`_parts`), and the parts are scored at the same time on a thread pool,
+    with OpenBLAS on one thread per part. Smaller buckets are scored one
+    after another with OpenBLAS as it is.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
@@ -209,7 +230,7 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
 
     threads = blas.threads() or 1
     split = []
-    for idx in _chunks(graphs, _size_order(graphs), batch_size):
+    for idx in _chunks(graphs, _size_order(graphs), batch_size, CHUNK_ROWS):
         parts = _parts(graphs, idx, threads)
         if len(parts) == 1:
             score(idx)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermem import autodiff as ad
 from hiermem import blas
@@ -512,3 +514,121 @@ def test_a_float64_checkpoint_scores_in_float64_through_the_split(
     monkeypatch.setattr(T, "SPLIT_ROWS", 10**9)
     whole = T.score_graphs(params, cfg, graphs, batch_size=len(graphs))
     np.testing.assert_allclose(got, whole, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scoring chunks capped by node rows
+
+def test_scoring_memory_does_not_grow_with_the_count_of_large_graphs(
+        monkeypatch):
+    # sixty-node graphs at default widths: 200 of them in chunks of up to
+    # 300 graphs hold twice the node rows of 100, and once held twice the
+    # activations (76 against 38 MiB). Scored serially, so the peak does not
+    # depend on how the parts of a split chunk overlap in time.
+    monkeypatch.setattr(blas, "threads", lambda: 1)
+    mcfg = T.make_model_config(TrainConfig(), 2, 60)
+    params = init_params(mcfg, np.random.default_rng(0), dtype=np.float32)
+    graphs = _graphs_of_sizes([60] * 200)
+
+    def peak(count):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            T.score_graphs(params, mcfg, graphs[:count], batch_size=300)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100), peak(200)
+    assert large <= 1.1 * small, (small, large)
+
+
+def _rows(graphs, idx):
+    return sum(graphs[i].node_count for i in idx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=40),
+       batch_size=st.integers(1, 12), cap=st.integers(1, 80))
+def test_capped_chunks_cover_every_graph_once_within_both_limits(sizes,
+                                                                 batch_size,
+                                                                 cap):
+    graphs = _graphs_of_sizes(sizes)
+    order = T._size_order(graphs)
+    chunks = list(T._chunks(graphs, order, batch_size, cap))
+    assert [i for chunk in chunks for i in chunk] == order
+    for chunk, after in zip(chunks, chunks[1:] + [None]):
+        assert 1 <= len(chunk) <= batch_size
+        assert len(chunk) == 1 or _rows(graphs, chunk) <= cap
+        if after is not None:
+            # a chunk closes only when the next graph breaks a limit
+            assert (len(chunk) == batch_size
+                    or _rows(graphs, chunk) + graphs[after[0]].node_count > cap)
+    for i, g in enumerate(graphs):
+        if g.node_count > cap:
+            assert [i] in chunks
+    # without a cap the chunks are the plain slices training batches use
+    uncapped = list(T._chunks(graphs, order, batch_size))
+    assert uncapped == [order[s:s + batch_size]
+                        for s in range(0, len(order), batch_size)]
+
+
+@pytest.fixture(scope="module")
+def chunk_model():
+    mcfg = T.make_model_config(TrainConfig(**SMALL), 2, 12)
+    return init_params(mcfg, np.random.default_rng(1)), mcfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+       batch_size=st.integers(1, 10), cap=st.integers(1, 40),
+       threads=st.integers(1, 3))
+def test_capped_scores_equal_each_chunk_part_scored_alone(chunk_model, sizes,
+                                                          batch_size, cap,
+                                                          threads):
+    params, mcfg = chunk_model
+    graphs = _graphs_of_sizes(sizes, seed=len(sizes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "CHUNK_ROWS", cap)
+        mp.setattr(T, "SPLIT_ROWS", 4)
+        mp.setattr(blas, "threads", lambda: threads)
+        got = T.score_graphs(params, mcfg, graphs, batch_size=batch_size)
+        plans = [T._parts(graphs, chunk, threads) for chunk in
+                 T._chunks(graphs, T._size_order(graphs), batch_size, cap)]
+
+    expected = np.zeros(len(graphs))
+
+    def score(parts):
+        for part in parts:
+            expected[part] = M.score_batch(
+                params, mcfg, T._ragged(graphs, part, np.float32))
+
+    for parts in plans:
+        if len(parts) == 1:
+            score(parts)
+    with blas.pinned(1):
+        for parts in plans:
+            if len(parts) > 1:
+                score(parts)
+    np.testing.assert_array_equal(got, expected)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "CHUNK_ROWS", np.inf)
+        whole = T.score_graphs(params, mcfg, graphs, batch_size=batch_size)
+    np.testing.assert_allclose(got, whole, rtol=1e-5)
+
+
+def test_a_graph_wider_than_the_node_memory_raises_the_same_error_capped(
+        monkeypatch):
+    graphs = _graphs_of_sizes([3, 9, 2, 4, 5])
+    narrow = T.make_model_config(TrainConfig(**SMALL), 2, 8)
+    params = init_params(narrow, np.random.default_rng(0))
+
+    def message():
+        with pytest.raises(ConfigurationError) as info:
+            T.score_graphs(params, narrow, graphs, batch_size=len(graphs))
+        return str(info.value)
+
+    uncapped = message()
+    monkeypatch.setattr(T, "CHUNK_ROWS", 8)     # the 9-node graph alone
+    assert message() == uncapped == "batch width 9 exceeds memory width 8"
