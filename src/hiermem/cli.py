@@ -15,14 +15,13 @@ configuration or unreadable data.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, blas
+from . import __version__, blas, training
 from .data import (atomic_open, dataset_checksum, export_folds_csv,
                    make_er_dataset, make_folds, parse_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
@@ -35,36 +34,6 @@ from .model import VARIANTS
 from .training import TrainConfig
 
 MANIFEST_SCHEMA_VERSION = 1
-
-# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it
-# accepts on a 64-bit system
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
-
-
-def _keep_heap() -> bool:
-    """Make glibc keep freed memory for the next training step.
-
-    By default glibc serves every array of 128 KiB or more with its own
-    mmap and gives the top of the heap back to the kernel once 128 KiB of
-    it is free, so the arrays a training step frees are returned after
-    every backward and the next forward faults them in again. This serves
-    arrays up to 32 MiB from the heap and trims it only when 64 MiB at its
-    top is free, the pair glibc's own dynamic threshold settles on after
-    freeing a 32 MiB block. Returns whether both settings took; does
-    nothing where the C library has no `mallopt`.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mmap_ok = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1
-    trim_ok = mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX) == 1
-    return mmap_ok and trim_ok
-
 
 def parse_int_list(text: str) -> list[int]:
     """Comma-separated integers, each token optionally a 'lo..hi' range."""
@@ -442,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    heap_kept = _keep_heap()
+    heap_kept = training._keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     args.heap_kept = heap_kept

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import os
+import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -106,30 +106,31 @@ class FoldSplit:
 def _read_rows(path: Path, kind: type, width: int | None = None) -> np.ndarray:
     """Every non-blank line of a comma-separated file as one row of an array.
 
-    numpy reads the whole file in one pass. Only when that fails (a bad
-    token, a changed column count, a whitespace-only line) or finds the
-    wrong width is the file walked again line by line, which either raises
-    the typed error naming the line or parses what numpy would not.
+    numpy reads the file in one pass, straight from its path. Only when that
+    fails (a bad token, a changed column count, a whitespace-only line, no
+    rows at all) or finds the wrong width is the file read as text and
+    walked line by line, which either raises the typed error naming the
+    line or parses what numpy would not.
     """
     if not path.is_file():
         raise DatasetParseError(f"missing dataset file: {path}")
-    text = path.read_text()
-    if not text.strip():
-        return np.empty((0, width or 0), dtype=kind)
     try:
-        rows = np.loadtxt(io.StringIO(text), dtype=kind, delimiter=",",
-                          comments=None, ndmin=2)
-    except ValueError:
-        return _read_rows_by_line(path, text, kind, width)
+        with warnings.catch_warnings():
+            # numpy warns on a file without rows; the line walk reads it
+            warnings.simplefilter("error", UserWarning)
+            rows = np.loadtxt(path, dtype=kind, delimiter=",", comments=None,
+                              ndmin=2)
+    except (ValueError, UserWarning):
+        return _read_rows_by_line(path, kind, width)
     if width is not None and rows.shape[1] != width:
-        return _read_rows_by_line(path, text, kind, width)
+        return _read_rows_by_line(path, kind, width)
     return rows
 
 
-def _read_rows_by_line(path: Path, text: str, kind: type,
+def _read_rows_by_line(path: Path, kind: type,
                        width: int | None) -> np.ndarray:
     rows = []
-    for i, line in _numbered_lines(text):
+    for i, line in _numbered_lines(path.read_text()):
         parts = line.split(",")
         if width is None:
             width = len(parts)
@@ -141,7 +142,7 @@ def _read_rows_by_line(path: Path, text: str, kind: type,
         except (ValueError, OverflowError):
             raise DatasetParseError(
                 f"{path}:{i}: non-numeric or out-of-range token in {line!r}") from None
-    return np.array(rows, dtype=kind)
+    return np.array(rows, dtype=kind).reshape(len(rows), width or 0)
 
 
 def _numbered_lines(text: str):
@@ -227,18 +228,19 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
             raise StructuralError(f"{at}: edge joins graphs {gu[r] + 1} and {gv[r] + 1}")
         raise StructuralError(f"{at}: self-loop on node {u[r] + 1}")
 
-    # every adjacency matrix is a slice of one flat buffer; setting both
-    # directions symmetrises the edges and repeats de-duplicate themselves
+    # every adjacency matrix is a bool view into one flat buffer; setting
+    # both directions symmetrises the edges and repeats de-duplicate
+    # themselves
     cells = np.concatenate(([0], np.cumsum(counts * counts)))
-    flat = np.zeros(cells[-1])
+    flat = np.zeros(cells[-1], dtype=bool)
     size, lu, lv = counts[gu], local_index[u], local_index[v]
-    flat[cells[gu] + lu * size + lv] = 1.0
-    flat[cells[gu] + lv * size + lu] = 1.0
+    flat[cells[gu] + lu * size + lv] = True
+    flat[cells[gu] + lv * size + lu] = True
 
     labels = label_anomalies(raw_labels.tolist())
+    cells, starts = cells.tolist(), starts.tolist()
     graphs = []
-    for g in range(num_graphs):
-        n = int(counts[g])
+    for g, n in enumerate(counts.tolist()):
         adjacency = flat[cells[g]:cells[g + 1]].reshape(n, n)
         if attributes is not None:
             attr = attributes[starts[g]:starts[g + 1]]

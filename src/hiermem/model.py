@@ -302,7 +302,11 @@ def normalize_adjacency(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if not np.array_equal(adj, np.swapaxes(adj, -1, -2)):
         raise StructuralError("adjacency must be symmetric")
     n = adj.shape[-1]
-    tilde = adj.astype(np.result_type(adj.dtype, np.float32), copy=True)
+    # a bool adjacency (a parsed graph's) is normalised in float64, as a
+    # 0/1 float64 one is
+    dtype = np.float64 if adj.dtype == bool else np.result_type(adj.dtype,
+                                                                np.float32)
+    tilde = adj.astype(dtype, copy=True)
     idx = np.arange(n)
     tilde[:, idx, idx] += msk
     deg = tilde.sum(axis=-1)

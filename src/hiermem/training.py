@@ -7,12 +7,15 @@ width, so nothing is padded, and is prepared for the model once
 (`model.ragged_batch`); bucketed training reuses its prepared batches every
 epoch. Batch order is reshuffled every epoch under the training seed;
 without bucketing, each epoch chunks a fresh permutation of the graphs, and
-each chunk is sorted the same way.
+each chunk is sorted the same way. Both `train` and `score_graphs` first make
+glibc keep freed memory on its heap (`_keep_heap`), once per process.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +43,39 @@ SPLIT_ROWS = 1024
 # most node rows a scoring chunk holds: the chunk's activations, not its
 # graph count, set scoring's working set (measured sweep, CHANGES.md)
 CHUNK_ROWS = 4096
+
+
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it
+# accepts on a 64-bit system
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+@functools.cache
+def _keep_heap() -> bool:
+    """Make glibc keep freed memory for the next step or bucket, once per
+    process.
+
+    By default glibc serves every array of 128 KiB or more with its own
+    mmap and gives the top of the heap back to the kernel once 128 KiB of
+    it is free, so the arrays a training step or a scoring bucket frees are
+    returned after it and the next one faults them in again. This serves
+    arrays up to 32 MiB from the heap and trims it only when 64 MiB at its
+    top is free, the pair glibc's own dynamic threshold settles on after
+    freeing a 32 MiB block. `train` and `score_graphs` call it first, and
+    the command line before anything else. Returns whether both settings
+    took; does nothing where the C library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1
+    trim_ok = mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX) == 1
+    return mmap_ok and trim_ok
 
 
 @dataclass(frozen=True)
@@ -133,6 +169,7 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     history. max_nodes sizes the node memory bank; pass the dataset-wide
     maximum when test graphs can be larger than any training graph.
     """
+    _keep_heap()
     if not train_graphs:
         raise ConfigurationError("training set is empty")
     if feature_dim is None:
@@ -218,6 +255,7 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     with OpenBLAS on one thread per part. Smaller buckets are scored one
     after another with OpenBLAS as it is.
     """
+    _keep_heap()
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if not graphs:

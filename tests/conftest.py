@@ -1,11 +1,26 @@
 """Shared fixtures: small graphs, a toy dataset on disk, tiny configs."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hiermem.data import Graph, GraphDataset
 from hiermem.model import ModelConfig, init_params
 from hiermem.training import TrainConfig
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def aids_corpus():
+    """The benchmark's AIDS-shaped corpus generator, `perfbench/corpus.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "aids_corpus", ROOT / "perfbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def build_graph(edges, num_nodes, label=0, graph_id=1, attr_dim=2, seed=0):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiermem import blas, cli
+from hiermem import blas, cli, training
 from hiermem.cli import main, parse_float_list, parse_int_list
 from hiermem.data import make_er_dataset, write_tudataset
 from hiermem.errors import ConfigurationError
@@ -111,12 +111,12 @@ def test_cv_writes_reports_and_manifest(disk_dataset, tmp_path, capsys):
     assert manifest["resolved_config"]["folds"] == 2
     threads = manifest["blas_threads"]
     assert threads == "unknown" or (isinstance(threads, int) and threads >= 1)
-    assert manifest["heap_kept"] is cli._keep_heap()
+    assert manifest["heap_kept"] is training._keep_heap()
 
 
 def test_manifest_records_blas_threads_and_heap_setting(disk_dataset, tmp_path,
                                                         capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_keep_heap", lambda: False)
+    monkeypatch.setattr(training, "_keep_heap", lambda: False)
     monkeypatch.setattr(blas, "threads", lambda: 3)
     assert main(run_cv_args(disk_dataset, tmp_path)) == 0
     manifest = json.loads((tmp_path / "cv-ERS-s0" / "manifest.json").read_text())
@@ -285,10 +285,10 @@ def test_gradcheck_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 _REFAULT_SCRIPT = """
 import resource
-from hiermem import cli, training
+from hiermem import training
 from hiermem.data import make_er_dataset
 
-assert cli._keep_heap()
+assert training._keep_heap()
 graphs = make_er_dataset(80, 0, seed=0, n_range=(10, 30)).graphs
 config = training.TrainConfig(epochs=1, batch_size=40, seed=0)
 faults = []
@@ -308,16 +308,53 @@ def _has_mallopt() -> bool:
     return True
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
-def test_kept_heap_does_not_fault_a_repeated_training_in_again():
-    # without the heap kept, the second training faults in about as many
-    # pages as the first, because glibc gave the freed ones back
+def _faults_of_two_runs(script: str) -> tuple[int, int]:
+    """Run `script` in a fresh interpreter; it prints the minor page faults
+    of two runs of the same work."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _REFAULT_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     first, second = map(int, done.stdout.split())
+    return first, second
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_kept_heap_does_not_fault_a_repeated_training_in_again():
+    # without the heap kept, the second training faults in about as many
+    # pages as the first, because glibc gave the freed ones back
+    first, second = _faults_of_two_runs(_REFAULT_SCRIPT)
+    assert second < 0.1 * first, (first, second)
+
+
+# parse and score through the library alone: no cli.main, no train
+_LIBRARY_SCORE_SCRIPT = """
+import resource, tempfile
+import numpy as np
+from hiermem import data, model, training
+
+with tempfile.TemporaryDirectory() as root:
+    data.write_tudataset(data.make_er_dataset(200, 40, seed=0, n_range=(10, 40)),
+                         root)
+    dataset = data.parse_tudataset(root, "synthetic-er")
+cfg = training.make_model_config(training.TrainConfig(), dataset.attribute_dim,
+                                 dataset.n_max)
+params = model.init_params(cfg, np.random.default_rng(0), dtype=np.float32)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    training.score_graphs(params, cfg, dataset.graphs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[0], faults[1])
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_library_scoring_keeps_the_heap():
+    # score_graphs keeps the heap itself: with glibc's defaults the second
+    # scoring faults in about two thirds of the first's pages again
+    first, second = _faults_of_two_runs(_LIBRARY_SCORE_SCRIPT)
     assert second < 0.1 * first, (first, second)

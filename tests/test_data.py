@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hiermem import data as dt
 from hiermem.errors import ConfigurationError, DatasetParseError, StructuralError
 
-from conftest import build_graph, write_tud_files
+from conftest import aids_corpus, build_graph, write_tud_files
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,50 @@ def test_parse_symmetrises_and_deduplicates_edges(tud_dir, tmp_path):
     (d / "TOY_A.txt").write_text(
         "1, 2\n3, 1\n2, 3\n1, 2\n4, 5\n5, 4\n5, 4\n4, 5\n7, 6\n7, 8\n")
     _assert_same_graphs(dt.parse_tudataset(tmp_path / "one-way", "TOY"), clean)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_parse_rejects_a_non_finite_attribute(tmp_path, token):
+    d = write_tud_files(tmp_path, "TOY")
+    (d / "TOY_node_attributes.txt").write_text(
+        "1.0, 0.5\n2.0, 0.5\n3.0, 0.5\n4.0, 1.5\n"
+        f"5.0, {token}\n6.0, 2.5\n7.0, 2.5\n8.0, 2.5\n")
+    with pytest.raises(StructuralError, match="graph 1: non-finite attribute"):
+        dt.parse_tudataset(tmp_path, "TOY")
+
+
+def test_parse_ignores_node_labels(tud_dir, tmp_path):
+    # node labels are not read as features: only _node_attributes.txt (or
+    # the degree, without it) is
+    d = write_tud_files(tmp_path / "labelled", "TOY")
+    (d / "TOY_node_labels.txt").write_text("0\n1\n2\n0\n0\n1\n2\n1\n")
+    _assert_same_graphs(dt.parse_tudataset(tmp_path / "labelled", "TOY"),
+                        dt.parse_tudataset(tud_dir, "TOY"))
+
+
+def test_parsed_adjacencies_are_bool_views_of_one_buffer(tud_dir):
+    graphs = dt.parse_tudataset(tud_dir, "TOY").graphs
+    base = graphs[0].adjacency.base
+    assert base is not None and base.dtype == bool
+    assert base.size == sum(g.node_count ** 2 for g in graphs)
+    for g in graphs:
+        assert g.adjacency.dtype == bool and g.adjacency.base is base
+
+
+def test_parse_peak_memory_of_an_aids_sized_corpus(tmp_path):
+    # 2000 AIDS-shaped graphs, 3.2 MB of files. Reading the files through a
+    # str copy and a dense float64 adjacency per graph peaked at 14.8 MB;
+    # reading from the paths into one bool buffer peaks at 8.7 MB
+    dataset = aids_corpus().make_aids_like(2000, seed=7)
+    dt.write_tudataset(dataset, tmp_path)
+    tracemalloc.start()
+    try:
+        parsed = dt.parse_tudataset(tmp_path, dataset.name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed.graphs) == 2000
+    assert peak < 11e6, peak
 
 
 @st.composite

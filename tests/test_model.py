@@ -89,6 +89,18 @@ def test_normalize_two_nodes_one_edge():
     np.testing.assert_allclose(out, np.full((2, 2), 0.5))
 
 
+def test_normalize_bool_adjacency_in_float64():
+    # a parsed graph's adjacency is bool; it must normalise to the same bits
+    # as its float64 copy
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.random((7, 7)) < 0.4, k=1)
+    adj = upper | upper.T
+    out = M.normalize_adjacency(adj, np.ones(7))
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(
+        out, M.normalize_adjacency(adj.astype(float), np.ones(7)))
+
+
 def test_normalize_pad_rows_stay_zero():
     adj = np.zeros((3, 3))
     adj[0, 1] = adj[1, 0] = 1.0

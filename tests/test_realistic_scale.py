@@ -12,10 +12,8 @@ is consistent.
 """
 
 import csv
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -24,21 +22,14 @@ from hiermem.cli import main
 from hiermem.data import dataset_checksum, write_tudataset
 from hiermem.evaluation import evaluate_auc
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import aids_corpus
+
 GRAPHS = 600
-
-
-def _corpus():
-    spec = importlib.util.spec_from_file_location(
-        "aids_corpus", ROOT / "perfbench" / "corpus.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
 def aids_like_run(tmp_path_factory):
-    corpus = _corpus()
+    corpus = aids_corpus()
     data_dir = tmp_path_factory.mktemp("data")
     dataset = corpus.make_aids_like(GRAPHS, seed=7)
     write_tudataset(dataset, data_dir)
