@@ -2,26 +2,23 @@
 
 __version__ = "0.1.0"
 
-from .data import (FoldSplit, Graph, GraphBatch, GraphDataset,
-                   degree_features, inject_contamination, label_anomalies,
-                   make_er_dataset, make_folds, pad_batch, parse_tudataset,
-                   write_tudataset)
+from .data import (FoldSplit, Graph, GraphDataset, degree_features,
+                   inject_contamination, label_anomalies, make_er_dataset,
+                   make_folds, pad_batch, parse_tudataset, write_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
 from .evaluation import (EvalReport, evaluate_auc, run_ablation,
                          run_contamination_sweep, run_cv, run_memory_sweep)
-from .model import (LossBreakdown, MemoryAttention, ModelConfig, ModelParams,
-                    anomaly_score, compute_losses, init_params, load_params,
+from .model import (ModelConfig, ModelParams, init_params, load_params,
                     normalize_adjacency, save_params)
 from .training import TrainConfig, score_graphs, train
 
 __all__ = [
     "__version__",
-    "Graph", "GraphDataset", "GraphBatch", "FoldSplit",
+    "Graph", "GraphDataset", "FoldSplit",
     "parse_tudataset", "write_tudataset", "degree_features", "label_anomalies",
     "make_folds", "inject_contamination", "pad_batch", "make_er_dataset",
-    "ModelConfig", "ModelParams", "MemoryAttention", "LossBreakdown",
-    "init_params", "normalize_adjacency", "compute_losses", "anomaly_score",
+    "ModelConfig", "ModelParams", "init_params", "normalize_adjacency",
     "save_params", "load_params",
     "TrainConfig", "train", "score_graphs",
     "EvalReport", "evaluate_auc", "run_cv", "run_contamination_sweep",

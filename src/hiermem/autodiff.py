@@ -10,8 +10,7 @@ of their inputs (float32 for training, float64 for gradient verification) and
 never emit NaN/Inf on finite input. NaN passes through `relu` (as it does
 through `torch.relu`) rather than being clipped to 0, so a non-finite weight
 or activation reaches the loss and trips the divergence check. A Python int
-or float operand of `add`, `sub` or `mul` takes the dtype of the tensor it
-meets, so a float32 loss, its gradients and everything on its tape stay
+or float operand of `add` or `mul` takes the dtype of the tensor it meets, so a float32 loss, its gradients and everything on its tape stay
 float32.
 
 The tape costs nothing where it is not needed. An op none of whose inputs
@@ -199,19 +198,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out_data = a.data - b.data
-
-    def bw():
-        _accumulate(a, _unbroadcast(out.grad, a.data.shape), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(out.grad, b.data.shape), fresh=True)
-
-    out = _make(out_data, (a, b), bw)
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
     out_data = a.data * b.data
@@ -229,20 +215,18 @@ def mul(a, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape ops
+# products and sums
 
 def matmul(a, b, relu: bool = False) -> Tensor:
-    """Matrix product, with numpy stacking rules for leading batch axes.
+    """Product of two matrices.
 
     With `relu`, the product is clamped at 0 in place: the same values and
     gradients as `relu(matmul(a, b))`, with one array and one tape node.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul needs operands with at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(
-            f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"matmul needs (m, k) @ (k, n) matrices, got "
+                         f"{a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
     if relu:
         _relu_in_place(out_data)
@@ -250,11 +234,9 @@ def matmul(a, b, relu: bool = False) -> Tensor:
     def bw():
         g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
         if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            _accumulate(a, _unbroadcast(ga, a.data.shape), fresh=True)
+            _accumulate(a, g @ b.data.T, fresh=True)
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            _accumulate(b, _unbroadcast(gb, b.data.shape), fresh=True)
+            _accumulate(b, a.data.T @ g, fresh=True)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -351,43 +333,6 @@ def gram(h, runs) -> Tensor:
         _accumulate(h, gh, fresh=True)
 
     out = _make(out_data, (h,), bw)
-    return out
-
-
-def transpose_last2(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.swapaxes(a.data, -1, -2)
-
-    def bw():
-        _accumulate(a, np.swapaxes(out.grad, -1, -2), fresh=True)
-
-    out = _make(out_data, (a,), bw)
-    return out
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def bw():
-        _accumulate(a, out.grad.reshape(a.data.shape), fresh=True)
-
-    out = _make(out_data, (a,), bw)
-    return out
-
-
-def crop(a, axis: int, length: int) -> Tensor:
-    """Keep the leading `length` entries along `axis` (backward zero-pads)."""
-    a = as_tensor(a)
-    idx = (slice(None),) * axis + (slice(0, length),)
-    out_data = a.data[idx]
-
-    def bw():
-        g = np.zeros_like(a.data)
-        g[idx] = out.grad
-        _accumulate(a, g, fresh=True)
-
-    out = _make(out_data, (a,), bw)
     return out
 
 
@@ -513,52 +458,6 @@ def cosine_rows(x, m, eps: float = COSINE_EPS) -> Tensor:
             _accumulate(m, gm, fresh=True)
 
     out = _make(out_data, (x, m), bw)
-    return out
-
-
-def masked_matrix_cosine(h, m, mask, eps: float = COSINE_EPS) -> Tensor:
-    """Cosine similarity between per-graph node matrices and memory blocks.
-
-    h: (B,N,D) node representations, m: (P,N,D) memory blocks, mask: (B,N)
-    binary array (not differentiated). Both operands are restricted to the
-    mask-true rows of each graph before flattening, so pad rows never affect
-    the similarity.
-    """
-    h, m = as_tensor(h), as_tensor(m)
-    mask = np.asarray(mask)
-    B, N, D = h.data.shape
-    P = m.data.shape[0]
-    if m.data.shape != (P, N, D):
-        raise ValueError(f"memory shape {m.data.shape} does not match nodes ({N},{D})")
-    if mask.shape != (B, N):
-        raise ValueError(f"mask shape {mask.shape} does not match batch ({B},{N})")
-    mask = mask.astype(h.data.dtype, copy=False)
-
-    hf = (h.data * mask[:, :, None]).reshape(B, N * D)
-    mf = m.data.reshape(P, N * D)
-    num = hf @ mf.T                                   # (B,P)
-    nh = np.sqrt((hf * hf).sum(axis=1))               # (B,)
-    msq_rows = (m.data * m.data).sum(axis=2)          # (P,N)
-    nm = np.sqrt(mask @ msq_rows.T)                   # (B,P) per-graph block norms
-    den = nh[:, None] * nm + eps
-    out_data = num / den
-
-    def bw():
-        g = out.grad
-        a_coef = g / den                              # (B,P)
-        if h.requires_grad:
-            nh_safe = np.where(nh > 0, nh, 1.0)
-            c = (g * out_data * nm / den).sum(axis=1)  # (B,)
-            ghf = a_coef @ mf - (c / nh_safe)[:, None] * hf
-            _accumulate(h, ghf.reshape(B, N, D) * mask[:, :, None], fresh=True)
-        if m.requires_grad:
-            nm_safe = np.where(nm > 0, nm, 1.0)
-            gmf = a_coef.T @ hf                        # (P, N*D)
-            d_coef = -(g * out_data * nh[:, None] / den) / nm_safe  # (B,P)
-            gm = gmf.reshape(P, N, D) + m.data * (d_coef.T @ mask)[:, :, None]
-            _accumulate(m, gm, fresh=True)
-
-    out = _make(out_data, (h, m), bw)
     return out
 
 
@@ -700,29 +599,6 @@ def entropy(w) -> Tensor:
 # ---------------------------------------------------------------------------
 # pooling and losses
 
-def masked_mean(h, mask) -> Tensor:
-    """Mean over the second-to-last axis restricted to mask-true rows.
-
-    h: (...,N,D), mask: (...,N) binary. Every mask must select at least
-    one row.
-    """
-    h = as_tensor(h)
-    mask = np.asarray(mask)
-    counts = mask.sum(axis=-1)
-    if np.any(counts == 0):
-        raise ValueError("masked_mean: a mask selects no rows")
-    mask = mask.astype(h.data.dtype, copy=False)
-    counts = counts.astype(h.data.dtype)
-    out_data = (h.data * mask[..., None]).sum(axis=-2) / counts[..., None]
-
-    def bw():
-        g = out.grad / counts[..., None]
-        _accumulate(h, np.expand_dims(g, -2) * mask[..., None], fresh=True)
-
-    out = _make(out_data, (h,), bw)
-    return out
-
-
 def graph_mean(h, runs) -> Tensor:
     """Mean of each graph's node rows.
 
@@ -746,41 +622,24 @@ def graph_mean(h, runs) -> Tensor:
     return out
 
 
-def frobenius_sq(a, b, mask=None, batch_dims: int = 0,
-                 segments=None) -> Tensor:
-    """Squared Frobenius distance sum(mask * (a-b)^2).
-
-    With batch_dims=0 the result is a scalar; batch_dims=k keeps the first k
-    axes, reducing only over the rest. With `segments`, the lengths of
-    consecutive blocks along the first axis (one per graph of a ragged
-    batch), it is one sum per block.
-    """
+def frobenius_sq(a, b, segments) -> Tensor:
+    """Squared Frobenius distance sum((a-b)^2) of each block of consecutive
+    rows, given the blocks' lengths along the first axis (`segments`, one per
+    graph of a ragged batch)."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ValueError(f"frobenius_sq shape mismatch: {a.data.shape} vs {b.data.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=a.data.dtype)
-        if mask.shape != a.data.shape:
-            raise ValueError(f"frobenius_sq mask shape {mask.shape} != {a.data.shape}")
+    segments = np.asarray(segments)
+    starts = _segment_starts(segments, a.data.shape[0])
     diff = a.data - b.data
-    sq = diff * diff if mask is None else mask * diff * diff
-    if segments is not None:
-        if batch_dims:
-            raise ValueError("frobenius_sq takes segments or batch_dims, not both")
-        segments = np.asarray(segments)
-        starts = _segment_starts(segments, a.data.shape[0])
-        per_row = sq if sq.ndim == 1 else sq.reshape(len(sq), -1).sum(axis=1)
-        out_data = np.add.reduceat(per_row, starts)
-    else:
-        out_data = sq.sum(axis=tuple(range(batch_dims, a.data.ndim)))
+    sq = diff * diff
+    per_row = sq if sq.ndim == 1 else sq.reshape(len(sq), -1).sum(axis=1)
+    out_data = np.add.reduceat(per_row, starts)
 
     def bw():
-        if segments is not None:
-            g = np.repeat(out.grad, segments)
-            g = g.reshape(g.shape + (1,) * (a.data.ndim - 1))
-        else:
-            g = out.grad.reshape(out.grad.shape + (1,) * (a.data.ndim - batch_dims))
-        core = 2.0 * diff if mask is None else 2.0 * mask * diff
+        g = np.repeat(out.grad, segments)
+        g = g.reshape(g.shape + (1,) * (a.data.ndim - 1))
+        core = 2.0 * diff
         if a.requires_grad:
             _accumulate(a, core * g, fresh=True)
         if b.requires_grad:

@@ -3,7 +3,7 @@
 Reads TUDataset-format collections (edge list, graph indicator, graph labels,
 optional node attributes), derives anomaly labels by the minority-class rule,
 builds stratified cross-validation folds with a held-out contamination pool,
-and zero-pads graphs into dense batches.
+and stacks graphs of one node count for a batch.
 """
 
 from __future__ import annotations
@@ -76,16 +76,6 @@ class GraphDataset:
 
 
 @dataclass(eq=False)
-class GraphBatch:
-    adjacency_padded: np.ndarray
-    attributes_padded: np.ndarray
-    node_mask: np.ndarray
-    node_counts: np.ndarray
-    labels: np.ndarray
-    graph_ids: np.ndarray
-
-
-@dataclass(eq=False)
 class FoldSplit:
     """One cross-validation fold.
 
@@ -152,9 +142,10 @@ def _numbered_lines(text: str):
             if line.strip())
 
 
-def degree_features(graph: Graph) -> np.ndarray:
-    """Per-node degree as a single-column attribute matrix."""
-    return graph.adjacency.sum(axis=0, dtype=float)[:, None]
+def degree_features(adjacency: np.ndarray) -> np.ndarray:
+    """Per-node degree as a single-column attribute matrix, the attributes
+    of a graph that comes without any."""
+    return adjacency.sum(axis=0, dtype=float)[:, None]
 
 
 def label_anomalies(raw_labels: list[int]) -> list[int]:
@@ -245,7 +236,7 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
         if attributes is not None:
             attr = attributes[starts[g]:starts[g + 1]]
         else:
-            attr = adjacency.sum(axis=0, dtype=float)[:, None]
+            attr = degree_features(adjacency)
         graphs.append(Graph(adjacency=adjacency, attributes=attr,
                             label=labels[g], node_count=n, graph_id=g))
 
@@ -405,8 +396,10 @@ def export_folds_csv(folds: list[FoldSplit], path) -> None:
 # ---------------------------------------------------------------------------
 # batching
 
-def pad_batch(graphs: list[Graph], n_max: int) -> GraphBatch:
-    """Zero-pad graphs to a common width and record the real-node mask."""
+def pad_batch(graphs: list[Graph], n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The graphs' adjacency (B, n_max, n_max) and attribute (B, n_max, d)
+    stacks, zero beyond each graph's own nodes. Batches call it once per
+    node count, at that width."""
     for g in graphs:
         if g.node_count > n_max:
             raise StructuralError(f"graph {g.graph_id}: {g.node_count} nodes "
@@ -415,17 +408,11 @@ def pad_batch(graphs: list[Graph], n_max: int) -> GraphBatch:
     d = graphs[0].attributes.shape[1] if graphs else 0
     adj = np.zeros((b, n_max, n_max))
     attr = np.zeros((b, n_max, d))
-    mask = np.zeros((b, n_max))
     for i, g in enumerate(graphs):
         n = g.node_count
         adj[i, :n, :n] = g.adjacency
         attr[i, :n, :] = g.attributes
-        mask[i, :n] = 1.0
-    return GraphBatch(adjacency_padded=adj, attributes_padded=attr,
-                      node_mask=mask,
-                      node_counts=np.array([g.node_count for g in graphs], dtype=int),
-                      labels=np.array([g.label for g in graphs], dtype=int),
-                      graph_ids=np.array([g.graph_id for g in graphs], dtype=int))
+    return adj, attr
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +433,7 @@ def make_er_dataset(num_normal: int, num_anomalous: int, seed: int,
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         upper = np.triu(rng.random((n, n)) < p, k=1)
         adj = (upper | upper.T).astype(float)
-        attr = adj.sum(axis=0, dtype=float)[:, None]
+        attr = degree_features(adj)
         graphs.append(Graph(adjacency=adj, attributes=attr, label=label,
                             node_count=n, graph_id=gid))
     return GraphDataset(graphs=graphs, attribute_dim=1,

@@ -26,7 +26,6 @@ gradients into them.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +35,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Graph
 from .errors import CheckpointError, ConfigurationError, StructuralError
 
 VARIANTS = ("full", "no_node", "no_graph", "gae_only")
@@ -109,22 +107,6 @@ class ModelParams:
 
 
 @dataclass
-class MemoryAttention:
-    """Addressing result for one graph: simplex weights and what they select."""
-    weights: np.ndarray
-    approximation: np.ndarray
-
-
-@dataclass
-class LossBreakdown:
-    rec_structure: float
-    rec_attribute: float
-    approximation: float
-    entropy: float
-    total: float
-
-
-@dataclass
 class BatchLosses:
     """Per-graph loss terms as tape tensors, each shaped (B,)."""
     rec_structure: Tensor
@@ -150,19 +132,6 @@ class RaggedBatch:
     target: np.ndarray
     node_counts: np.ndarray
 
-    def pad_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Flattened n x n blocks as a (B, N, N) stack zero-padded to the
-        widest graph."""
-        width = max(size for _, size in self.runs)
-        out = np.zeros((len(self.node_counts), width, width), cells.dtype)
-        g0 = c0 = 0
-        for count, size in self.runs:
-            cells_end = c0 + count * size * size
-            out[g0:g0 + count, :size, :size] = cells[c0:cells_end].reshape(
-                count, size, size)
-            g0, c0 = g0 + count, cells_end
-        return out
-
 
 def ragged_batch(runs: Sequence[tuple[np.ndarray, np.ndarray]],
                  dtype) -> RaggedBatch:
@@ -177,8 +146,7 @@ def ragged_batch(runs: Sequence[tuple[np.ndarray, np.ndarray]],
         adj = np.asarray(adj)
         count, size = adj.shape[:2]
         shapes.append((count, size))
-        a_norm.append(normalize_adjacency(adj, np.ones((count, size)))
-                      .astype(dtype, copy=False))
+        a_norm.append(normalize_adjacency(adj).astype(dtype, copy=False))
         xs.append(np.asarray(x, dtype=dtype).reshape(count * size, -1))
         # the inner-product decoder scores each node against itself, so the
         # structure target carries self-loops
@@ -187,31 +155,6 @@ def ragged_batch(runs: Sequence[tuple[np.ndarray, np.ndarray]],
                        x=np.concatenate(xs), target=np.concatenate(targets),
                        node_counts=np.repeat([n for _, n in shapes],
                                              [c for c, _ in shapes]))
-
-
-def _prefix_counts(mask: np.ndarray) -> np.ndarray:
-    """Real nodes per graph of a (B, N) mask that selects a non-empty prefix
-    of each graph's rows, as `data.pad_batch` builds it."""
-    real = np.asarray(mask) > 0
-    counts = real.sum(axis=-1)
-    if np.any(counts == 0) or not np.array_equal(
-            real, np.arange(real.shape[-1]) < counts[..., None]):
-        raise ValueError("each mask row must select a non-empty prefix of "
-                         "the graph's rows")
-    return counts
-
-
-def _padded_batch(adj: np.ndarray, x: np.ndarray, mask: np.ndarray,
-                  dtype) -> RaggedBatch:
-    """A zero-padded stack, cut into runs of consecutive graphs of equal
-    node count with their padding dropped."""
-    adj, x = np.asarray(adj), np.asarray(x)
-    runs, start = [], 0
-    for size, same in itertools.groupby(_prefix_counts(mask).tolist()):
-        end = start + len(list(same))
-        runs.append((adj[start:end, :size, :size], x[start:end, :size]))
-        start = end
-    return ragged_batch(runs, dtype)
 
 
 @dataclass
@@ -233,12 +176,6 @@ class ModelOutputs:
     node_weights: Tensor | None
     graph_weights_raw: Tensor | None
     graph_weights: Tensor | None
-
-    @property
-    def a_hat(self) -> Tensor:
-        """The decoded adjacency as a constant (B, N, N) stack, zero-padded
-        to the widest graph, for inspection."""
-        return Tensor(self.batch.pad_cells(self.a_hat_cells.data))
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
@@ -288,17 +225,10 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def normalize_adjacency(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization with self-loops on real nodes only.
-
-    Padded rows/columns stay exactly zero, so they contribute nothing to any
-    later matrix product.
-    """
-    adjacency = np.asarray(adjacency)
-    mask = np.asarray(mask)
-    single = adjacency.ndim == 2
-    adj = adjacency[None] if single else adjacency
-    msk = mask[None] if single else mask
+def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """Symmetric degree normalization with self-loops, D^-1/2 (A + I) D^-1/2,
+    of one (n, n) adjacency or of each graph of a (count, n, n) stack."""
+    adj = np.asarray(adjacency)
     if not np.array_equal(adj, np.swapaxes(adj, -1, -2)):
         raise StructuralError("adjacency must be symmetric")
     n = adj.shape[-1]
@@ -308,12 +238,10 @@ def normalize_adjacency(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
                                                                 np.float32)
     tilde = adj.astype(dtype, copy=True)
     idx = np.arange(n)
-    tilde[:, idx, idx] += msk
-    deg = tilde.sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    out = dinv[:, :, None] * tilde * dinv[:, None, :]
-    return out[0] if single else out
+    tilde[..., idx, idx] += 1
+    # the self-loop makes every degree at least 1
+    dinv = 1.0 / np.sqrt(tilde.sum(axis=-1))
+    return dinv[..., :, None] * tilde * dinv[..., None, :]
 
 
 def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
@@ -321,23 +249,19 @@ def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
     the op that makes its input, so a layer keeps one activation array.
 
     a_norm: the normalized adjacency, one (count, n, n) stack per run; x:
-    (sum n, d) attribute rows. A zero-padded (B, N, N) / (B, N, d) pair is
-    read as one run and gives (B, N, D); its pad rows come out exactly zero.
+    (sum n, d) attribute rows. Returns (sum n, D) node rows.
     """
     if x.shape[-1] != params.enc1.data.shape[0]:
         raise ConfigurationError(
             f"attribute dim {x.shape[-1]} does not match encoder "
             f"input dim {params.enc1.data.shape[0]}")
-    stack = x.shape[:-1] if x.ndim == 3 else None
-    if stack is not None:
-        a_norm, x = (a_norm,), x.reshape(-1, x.shape[-1])
     # (a_norm @ x) @ W1 equals a_norm @ (x @ W1), but x has a few columns
     # where W1 has hundreds: the propagation runs on the narrow side and
     # records nothing on the tape
     h = ad.matmul(ad.propagate(a_norm, x), params.enc1, relu=True)
     h = ad.propagate(a_norm, ad.matmul(h, params.enc2), relu=True)
     h = ad.propagate(a_norm, ad.matmul(h, params.enc3), relu=True)
-    return h if stack is None else ad.reshape(h, stack + h.shape[-1:])
+    return h
 
 
 def _attend_graph(h_graph: Tensor, memory: Tensor, lam: float):
@@ -372,18 +296,9 @@ def decode_attributes(params: ModelParams, h_hat: Tensor, a_norm) -> Tensor:
     return ad.propagate(a_norm, ad.matmul(t, params.dec2))
 
 
-def forward_batch(params: ModelParams, cfg: ModelConfig, adj,
-                  x: np.ndarray | None = None,
-                  mask: np.ndarray | None = None) -> ModelOutputs:
-    """Run the full network on one batch.
-
-    `adj` is a `RaggedBatch` (x and mask omitted), or a zero-padded stack:
-    adj (B,N,N) binary symmetric, x (B,N,d) and mask (B,N), whose real nodes
-    are a prefix of each graph's rows. A stack is cut into runs of equal
-    node count, so both forms run the same computation.
-    """
-    batch = adj if isinstance(adj, RaggedBatch) else _padded_batch(
-        adj, x, mask, params.enc1.data.dtype)
+def forward_batch(params: ModelParams, cfg: ModelConfig,
+                  batch: RaggedBatch) -> ModelOutputs:
+    """Run the full network on one prepared batch (`ragged_batch`)."""
     h = encode(params, batch.a_norm, batch.x)
 
     h_graph = None
@@ -427,7 +342,8 @@ def batch_losses(out: ModelOutputs, cfg: ModelConfig) -> BatchLosses:
     rec_a = ad.frobenius_sq(out.x_hat, batch.x, segments=n)
 
     if out.h_graph_hat is not None:
-        approx = ad.frobenius_sq(out.h_graph_hat, out.h_graph, batch_dims=1)
+        approx = ad.frobenius_sq(out.h_graph_hat, out.h_graph,
+                                 segments=np.ones(b, dtype=int))
     else:
         approx = Tensor(np.zeros(b, dtype=dtype))
 
@@ -452,74 +368,16 @@ def batch_losses(out: ModelOutputs, cfg: ModelConfig) -> BatchLosses:
                        approximation=approx, entropy=entropy, total=total)
 
 
-def _graph_arrays(graph: Graph, cfg: ModelConfig | None = None):
-    """One graph as a batch of one: (1,n,n), (1,n,d), (1,n), unpadded. The
-    arrays do not depend on cfg."""
-    return (graph.adjacency[None], graph.attributes[None],
-            np.ones((1, graph.node_count)))
-
-
-def compute_losses(graph: Graph, params: ModelParams,
-                   cfg: ModelConfig) -> LossBreakdown:
-    out = forward_batch(params.detached(), cfg, *_graph_arrays(graph))
-    bl = batch_losses(out, cfg)
-    return LossBreakdown(
-        rec_structure=float(bl.rec_structure.data[0]),
-        rec_attribute=float(bl.rec_attribute.data[0]),
-        approximation=float(bl.approximation.data[0]),
-        entropy=float(bl.entropy.data[0]),
-        total=float(bl.total.data[0]),
-    )
-
-
-def anomaly_score(graph: Graph, params: ModelParams, cfg: ModelConfig) -> float:
-    """Reconstruction error plus graph-approximation error (entropy excluded).
-
-    Higher means more anomalous. Variants without the graph bank have no
-    approximation term by construction.
-    """
-    lb = compute_losses(graph, params, cfg)
-    return lb.rec_structure + lb.rec_attribute + lb.approximation
-
-
-def score_batch(params: ModelParams, cfg: ModelConfig, adj,
-                x: np.ndarray | None = None,
-                mask: np.ndarray | None = None) -> np.ndarray:
-    """Anomaly scores for one batch (as `forward_batch` takes it) in one
-    forward pass, with no tape."""
-    out = forward_batch(params.detached(), cfg, adj, x, mask)
+def score_batch(params: ModelParams, cfg: ModelConfig,
+                batch: RaggedBatch) -> np.ndarray:
+    """Anomaly scores for one prepared batch in one forward pass, with no
+    tape: reconstruction error plus graph-approximation error, entropy
+    excluded. Higher means more anomalous; variants without the graph bank
+    have no approximation term."""
+    out = forward_batch(params.detached(), cfg, batch)
     bl = batch_losses(out, cfg)
     return (bl.rec_structure.data + bl.rec_attribute.data
             + bl.approximation.data).astype(np.float64)
-
-
-# ---------------------------------------------------------------------------
-# single-graph attention views (detached)
-
-def graph_memory_attend(h_graph: np.ndarray, graph_memory: np.ndarray,
-                        lam: float) -> MemoryAttention:
-    _, w, approx = _attend_graph(Tensor(np.asarray(h_graph)[None]),
-                                 Tensor(np.asarray(graph_memory)), lam)
-    return MemoryAttention(weights=w.data[0].copy(),
-                           approximation=approx.data[0].copy())
-
-
-def node_memory_attend(h_nodes: np.ndarray, node_memory: np.ndarray,
-                       mask: np.ndarray, lam: float) -> MemoryAttention:
-    """Attention of one graph's (N, D) node matrix whose mask selects its
-    real rows, a prefix; pad rows of the approximation are zero."""
-    h = np.asarray(h_nodes)
-    n = int(_prefix_counts(np.asarray(mask)[None])[0])
-    _, w, approx = _attend_nodes(Tensor(h[:n]), Tensor(np.asarray(node_memory)),
-                                 ((1, n),), lam)
-    full = np.zeros(h.shape, approx.data.dtype)
-    full[:n] = approx.data
-    return MemoryAttention(weights=w.data[0].copy(), approximation=full)
-
-
-def hard_shrink_weights(weights: np.ndarray, lam: float) -> np.ndarray:
-    """Threshold-and-renormalize a simplex vector (see autodiff.hard_shrink)."""
-    return ad.hard_shrink(Tensor(np.asarray(weights, dtype=float)), lam).data
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ glibc keep freed memory on its heap (`_keep_heap`), once per process.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 import functools
 import itertools
 import math
@@ -140,11 +139,12 @@ def _chunks(graphs: list[Graph], order, batch_size: int,
 
 
 def _ragged(graphs: list[Graph], idx, dtype) -> RaggedBatch:
-    """The prepared batch of the size-sorted graphs `idx`."""
-    runs = [pad_batch(list(run), size) for size, run in itertools.groupby(
-        (graphs[i] for i in idx), key=lambda g: g.node_count)]
-    return ragged_batch([(r.adjacency_padded, r.attributes_padded)
-                         for r in runs], dtype)
+    """The prepared batch of the graphs `idx`, in that order: one run per
+    stretch of consecutive graphs of equal node count."""
+    return ragged_batch([pad_batch(list(run), size) for size, run in
+                         itertools.groupby((graphs[i] for i in idx),
+                                           key=lambda g: g.node_count)],
+                        dtype)
 
 
 def _batches(graphs: list[Graph], order, batch_size: int,
@@ -284,7 +284,3 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
                 for future in futures:
                     future.result()
     return scores
-
-
-def config_dict(config: TrainConfig) -> dict:
-    return dataclasses.asdict(config)

@@ -8,7 +8,7 @@ import pytest
 
 from hiermem.data import Graph, GraphDataset
 from hiermem.model import ModelConfig, init_params
-from hiermem.training import TrainConfig
+from hiermem.training import TrainConfig, _ragged
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +31,12 @@ def build_graph(edges, num_nodes, label=0, graph_id=1, attr_dim=2, seed=0):
     attrs = rng.normal(size=(num_nodes, attr_dim))
     return Graph(adjacency=adj, attributes=attrs, label=label,
                  node_count=num_nodes, graph_id=graph_id)
+
+
+def ragged(graphs, dtype=np.float32):
+    """The prepared model batch of `graphs` in their order: one run per
+    stretch of consecutive graphs of equal node count."""
+    return _ragged(graphs, range(len(graphs)), dtype)
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ from hiermem.data import (Graph, make_er_dataset, make_folds, parse_tudataset)
 from hiermem.errors import DatasetParseError
 from hiermem.training import TrainConfig
 
+from conftest import ragged
+
 
 def verdict(num, ok, detail):
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}"
@@ -89,8 +91,8 @@ def test_criterion_3_memorization():
     mcfg = T.make_model_config(cfg, 1, graph.node_count)
     other = make_er_dataset(3, 0, seed=77,
                             n_range=(graph.node_count, graph.node_count)).graphs[1]
-    s_mem = M.anomaly_score(graph, params, mcfg)
-    s_other = M.anomaly_score(other, params, mcfg)
+    s_mem = T.score_graphs(params, mcfg, [graph])[0]
+    s_other = T.score_graphs(params, mcfg, [other])[0]
 
     ok = ratio < 0.01 and s_mem < s_other and elapsed < 60.0
     verdict(3, ok, f"loss {history[0]['total']:.1f} -> {history[-1]['total']:.3f} "
@@ -193,8 +195,7 @@ def test_criterion_9_invariant_suite():
     params = M.init_params(cfg, np.random.default_rng(0))
     sample = make_er_dataset(6, 2, seed=1).graphs
     for g in sample:
-        adj, x, mask = M._graph_arrays(g, cfg)
-        out = M.forward_batch(params, cfg, adj, x, mask)
+        out = M.forward_batch(params, cfg, ragged([g]))
         for w in (out.node_weights_raw, out.node_weights,
                   out.graph_weights_raw, out.graph_weights):
             checks.append(bool(np.all(w.data >= -1e-6)))
@@ -203,7 +204,7 @@ def test_criterion_9_invariant_suite():
         hi = params.graph_memory.data.max(0) + 1e-6
         checks.append(bool(np.all((out.h_graph_hat.data >= lo)
                                   & (out.h_graph_hat.data <= hi))))
-        a_hat = out.a_hat.data
+        a_hat = out.a_hat_cells.data.reshape(1, g.node_count, g.node_count)
         checks.append(bool(np.allclose(a_hat, np.swapaxes(a_hat, -1, -2))))
         checks.append(bool(np.all((a_hat > 0) & (a_hat < 1))))
 
@@ -212,14 +213,13 @@ def test_criterion_9_invariant_suite():
     rng = np.random.default_rng(2)
     perm = rng.permutation(g.node_count)
     pmat = np.eye(g.node_count)[perm]
-    a1 = M.normalize_adjacency(g.adjacency[None], np.ones((1, g.node_count)))
-    a2 = M.normalize_adjacency((pmat @ g.adjacency @ pmat.T)[None],
-                               np.ones((1, g.node_count)))
-    h1 = M.encode(params, a1.astype(np.float32),
-                  g.attributes[None].astype(np.float32))
-    h2 = M.encode(params, a2.astype(np.float32),
-                  (pmat @ g.attributes)[None].astype(np.float32))
-    checks.append(bool(np.allclose(h2.data[0], pmat @ h1.data[0], atol=1e-5)))
+    a1 = M.normalize_adjacency(g.adjacency[None])
+    a2 = M.normalize_adjacency((pmat @ g.adjacency @ pmat.T)[None])
+    h1 = M.encode(params, (a1.astype(np.float32),),
+                  g.attributes.astype(np.float32)).data.reshape(1, g.node_count, -1)
+    h2 = M.encode(params, (a2.astype(np.float32),),
+                  (pmat @ g.attributes).astype(np.float32)).data.reshape(1, g.node_count, -1)
+    checks.append(bool(np.allclose(h2[0], pmat @ h1[0], atol=1e-5)))
 
     # fold partition and coverage
     dataset = make_er_dataset(20, 10, seed=3)

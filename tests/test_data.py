@@ -355,7 +355,7 @@ def test_label_anomalies_single_class_rejected():
 
 def test_degree_features_column():
     g = build_graph([(0, 1), (1, 2)], 3)
-    np.testing.assert_allclose(dt.degree_features(g), [[1.0], [2.0], [1.0]])
+    np.testing.assert_allclose(dt.degree_features(g.adjacency), [[1.0], [2.0], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +484,14 @@ def test_export_folds_csv(toy_dataset, tmp_path):
 # ---------------------------------------------------------------------------
 # batching and the synthetic generator
 
-def test_pad_batch_shapes_and_mask(triangle_graph, path_graph):
-    batch = dt.pad_batch([triangle_graph, path_graph], n_max=5)
-    assert batch.adjacency_padded.shape == (2, 5, 5)
-    assert batch.attributes_padded.shape == (2, 5, 2)
-    np.testing.assert_allclose(batch.node_mask,
-                               [[1, 1, 1, 0, 0], [1, 1, 1, 1, 0]])
-    np.testing.assert_allclose(batch.node_counts, [3, 4])
-    np.testing.assert_allclose(
-        batch.adjacency_padded[0, :3, :3], triangle_graph.adjacency)
-    assert np.all(batch.adjacency_padded[0, 3:, :] == 0)
-    np.testing.assert_allclose(
-        batch.attributes_padded[1, :4], path_graph.attributes)
+def test_pad_batch_shapes_and_zero_fill(triangle_graph, path_graph):
+    adjacency, attributes = dt.pad_batch([triangle_graph, path_graph], n_max=5)
+    assert adjacency.shape == (2, 5, 5)
+    assert attributes.shape == (2, 5, 2)
+    np.testing.assert_allclose(adjacency[0, :3, :3], triangle_graph.adjacency)
+    assert np.all(adjacency[0, 3:, :] == 0) and np.all(adjacency[0, :, 3:] == 0)
+    np.testing.assert_allclose(attributes[1, :4], path_graph.attributes)
+    assert np.all(attributes[1, 4:] == 0)
 
 
 def test_pad_batch_rejects_oversized_graph(path_graph):

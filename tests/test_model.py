@@ -9,10 +9,11 @@ import pytest
 from hiermem import autodiff as ad
 from hiermem import model as M
 from hiermem.autodiff import Tensor
-from hiermem.data import Graph, pad_batch
+from hiermem.data import Graph
 from hiermem.errors import CheckpointError, ConfigurationError, StructuralError
+from hiermem.training import score_graphs
 
-from conftest import build_graph
+from conftest import build_graph, ragged
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +80,13 @@ def test_disabled_banks_have_no_tensors():
 # adjacency normalization
 
 def test_normalize_single_node():
-    out = M.normalize_adjacency(np.zeros((1, 1)), np.ones(1))
+    out = M.normalize_adjacency(np.zeros((1, 1)))
     np.testing.assert_allclose(out, [[1.0]])
 
 
 def test_normalize_two_nodes_one_edge():
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = M.normalize_adjacency(adj, np.ones(2))
+    out = M.normalize_adjacency(adj)
     np.testing.assert_allclose(out, np.full((2, 2), 0.5))
 
 
@@ -95,59 +96,43 @@ def test_normalize_bool_adjacency_in_float64():
     rng = np.random.default_rng(3)
     upper = np.triu(rng.random((7, 7)) < 0.4, k=1)
     adj = upper | upper.T
-    out = M.normalize_adjacency(adj, np.ones(7))
+    out = M.normalize_adjacency(adj)
     assert out.dtype == np.float64
-    np.testing.assert_array_equal(
-        out, M.normalize_adjacency(adj.astype(float), np.ones(7)))
-
-
-def test_normalize_pad_rows_stay_zero():
-    adj = np.zeros((3, 3))
-    adj[0, 1] = adj[1, 0] = 1.0
-    mask = np.array([1.0, 1.0, 0.0])
-    out = M.normalize_adjacency(adj, mask)
-    assert np.all(out[2] == 0) and np.all(out[:, 2] == 0)
-    np.testing.assert_allclose(out[:2, :2], np.full((2, 2), 0.5))
+    np.testing.assert_array_equal(out, M.normalize_adjacency(adj.astype(float)))
 
 
 def test_normalize_batched_matches_single():
     rng = np.random.default_rng(0)
-    adjs, masks = [], []
-    for n in (3, 5):
+    adjs = []
+    for _ in range(2):
         a = (rng.random((5, 5)) < 0.5).astype(float)
         a = np.triu(a, 1)
-        a = a + a.T
-        a[n:, :] = a[:, n:] = 0.0
-        m = np.zeros(5)
-        m[:n] = 1.0
-        adjs.append(a)
-        masks.append(m)
-    batched = M.normalize_adjacency(np.stack(adjs), np.stack(masks))
+        adjs.append(a + a.T)
+    batched = M.normalize_adjacency(np.stack(adjs))
     for i in range(2):
-        np.testing.assert_allclose(batched[i],
-                                   M.normalize_adjacency(adjs[i], masks[i]))
+        np.testing.assert_allclose(batched[i], M.normalize_adjacency(adjs[i]))
 
 
 def test_normalize_rejects_asymmetric():
     adj = np.zeros((2, 2))
     adj[0, 1] = 1.0
     with pytest.raises(StructuralError):
-        M.normalize_adjacency(adj, np.ones(2))
+        M.normalize_adjacency(adj)
 
 
 # ---------------------------------------------------------------------------
 # encoder
 
 def test_encode_zero_features_give_zero_output(toy_params):
-    a_norm = M.normalize_adjacency(np.zeros((1, 3, 3)), np.ones((1, 3)))
-    h = M.encode(toy_params, a_norm, np.zeros((1, 3, 2), dtype=np.float32))
-    np.testing.assert_allclose(h.data, np.zeros((1, 3, 5)))
+    a_norm = M.normalize_adjacency(np.zeros((1, 3, 3)))
+    h = M.encode(toy_params, (a_norm,), np.zeros((3, 2), dtype=np.float32))
+    np.testing.assert_allclose(h.data, np.zeros((3, 5)))
 
 
 def test_encode_rejects_wrong_feature_dim(toy_params):
     a_norm = np.eye(3, dtype=np.float32)[None]
     with pytest.raises(ConfigurationError, match="attribute dim"):
-        M.encode(toy_params, a_norm, np.zeros((1, 3, 7), dtype=np.float32))
+        M.encode(toy_params, (a_norm,), np.zeros((3, 7), dtype=np.float32))
 
 
 def test_encode_permutation_equivariant(toy_params, toy_model_config):
@@ -160,89 +145,84 @@ def test_encode_permutation_equivariant(toy_params, toy_model_config):
     adj_p = pmat @ adj @ pmat.T
     x_p = pmat @ x
 
-    a1 = M.normalize_adjacency(adj[None], np.ones((1, 4)))
-    a2 = M.normalize_adjacency(adj_p[None], np.ones((1, 4)))
-    h1 = M.encode(toy_params, a1.astype(np.float32), x[None].astype(np.float32))
-    h2 = M.encode(toy_params, a2.astype(np.float32), x_p[None].astype(np.float32))
-    np.testing.assert_allclose(h2.data[0], pmat @ h1.data[0], atol=1e-5)
-
-
-def test_encode_pad_rows_exactly_zero(toy_params):
-    adj = np.zeros((1, 4, 4))
-    adj[0, 0, 1] = adj[0, 1, 0] = 1.0
-    mask = np.array([[1.0, 1.0, 0.0, 0.0]])
-    x = np.zeros((1, 4, 2), dtype=np.float32)
-    x[0, :2] = 1.0
-    a_norm = M.normalize_adjacency(adj, mask)
-    h = M.encode(toy_params, a_norm.astype(np.float32), x)
-    assert np.all(h.data[0, 2:] == 0)
+    a1 = M.normalize_adjacency(adj[None])
+    a2 = M.normalize_adjacency(adj_p[None])
+    h1 = M.encode(toy_params, (a1.astype(np.float32),), x.astype(np.float32))
+    h2 = M.encode(toy_params, (a2.astype(np.float32),), x_p.astype(np.float32))
+    np.testing.assert_allclose(h2.data, pmat @ h1.data, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
 # memory attention
 
+def _graph_attention(h_graph, memory, lam):
+    """One graph's shrunk weights over the graph blocks and its approximation."""
+    _, w, approx = M._attend_graph(Tensor(h_graph[None]), Tensor(memory), lam)
+    return w.data[0], approx.data[0]
+
+
+def _node_attention(h_nodes, memory, lam):
+    """One graph's shrunk weights over the node blocks and its approximation."""
+    _, w, approx = M._attend_nodes(Tensor(h_nodes), Tensor(memory),
+                                   ((1, len(h_nodes)),), lam)
+    return w.data[0], approx.data
+
+
 def test_graph_attend_single_block_is_identity():
     mem = np.array([[1.0, 2.0, 3.0]])
-    att = M.graph_memory_attend(np.array([9.0, -1.0, 4.0]), mem, lam=0.0)
-    np.testing.assert_allclose(att.weights, [1.0])
-    np.testing.assert_allclose(att.approximation, mem[0])
+    weights, approx = _graph_attention(np.array([9.0, -1.0, 4.0]), mem, lam=0.0)
+    np.testing.assert_allclose(weights, [1.0])
+    np.testing.assert_allclose(approx, mem[0])
 
 
 def test_graph_attend_identical_blocks_uniform():
     mem = np.tile(np.array([[1.0, 1.0]]), (4, 1))
-    att = M.graph_memory_attend(np.array([3.0, 3.0]), mem, lam=0.0)
-    np.testing.assert_allclose(att.weights, np.full(4, 0.25), rtol=1e-7)
+    weights, _ = _graph_attention(np.array([3.0, 3.0]), mem, lam=0.0)
+    np.testing.assert_allclose(weights, np.full(4, 0.25), rtol=1e-7)
 
 
 def test_graph_attend_prefers_aligned_block():
     mem = np.array([[1.0, 0.0], [0.0, 1.0]])
-    att = M.graph_memory_attend(np.array([5.0, 0.0]), mem, lam=0.0)
-    assert att.weights[0] > att.weights[1]
-    assert att.weights.sum() == pytest.approx(1.0)
+    weights, _ = _graph_attention(np.array([5.0, 0.0]), mem, lam=0.0)
+    assert weights[0] > weights[1]
+    assert weights.sum() == pytest.approx(1.0)
 
 
 def test_graph_attend_shrink_concentrates():
     mem = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    soft = M.graph_memory_attend(np.array([5.0, 0.1]), mem, lam=0.0)
-    hard = M.graph_memory_attend(np.array([5.0, 0.1]), mem, lam=0.45)
-    assert np.count_nonzero(hard.weights) < np.count_nonzero(soft.weights)
-    assert hard.weights.sum() == pytest.approx(1.0)
+    soft, _ = _graph_attention(np.array([5.0, 0.1]), mem, lam=0.0)
+    hard, _ = _graph_attention(np.array([5.0, 0.1]), mem, lam=0.45)
+    assert np.count_nonzero(hard) < np.count_nonzero(soft)
+    assert hard.sum() == pytest.approx(1.0)
 
 
 def test_node_attend_output_masked_and_convex():
+    # a graph of 3 nodes reads the first 3 rows of blocks 4 rows wide
     rng = np.random.default_rng(2)
     mem = rng.normal(size=(3, 4, 2))
-    h = rng.normal(size=(4, 2))
-    mask = np.array([1.0, 1.0, 1.0, 0.0])
-    att = M.node_memory_attend(h, mem, mask, lam=0.0)
-    assert att.weights.shape == (3,)
-    assert att.weights.sum() == pytest.approx(1.0)
-    np.testing.assert_allclose(att.approximation[3], np.zeros(2))
-    combo = np.tensordot(att.weights, mem, axes=1)
-    np.testing.assert_allclose(att.approximation[:3], combo[:3], rtol=1e-6)
+    h = rng.normal(size=(4, 2))[:3]
+    weights, approx = _node_attention(h, mem, lam=0.0)
+    assert weights.shape == (3,)
+    assert weights.sum() == pytest.approx(1.0)
+    assert approx.shape == (3, 2)
+    combo = np.tensordot(weights, mem, axes=1)
+    np.testing.assert_allclose(approx, combo[:3], rtol=1e-6)
 
 
 def test_node_attend_crops_wide_memory_exactly():
     rng = np.random.default_rng(3)
     mem = rng.normal(size=(2, 6, 3))
     h = rng.normal(size=(4, 3))
-    mask = np.ones(4)
-    att_wide = M.node_memory_attend(h, mem, mask, lam=0.0)
-    att_tight = M.node_memory_attend(h, mem[:, :4, :].copy(), mask, lam=0.0)
-    np.testing.assert_allclose(att_wide.weights, att_tight.weights, rtol=1e-10)
-    np.testing.assert_allclose(att_wide.approximation, att_tight.approximation,
-                               rtol=1e-10)
+    w_wide, approx_wide = _node_attention(h, mem, lam=0.0)
+    w_tight, approx_tight = _node_attention(h, mem[:, :4, :].copy(), lam=0.0)
+    np.testing.assert_allclose(w_wide, w_tight, rtol=1e-10)
+    np.testing.assert_allclose(approx_wide, approx_tight, rtol=1e-10)
 
 
 def test_node_attend_rejects_oversized_batch():
     mem = np.zeros((2, 3, 2))
     with pytest.raises(ConfigurationError, match="width"):
-        M.node_memory_attend(np.zeros((5, 2)), mem, np.ones(5), lam=0.0)
-
-
-def test_hard_shrink_weights_wrapper():
-    out = M.hard_shrink_weights(np.array([0.70, 0.29, 0.01]), 0.02)
-    np.testing.assert_allclose(out, [0.70 / 0.99, 0.29 / 0.99, 0.0], rtol=1e-12)
+        _node_attention(np.zeros((5, 2)), mem, lam=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,43 +261,48 @@ def test_decode_attributes_zero_latents_give_zero(toy_params):
 # losses and scores
 
 def _forward_single(graph, params, cfg):
-    adj, x, mask = M._graph_arrays(graph, cfg)
-    out = M.forward_batch(params, cfg, adj, x, mask)
-    return out, (adj, x, mask)
+    return M.forward_batch(params, cfg, ragged([graph], params.enc1.dtype))
+
+
+def _losses(graph, params, cfg):
+    """One graph's loss terms as floats."""
+    bl = M.batch_losses(_forward_single(graph, params, cfg), cfg)
+    return {k: float(getattr(bl, k).data[0]) for k in (
+        "rec_structure", "rec_attribute", "approximation", "entropy", "total")}
 
 
 def test_structure_target_is_adjacency_plus_self_loops(toy_model_config, toy_params):
     # perfect off-diagonal reconstruction still scores the diagonal against 1
     g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-    out, (adj, x, mask) = _forward_single(g, toy_params, toy_model_config)
+    out = _forward_single(g, toy_params, toy_model_config)
     bl = M.batch_losses(out, toy_model_config)
-    target = adj[0] + np.eye(3)
-    manual = ((out.a_hat.data[0] - target) ** 2).sum()
+    target = g.adjacency + np.eye(3)
+    manual = ((out.a_hat_cells.data.reshape(3, 3) - target) ** 2).sum()
     assert bl.rec_structure.data[0] == pytest.approx(manual, rel=1e-6)
 
 
 def test_loss_breakdown_total_is_sum(toy_model_config, toy_params, triangle_graph):
-    lb = M.compute_losses(triangle_graph, toy_params, toy_model_config)
-    assert lb.total == pytest.approx(
-        lb.rec_structure + lb.rec_attribute + lb.approximation
-        + toy_model_config.alpha * lb.entropy, rel=1e-6)
+    lb = _losses(triangle_graph, toy_params, toy_model_config)
+    assert lb["total"] == pytest.approx(
+        lb["rec_structure"] + lb["rec_attribute"] + lb["approximation"]
+        + toy_model_config.alpha * lb["entropy"], rel=1e-6)
 
 
 def test_alpha_zero_total_excludes_entropy(toy_params, triangle_graph,
                                            toy_model_config):
     cfg = dataclasses.replace(toy_model_config, alpha=0.0)
-    lb = M.compute_losses(triangle_graph, toy_params, cfg)
-    assert lb.total == pytest.approx(
-        lb.rec_structure + lb.rec_attribute + lb.approximation, rel=1e-6)
-    assert lb.entropy > 0  # still reported, just unweighted
+    lb = _losses(triangle_graph, toy_params, cfg)
+    assert lb["total"] == pytest.approx(
+        lb["rec_structure"] + lb["rec_attribute"] + lb["approximation"], rel=1e-6)
+    assert lb["entropy"] > 0  # still reported, just unweighted
 
 
 def test_anomaly_score_excludes_entropy(toy_params, triangle_graph,
                                         toy_model_config):
-    lb = M.compute_losses(triangle_graph, toy_params, toy_model_config)
-    score = M.anomaly_score(triangle_graph, toy_params, toy_model_config)
+    lb = _losses(triangle_graph, toy_params, toy_model_config)
+    score = score_graphs(toy_params, toy_model_config, [triangle_graph])[0]
     assert score == pytest.approx(
-        lb.rec_structure + lb.rec_attribute + lb.approximation, rel=1e-6)
+        lb["rec_structure"] + lb["rec_attribute"] + lb["approximation"], rel=1e-6)
     assert score >= 0.0
 
 
@@ -326,11 +311,11 @@ def test_approximation_zero_when_memory_matches(toy_model_config):
     params = M.init_params(toy_model_config, np.random.default_rng(0),
                            dtype=np.float64)
     g = build_graph([(0, 1), (1, 2)], 3)
-    out, (adj, x, mask) = _forward_single(g, params, toy_model_config)
+    out = _forward_single(g, params, toy_model_config)
     with_block = params.graph_memory.data.copy()
     with_block[:] = out.h_graph.data[0]  # every block equals the query
     params.graph_memory.data = with_block
-    out2, _ = _forward_single(g, params, toy_model_config)
+    out2 = _forward_single(g, params, toy_model_config)
     bl = M.batch_losses(out2, toy_model_config)
     assert bl.approximation.data[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -344,19 +329,15 @@ def test_entropy_uniform_two_by_two_banks():
     params.node_memory.data = np.tile(params.node_memory.data[:1], (2, 1, 1))
     params.graph_memory.data = np.tile(params.graph_memory.data[:1], (2, 1))
     g = build_graph([(0, 1), (1, 2)], 3)
-    lb = M.compute_losses(g, params, cfg)
-    assert lb.entropy == pytest.approx(2 * np.log(2), rel=1e-9)
+    assert _losses(g, params, cfg)["entropy"] == pytest.approx(2 * np.log(2),
+                                                               rel=1e-9)
 
 
 def test_batched_scores_match_single_graph_scores(toy_model_config, toy_params,
                                                   toy_dataset):
-    from hiermem.data import pad_batch
     graphs = toy_dataset.graphs[:5]
-    batch = pad_batch(graphs, n_max=6)
-    batched = M.score_batch(toy_params, toy_model_config,
-                            batch.adjacency_padded, batch.attributes_padded,
-                            batch.node_mask)
-    singles = [M.anomaly_score(g, toy_params, toy_model_config) for g in graphs]
+    batched = M.score_batch(toy_params, toy_model_config, ragged(graphs))
+    singles = [score_graphs(toy_params, toy_model_config, [g])[0] for g in graphs]
     np.testing.assert_allclose(batched, singles, rtol=1e-4)
 
 
@@ -367,12 +348,12 @@ def test_forward_variants_outputs():
     for variant in M.VARIANTS:
         cfg = M.ModelConfig(variant=variant, **base)
         params = M.init_params(cfg, np.random.default_rng(1))
-        out, _ = _forward_single(g, params, cfg)
+        out = _forward_single(g, params, cfg)
         assert (out.node_weights is None) == (not cfg.uses_node_memory)
         assert (out.graph_weights is None) == (not cfg.uses_graph_memory)
         if variant == "gae_only":
             assert out.h_hat is out.h_nodes
-        score = M.anomaly_score(g, params, cfg)
+        score = score_graphs(params, cfg, [g])[0]
         assert np.isfinite(score) and score >= 0
 
 
@@ -385,7 +366,7 @@ def test_simplex_invariant_on_random_inputs():
     for trial in range(5):
         g = build_graph([(0, 1), (1, 2), (0, 3), (3, 4)], 5,
                         graph_id=trial, seed=trial)
-        out, _ = _forward_single(g, params, cfg)
+        out = _forward_single(g, params, cfg)
         for w in (out.node_weights_raw, out.node_weights,
                   out.graph_weights_raw, out.graph_weights):
             assert np.all(w.data >= -1e-12)
@@ -397,7 +378,7 @@ def test_graph_hat_is_convex_combination_of_blocks():
                         max_nodes=4, variant="no_node")
     params = M.init_params(cfg, np.random.default_rng(7))
     g = build_graph([(0, 1), (1, 2)], 3)
-    out, _ = _forward_single(g, params, cfg)
+    out = _forward_single(g, params, cfg)
     lo = params.graph_memory.data.min(axis=0) - 1e-7
     hi = params.graph_memory.data.max(axis=0) + 1e-7
     assert np.all(out.h_graph_hat.data[0] >= lo)
@@ -509,8 +490,8 @@ def test_checkpoint_scores_identical_after_reload(tmp_path, toy_model_config,
     path = tmp_path / "model.npz"
     M.save_params(path, toy_params, toy_model_config)
     loaded, cfg = M.load_params(path)
-    s1 = M.anomaly_score(triangle_graph, toy_params, toy_model_config)
-    s2 = M.anomaly_score(triangle_graph, loaded, cfg)
+    s1 = score_graphs(toy_params, toy_model_config, [triangle_graph])[0]
+    s2 = score_graphs(loaded, cfg, [triangle_graph])[0]
     assert s1 == pytest.approx(s2, rel=1e-12)
 
 
@@ -558,28 +539,15 @@ def test_mixed_size_batch_scores_equal_single_graph_scores():
     cfg = _mixed_config()
     params = M.init_params(cfg, np.random.default_rng(1))
     graphs = _mixed_graphs([1, 2, 7, 40, 7, 2])
-    batch = pad_batch(graphs, 40)
-    padded = M.score_batch(params, cfg, batch.adjacency_padded,
-                           batch.attributes_padded, batch.node_mask)
-    singles = [M.anomaly_score(g, params, cfg) for g in graphs]
-    np.testing.assert_allclose(padded, singles, rtol=1e-5)
-    out = M.forward_batch(params, cfg, batch.adjacency_padded,
-                          batch.attributes_padded, batch.node_mask)
+    batch = ragged(graphs)
+    batched = M.score_batch(params, cfg, batch)
+    singles = [score_graphs(params, cfg, [g])[0] for g in graphs]
+    np.testing.assert_allclose(batched, singles, rtol=1e-5)
+    out = M.forward_batch(params, cfg, batch)
     # runs are consecutive graphs of equal size, in batch order
     assert out.batch.runs == ((1, 1), (1, 2), (1, 7), (1, 40), (1, 7), (1, 2))
     assert out.h_nodes.shape == (59, 5)
-    assert out.a_hat.shape == (6, 40, 40)
-
-
-def test_padded_stack_needs_prefix_masks():
-    cfg = _mixed_config()
-    params = M.init_params(cfg, np.random.default_rng(1))
-    batch = pad_batch(_mixed_graphs([2, 3]), 3)
-    mask = batch.node_mask.copy()
-    mask[1] = [1.0, 0.0, 1.0]
-    with pytest.raises(ValueError, match="prefix"):
-        M.forward_batch(params, cfg, batch.adjacency_padded,
-                        batch.attributes_padded, mask)
+    assert out.a_hat_cells.shape == (1 + 4 + 49 + 1600 + 49 + 4,)
 
 
 def test_single_node_graphs_and_isolated_nodes_score_and_differentiate():
@@ -589,13 +557,12 @@ def test_single_node_graphs_and_isolated_nodes_score_and_differentiate():
     isolated = build_graph([(0, 1)], 6, graph_id=2)         # nodes 2..5 alone
     empty = build_graph([], 4, graph_id=3)                  # no edge at all
     graphs = [lone, isolated, empty]
-    batch = pad_batch(graphs, 6)
-    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
-    scores = M.score_batch(params, cfg, *arrays)
+    batch = ragged(graphs)
+    scores = M.score_batch(params, cfg, batch)
     assert np.all(np.isfinite(scores))
     np.testing.assert_allclose(
-        scores, [M.anomaly_score(g, params, cfg) for g in graphs], rtol=1e-5)
-    loss = ad.reduce_mean(M.batch_losses(M.forward_batch(params, cfg, *arrays),
+        scores, [score_graphs(params, cfg, [g])[0] for g in graphs], rtol=1e-5)
+    loss = ad.reduce_mean(M.batch_losses(M.forward_batch(params, cfg, batch),
                                          cfg).total)
     loss.backward()
     assert all(np.all(np.isfinite(p.grad)) for p in params.tensors())
@@ -608,9 +575,7 @@ def test_all_zero_attributes_take_the_cosine_eps_path():
     graphs = [Graph(adjacency=g.adjacency, attributes=np.zeros_like(g.attributes),
                     label=0, node_count=g.node_count, graph_id=g.graph_id)
               for g in _mixed_graphs([3, 7, 7])]
-    batch = pad_batch(graphs, 7)
-    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
-    out = M.forward_batch(params, cfg, *arrays)
+    out = M.forward_batch(params, cfg, ragged(graphs))
     assert not out.h_nodes.data.any()
     np.testing.assert_array_equal(out.node_weights_raw.data, 0.5)
     bl = M.batch_losses(out, cfg)
@@ -623,12 +588,10 @@ def test_all_zero_attributes_take_the_cosine_eps_path():
 def test_normalize_losses_divides_each_term_by_its_entry_count():
     cfg = _mixed_config(max_nodes=9)
     params = M.init_params(cfg, np.random.default_rng(4), dtype=np.float64)
-    graphs = _mixed_graphs([1, 4, 4, 9], seed=5)
-    batch = pad_batch(graphs, 9)
-    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
-    raw = M.batch_losses(M.forward_batch(params, cfg, *arrays), cfg)
+    batch = ragged(_mixed_graphs([1, 4, 4, 9], seed=5), np.float64)
+    raw = M.batch_losses(M.forward_batch(params, cfg, batch), cfg)
     norm_cfg = dataclasses.replace(cfg, normalize_losses=True)
-    scaled = M.batch_losses(M.forward_batch(params, norm_cfg, *arrays), norm_cfg)
+    scaled = M.batch_losses(M.forward_batch(params, norm_cfg, batch), norm_cfg)
     n = np.array([1.0, 4.0, 4.0, 9.0])
     np.testing.assert_allclose(scaled.rec_structure.data,
                                raw.rec_structure.data / n ** 2, rtol=1e-12)

@@ -7,12 +7,29 @@ or no longer called. They run in a subprocess because `perfbench/` and
 `tests/` each have a `conftest` module, which one pytest run cannot hold.
 """
 
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hiermem import data, model, training
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# the leading parameters `perfbench/spans.py` reads by position or by name
+BOUND_PARAMETERS = (
+    (data.pad_batch, ("graphs", "n_max")),
+    (model.forward_batch, ("params",)),
+    (training.train, ("train_graphs", "config")),
+    (training.score_graphs, ("params", "cfg", "graphs")),
+)
+
+
+def test_functions_perfbench_binds_keep_their_parameters():
+    for fn, names in BOUND_PARAMETERS:
+        leading = list(inspect.signature(fn).parameters)[:len(names)]
+        assert leading == list(names), f"{fn.__module__}.{fn.__name__}{leading}"
 
 
 def test_perfbench_self_tests_pass():

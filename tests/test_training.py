@@ -14,13 +14,18 @@ from hiermem import autodiff as ad
 from hiermem import blas
 from hiermem import model as M
 from hiermem import training as T
-from hiermem.data import Graph, make_er_dataset, pad_batch
+from hiermem.data import Graph, make_er_dataset
 from hiermem.errors import ConfigurationError, TrainingDiverged
-from hiermem.model import anomaly_score, batch_losses, forward_batch, init_params
+from hiermem.model import batch_losses, forward_batch, init_params
 from hiermem.optim import Adam
 from hiermem.training import TrainConfig
 
-from conftest import build_graph
+from conftest import build_graph, ragged
+
+
+def single_scores(params, cfg, graphs):
+    """Each graph scored on its own."""
+    return [T.score_graphs(params, cfg, [g])[0] for g in graphs]
 
 
 SMALL = dict(hidden_dim=8, latent_dim=5, num_node_memory=2, num_graph_memory=2)
@@ -94,7 +99,7 @@ def test_memorized_graph_scores_below_random_graph():
     mcfg = T.make_model_config(cfg, 1, g.node_count)
     other = make_er_dataset(3, 0, seed=77,
                             n_range=(g.node_count, g.node_count)).graphs[1]
-    assert anomaly_score(g, params, mcfg) < anomaly_score(other, params, mcfg)
+    assert T.score_graphs(params, mcfg, [g])[0] < T.score_graphs(params, mcfg, [other])[0]
 
 
 def test_divergence_names_the_non_finite_term(toy_dataset, monkeypatch):
@@ -177,7 +182,7 @@ def test_score_graphs_aligned_to_input_order(toy_dataset):
     mcfg = T.make_model_config(cfg, 2, max(g.node_count for g in toy_dataset.graphs))
     graphs = toy_dataset.graphs
     got = T.score_graphs(params, mcfg, graphs, batch_size=4)
-    expected = [anomaly_score(g, params, mcfg) for g in graphs]
+    expected = single_scores(params, mcfg, graphs)
     np.testing.assert_allclose(got, expected, rtol=1e-4)
 
 
@@ -202,13 +207,6 @@ def test_variants_all_train(toy_dataset):
             assert history[-1]["entropy"] == 0.0
 
 
-def test_config_dict_round_trip():
-    cfg = TrainConfig(epochs=7, seed=3, **SMALL)
-    d = T.config_dict(cfg)
-    assert d["epochs"] == 7
-    assert TrainConfig(**d) == cfg
-
-
 def _tape_nodes(root):
     seen, stack = {}, [root]
     while stack:
@@ -223,9 +221,7 @@ def test_float32_step_keeps_loss_tape_gradients_and_moments_float32(toy_dataset)
     normals = [g for g in toy_dataset.graphs if g.label == 0]
     mcfg = T.make_model_config(TrainConfig(**SMALL), 2, toy_dataset.n_max)
     params = init_params(mcfg, np.random.default_rng(0), dtype=np.float32)
-    batch = pad_batch(normals, toy_dataset.n_max)
-    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
-    bl = batch_losses(forward_batch(params, mcfg, *arrays), mcfg)
+    bl = batch_losses(forward_batch(params, mcfg, ragged(normals)), mcfg)
     loss = ad.reduce_mean(bl.total)
     assert loss.data.dtype == np.float32
     nodes = _tape_nodes(loss)
@@ -273,9 +269,7 @@ def test_score_graphs_records_no_tape(scoring_setup):
 def test_score_graphs_equals_the_training_forward(scoring_setup):
     params, mcfg, graphs = scoring_setup
     got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
-    batch = pad_batch(graphs, max(g.node_count for g in graphs))
-    arrays = (batch.adjacency_padded, batch.attributes_padded, batch.node_mask)
-    out = forward_batch(params, mcfg, *arrays)
+    out = forward_batch(params, mcfg, ragged(graphs))
     assert out.h_nodes.requires_grad
     bl = batch_losses(out, mcfg)
     expected = (bl.rec_structure.data + bl.rec_attribute.data
@@ -300,7 +294,7 @@ def test_score_graphs_on_a_mixed_batch_equals_single_graph_scores():
     params, _ = T.train(graphs, cfg)
     mcfg = T.make_model_config(cfg, 2, 40)
     got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
-    expected = [anomaly_score(g, params, mcfg) for g in graphs]
+    expected = single_scores(params, mcfg, graphs)
     np.testing.assert_allclose(got, expected, rtol=1e-5)
 
 
@@ -314,9 +308,7 @@ def test_training_with_every_shrink_row_dead_falls_back_to_argmax():
     assert all(np.isfinite(row[k]) for row in history for k in row)
     assert all(np.all(np.isfinite(t.data)) for t in params.tensors())
     mcfg = T.make_model_config(cfg, 2, 8)
-    batch = pad_batch(graphs, 8)
-    out = forward_batch(params, mcfg, batch.adjacency_padded,
-                        batch.attributes_padded, batch.node_mask)
+    out = forward_batch(params, mcfg, ragged(graphs))
     for w in (out.node_weights, out.graph_weights):
         assert set(np.unique(w.data)) == {0.0, 1.0}
     assert history[-1]["entropy"] == 0.0
