@@ -1,14 +1,17 @@
 """Minibatch training and batched scoring.
 
-Graphs are sorted by (node count, graph id) and chunked into batches;
-scoring also caps each chunk's node rows (CHUNK_ROWS). A batch is built
-with one `pad_batch` call per node count it holds, at that count's own
-width, so nothing is padded, and is prepared for the model once
-(`model.ragged_batch`); bucketed training reuses its prepared batches every
-epoch. Batch order is reshuffled every epoch under the training seed;
-without bucketing, each epoch chunks a fresh permutation of the graphs, and
-each chunk is sorted the same way. Both `train` and `score_graphs` first make
-glibc keep freed memory on its heap (`_keep_heap`), once per process.
+Graphs are sorted by (node count, graph id) and chunked into batches. Both
+paths cap the node rows the model sees at once: scoring cuts its chunks at
+CHUNK_ROWS, and training runs each optimizer batch as sub-batches of at
+most TRAIN_ROWS rows whose gradients add up before one Adam step. A
+(sub-)batch is built with one `pad_batch` call per node count it holds, at
+that count's own width, so nothing is padded, and is prepared for the model
+once (`model.ragged_batch`); bucketed training reuses its prepared
+sub-batches every epoch. Batch order is reshuffled every epoch under the
+training seed; without bucketing, each epoch chunks a fresh permutation of
+the graphs, and each chunk is sorted the same way. Both `train` and
+`score_graphs` first make glibc keep freed memory on its heap
+(`_keep_heap`), once per process.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ SPLIT_ROWS = 1024
 # most node rows a scoring chunk holds: the chunk's activations, not its
 # graph count, set scoring's working set (measured sweep, CHANGES.md)
 CHUNK_ROWS = 4096
+
+# most node rows a training sub-batch holds: an optimizer batch's gradient
+# is summed over sub-batches of at most this many rows, so the largest
+# batch no longer sets training's working set (measured sweep, CHANGES.md)
+TRAIN_ROWS = 1024
 
 
 # glibc's mallopt parameters (malloc.h) and the largest mmap threshold it
@@ -147,12 +155,13 @@ def _ragged(graphs: list[Graph], idx, dtype) -> RaggedBatch:
                         dtype)
 
 
-def _batches(graphs: list[Graph], order, batch_size: int,
-             dtype) -> Iterator[tuple[list[int], RaggedBatch]]:
-    """Chunks of `batch_size` graph indices taken in `order`, each sorted by
-    size, with the prepared batch of its graphs."""
+def _plan(graphs: list[Graph], order,
+          batch_size: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """Optimizer batches of `batch_size` graphs taken in `order`: each one's
+    graph count and its sub-batches of at most TRAIN_ROWS node rows, in
+    size order (a larger graph is a sub-batch of its own)."""
     for idx in _chunks(graphs, order, batch_size):
-        yield idx, _ragged(graphs, idx, dtype)
+        yield len(idx), list(_chunks(graphs, idx, len(idx), TRAIN_ROWS))
 
 
 def _size_order(graphs: list[Graph]) -> list[int]:
@@ -163,6 +172,12 @@ def train(train_graphs: list[Graph], config: TrainConfig,
           feature_dim: int | None = None,
           max_nodes: int | None = None) -> tuple[ModelParams, list[dict]]:
     """Minimize the mean per-graph training loss with Adam.
+
+    Each optimizer batch runs forward and backward once per sub-batch of at
+    most TRAIN_ROWS node rows, each sub-batch's loss being its summed
+    per-graph loss over the batch's graph count, so the parameter gradients
+    add up to those of the batch's mean loss; Adam then steps once per
+    batch. A batch under the cap is one sub-batch.
 
     Returns the trained parameters and one history row per epoch (mean loss
     components over the epoch's graphs). Fixed seed means bit-identical
@@ -187,40 +202,44 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     opt = Adam(params.tensors(), lr=config.learning_rate)
     history: list[dict] = []
 
+    def prepared(subs):
+        return (_ragged(train_graphs, sub, np.float32) for sub in subs)
+
     if config.bucket_by_size:
-        batches = [b for _, b in _batches(train_graphs, _size_order(train_graphs),
-                                          batch_size, np.float32)]
+        batches = [(count, list(prepared(subs))) for count, subs in
+                   _plan(train_graphs, _size_order(train_graphs), batch_size)]
 
     n_total = len(train_graphs)
     for epoch in range(config.epochs):
         if config.bucket_by_size:
             epoch_batches = [batches[i] for i in rng.permutation(len(batches))]
         else:
-            epoch_batches = (b for _, b in _batches(
-                train_graphs, rng.permutation(n_total).tolist(), batch_size,
-                np.float32))
+            epoch_batches = ((count, prepared(subs)) for count, subs in _plan(
+                train_graphs, rng.permutation(n_total).tolist(), batch_size))
 
         sums = {k: 0.0 for k in HISTORY_FIELDS[1:]}
-        for bi, batch in enumerate(epoch_batches):
-            out = forward_batch(params, cfg, batch)
-            bl = batch_losses(out, cfg)
-            loss = ad.reduce_mean(bl.total)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                term = next((k for k in HISTORY_FIELDS[2:]
-                             if not np.all(np.isfinite(getattr(bl, k).data))),
-                            "total")
-                raise TrainingDiverged(
-                    f"non-finite {term} loss (mean total {loss_val}) "
-                    f"at epoch {epoch}, batch {bi}")
+        for bi, (count, subs) in enumerate(epoch_batches):
             opt.zero_grad()
-            ad.backward(loss)
+            for batch in subs:
+                out = forward_batch(params, cfg, batch)
+                bl = batch_losses(out, cfg)
+                # reduce_mean's own ops, over the whole batch's graph count
+                loss = ad.mul(ad.reduce_sum(bl.total), 1.0 / count)
+                loss_val = float(loss.data)
+                if not np.isfinite(loss_val):
+                    term = next((k for k in HISTORY_FIELDS[2:]
+                                 if not np.all(np.isfinite(getattr(bl, k).data))),
+                                "total")
+                    raise TrainingDiverged(
+                        f"non-finite {term} loss (sub-batch loss {loss_val}) "
+                        f"at epoch {epoch}, batch {bi}")
+                ad.backward(loss)
+                for k in sums:
+                    sums[k] += float(getattr(bl, k).data.sum())
+                # freed before the next forward: kept alive, they left the
+                # heap 3 MB larger (2000 AIDS-shaped graphs, batch 300)
+                del out, bl, loss
             opt.step()
-            sums["total"] += float(bl.total.data.sum())
-            sums["rec_structure"] += float(bl.rec_structure.data.sum())
-            sums["rec_attribute"] += float(bl.rec_attribute.data.sum())
-            sums["approximation"] += float(bl.approximation.data.sum())
-            sums["entropy"] += float(bl.entropy.data.sum())
         row = {"epoch": epoch}
         row.update({k: v / n_total for k, v in sums.items()})
         history.append(row)

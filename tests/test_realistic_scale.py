@@ -14,6 +14,7 @@ is consistent.
 import csv
 import json
 import math
+from collections import defaultdict
 
 import pytest
 
@@ -35,12 +36,15 @@ def aids_like_run(tmp_path_factory):
     write_tudataset(dataset, data_dir)
     out_dir = tmp_path_factory.mktemp("runs")
 
-    chunk_rows, real_chunks = [], T._chunks
+    # (graphs, node rows) of every chunk planned, by its row cap: inf for
+    # training's optimizer batches, TRAIN_ROWS for their sub-batches and
+    # CHUNK_ROWS for scoring's chunks
+    chunks, real_chunks = defaultdict(list), T._chunks
 
     def recording(graphs, order, batch_size, max_rows=math.inf):
         for idx in real_chunks(graphs, order, batch_size, max_rows):
-            if max_rows != math.inf:
-                chunk_rows.append(sum(graphs[i].node_count for i in idx))
+            chunks[max_rows].append(
+                (len(idx), sum(graphs[i].node_count for i in idx)))
             yield idx
 
     with pytest.MonkeyPatch.context() as mp:
@@ -50,7 +54,7 @@ def aids_like_run(tmp_path_factory):
                      "--epochs", "1", "--batch-size", "80",
                      "--out-dir", str(out_dir)])
     assert code == 0
-    return dataset, data_dir, out_dir / f"cv-{dataset.name}-s0", chunk_rows
+    return dataset, data_dir, out_dir / f"cv-{dataset.name}-s0", chunks
 
 
 def test_every_graph_gets_one_finite_score(aids_like_run):
@@ -89,6 +93,15 @@ def test_the_manifest_names_the_run_and_its_outputs(aids_like_run):
 
 
 def test_fold_scoring_chunks_stay_below_the_row_cap(aids_like_run):
-    *_, chunk_rows = aids_like_run
+    *_, chunks = aids_like_run
+    chunk_rows = [rows for _, rows in chunks[T.CHUNK_ROWS]]
     assert len(chunk_rows) >= 5          # every fold scores at least one chunk
     assert max(chunk_rows) < T.CHUNK_ROWS
+
+
+def test_training_sub_batches_hold_at_most_the_row_cap(aids_like_run):
+    *_, chunks = aids_like_run
+    batches, subs = chunks[math.inf], chunks[T.TRAIN_ROWS]
+    assert sum(count for count, _ in subs) == sum(count for count, _ in batches)
+    assert len(subs) > len(batches)      # the largest batches are split
+    assert all(rows <= T.TRAIN_ROWS or count == 1 for count, rows in subs)

@@ -319,8 +319,9 @@ def test_tape_nodes_do_not_depend_on_how_many_sizes_a_batch_mixes():
 
     def step_nodes(sizes):
         params = init_params(mcfg, np.random.default_rng(0))
-        batch = next(T._batches(_graphs_of_sizes(sizes), list(range(len(sizes))),
-                                len(sizes), np.float32))[1]
+        graphs = _graphs_of_sizes(sizes)
+        idx = next(T._chunks(graphs, range(len(sizes)), len(sizes)))
+        batch = T._ragged(graphs, idx, np.float32)
         loss = ad.reduce_mean(batch_losses(forward_batch(params, mcfg, batch),
                                            mcfg).total)
         assert np.isfinite(float(loss.data))
@@ -624,3 +625,129 @@ def test_a_graph_wider_than_the_node_memory_raises_the_same_error_capped(
     uncapped = message()
     monkeypatch.setattr(T, "CHUNK_ROWS", 8)     # the 9-node graph alone
     assert message() == uncapped == "batch width 9 exceeds memory width 8"
+
+
+# ---------------------------------------------------------------------------
+# training batches run as sub-batches capped by node rows
+
+def _one_step(graphs, **kwargs):
+    """Parameters and their gradients after one Adam step on all `graphs`
+    as one optimizer batch."""
+    cfg = TrainConfig(epochs=1, batch_size=len(graphs), seed=3, **SMALL,
+                      **kwargs)
+    params, _ = T.train(graphs, cfg)
+    return ([p.data.copy() for p in params.tensors()],
+            [p.grad.copy() for p in params.tensors()])
+
+
+@pytest.mark.parametrize("bucket_by_size", [True, False])
+def test_a_batch_split_into_sub_batches_matches_the_whole_batch(
+        bucket_by_size, monkeypatch):
+    graphs = _graphs_of_sizes([3, 9, 2, 4, 5, 7, 7, 1, 6, 8])
+    monkeypatch.setattr(T, "TRAIN_ROWS", np.inf)
+    whole_params, whole_grads = _one_step(graphs, bucket_by_size=bucket_by_size)
+    monkeypatch.setattr(T, "TRAIN_ROWS", 12)
+    rows, real = [], T.forward_batch
+
+    def counting(params, cfg, batch):
+        rows.append(batch.x.shape[0])
+        return real(params, cfg, batch)
+
+    monkeypatch.setattr(T, "forward_batch", counting)
+    split_params, split_grads = _one_step(graphs, bucket_by_size=bucket_by_size)
+    assert len(rows) > 3 and max(rows) <= 12 and sum(rows) == 52
+    for split, whole in zip(split_grads, whole_grads):
+        np.testing.assert_allclose(split, whole, rtol=1e-5)
+    for split, whole in zip(split_params, whole_params):
+        np.testing.assert_allclose(split, whole, rtol=1e-5)
+
+
+def test_a_batch_under_the_cap_takes_the_gradient_of_its_mean_loss():
+    graphs = _graphs_of_sizes([3, 9, 2, 4, 5])
+    cfg = TrainConfig(epochs=1, batch_size=len(graphs), seed=3, **SMALL)
+    _, grads = _one_step(graphs)
+
+    mcfg = T.make_model_config(cfg, 2, 9)
+    params = init_params(mcfg, np.random.default_rng(3), dtype=np.float32)
+    batch = T._ragged(graphs, T._size_order(graphs), np.float32)
+    loss = ad.reduce_mean(batch_losses(forward_batch(params, mcfg, batch),
+                                       mcfg).total)
+    ad.backward(loss)
+    for got, p in zip(grads, params.tensors()):
+        np.testing.assert_array_equal(got, p.grad)
+
+
+def test_a_nan_in_a_later_sub_batch_names_the_optimizer_batch(monkeypatch):
+    graphs = _graphs_of_sizes([3, 9, 2, 4, 5, 7])
+    real = T.batch_losses
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        bl = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) < 2:
+            return bl
+        bad = ad.add(ad.mul(bl.rec_attribute, 0.0), np.nan)
+        return dataclasses.replace(bl, rec_attribute=bad,
+                                   total=ad.add(bl.total, bad))
+
+    monkeypatch.setattr(T, "TRAIN_ROWS", 10)
+    monkeypatch.setattr(T, "batch_losses", poisoned)
+    cfg = TrainConfig(epochs=2, batch_size=len(graphs), seed=0, **SMALL)
+    with pytest.raises(TrainingDiverged,
+                       match=r"non-finite rec_attribute loss .* epoch 0, batch 0$"):
+        T.train(graphs, cfg)
+    assert len(calls) == 2
+
+
+def test_training_memory_does_not_grow_with_the_rows_of_a_batch():
+    # one optimizer batch of sixty-node graphs at default widths: 200 of
+    # them hold twice the node rows of 100, and unsplit once held twice the
+    # activations (179 against 92 MiB). Random minibatches build each
+    # sub-batch's input when it runs; bucketing keeps every prepared input
+    # for the whole run, which does grow with the graph count.
+    graphs = _graphs_of_sizes([60] * 200)
+
+    def peak(count):
+        cfg = TrainConfig(epochs=1, batch_size=300, bucket_by_size=False)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            T.train(graphs[:count], cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100), peak(200)
+    assert large <= 1.1 * small, (small, large)
+
+
+# ---------------------------------------------------------------------------
+# node order
+
+def _permuted(graph, rng):
+    perm = rng.permutation(graph.node_count)
+    return dataclasses.replace(graph,
+                               adjacency=graph.adjacency[np.ix_(perm, perm)],
+                               attributes=graph.attributes[perm])
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_only_the_node_memory_makes_scores_depend_on_node_order(variant):
+    # the node memory is positional: node i of a graph reads row i of every
+    # block, so permuting a graph's nodes moves its score; without it the
+    # model is equivariant and the score is a permutation-invariant sum
+    ds = make_er_dataset(16, 4, seed=9, n_range=(5, 9))
+    normals = [g for g in ds.graphs if g.label == 0]
+    cfg = TrainConfig(epochs=3, batch_size=8, seed=0, variant=variant, **SMALL)
+    params, _ = T.train(normals, cfg, max_nodes=ds.n_max)
+    mcfg = T.make_model_config(cfg, ds.attribute_dim, ds.n_max)
+    rng = np.random.default_rng(0)
+    shuffled = [_permuted(g, rng) for g in ds.graphs]
+    before = T.score_graphs(params, mcfg, ds.graphs)
+    after = T.score_graphs(params, mcfg, shuffled)
+    change = np.abs(after - before) / np.abs(before)
+    if variant in ("full", "no_graph"):
+        assert change.max() > 1e-3
+    else:
+        assert change.max() <= 1e-6
