@@ -59,20 +59,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

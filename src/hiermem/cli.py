@@ -76,18 +76,7 @@ def parse_str_list(text: str) -> list[str]:
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no"):
-        return False
-    raise ConfigurationError(f"bad boolean {text!r}")
-
-
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, list):
         return ",".join(_fmt(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
@@ -99,7 +88,6 @@ class Field:
     parse: Callable[[str], object]
     default: object
     help: str
-    is_flag: bool = False          # boolean presence flag
 
 
 FIELDS: dict[str, Field] = {f.name: f for f in [
@@ -121,13 +109,11 @@ FIELDS: dict[str, Field] = {f.name: f for f in [
     Field("out-dir", str, "runs", "directory for run outputs"),
     Field("eps", float, 1e-5, "finite-difference step (gradcheck)"),
     Field("seeds", int, 10, "number of random seeds (gradcheck)"),
-    Field("normalize-losses", None, False,
-          "divide loss terms by their entry counts", True),
 ]}
 
 _COMMON = ["dataset", "data-dir", "folds", "seed", "epochs", "lr",
            "batch-size", "alpha", "shrink-lambda", "p", "q", "tau", "variant",
-           "jobs", "out-dir", "normalize-losses"]
+           "jobs", "out-dir"]
 _GRADCHECK = ["eps", "seeds", "seed", "out-dir"]
 
 
@@ -170,11 +156,10 @@ def resolve_fields(args: argparse.Namespace,
         field = FIELDS[name]
         flag_val = getattr(args, _attr(name), None)
         if flag_val is not None:
-            values[name] = flag_val if field.is_flag else field.parse(flag_val)
+            values[name] = field.parse(flag_val)
             provenance[name] = "flag"
         elif name in file_values:
-            raw = file_values[name]
-            values[name] = _parse_bool(raw) if field.is_flag else field.parse(raw)
+            values[name] = field.parse(file_values[name])
             provenance[name] = "config"
         else:
             values[name] = field.default
@@ -187,12 +172,8 @@ def _add_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
                         help="flat key=value config file (flags still win)")
     for name in names:
         field = FIELDS[name]
-        if field.is_flag:
-            parser.add_argument(f"--{name}", action="store_const", const=True,
-                                default=None, help=field.help)
-        else:
-            parser.add_argument(f"--{name}", type=str, default=None,
-                                help=field.help + f" (default: {_fmt(field.default)})")
+        parser.add_argument(f"--{name}", type=str, default=None,
+                            help=field.help + f" (default: {_fmt(field.default)})")
 
 
 def _single(values: dict, key: str):
@@ -208,8 +189,7 @@ def build_train_config(values: dict, p: int, q: int, variant: str) -> TrainConfi
         epochs=values["epochs"], batch_size=values["batch-size"],
         learning_rate=values["lr"], alpha=values["alpha"],
         shrink_lambda=values["shrink-lambda"], num_node_memory=p,
-        num_graph_memory=q, seed=values["seed"], variant=variant,
-        normalize_losses=values["normalize-losses"])
+        num_graph_memory=q, seed=values["seed"], variant=variant)
 
 
 def load_dataset(values: dict):

@@ -84,8 +84,7 @@ def _run_fold(split: FoldSplit, config: TrainConfig, tau: float,
     params, history = train(split.train_graphs, fold_cfg,
                             feature_dim=feature_dim, max_nodes=n_max)
     cfg = make_model_config(fold_cfg, feature_dim, n_max)
-    scores = score_graphs(params, cfg, split.test_graphs,
-                          batch_size=config.batch_size)
+    scores = score_graphs(params, cfg, split.test_graphs)
     labels = [g.label for g in split.test_graphs]
     auc = evaluate_auc(scores, labels)
     triples = [(g.graph_id, float(s), g.label)

@@ -51,7 +51,6 @@ class ModelConfig:
     shrink_lambda: float = 0.01
     alpha: float = 0.01
     variant: str = "full"
-    normalize_losses: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -347,12 +346,6 @@ def batch_losses(out: ModelOutputs, cfg: ModelConfig) -> BatchLosses:
     else:
         approx = Tensor(np.zeros(b, dtype=dtype))
 
-    if cfg.normalize_losses:
-        rec_s = ad.mul(rec_s, (1.0 / (n * n)).astype(dtype))
-        rec_a = ad.mul(rec_a, (1.0 / (n * batch.x.shape[1])).astype(dtype))
-        if out.h_graph_hat is not None:
-            approx = ad.mul(approx, 1.0 / cfg.latent_dim)
-
     ent_terms = [ad.entropy(w) for w in (out.node_weights, out.graph_weights)
                  if w is not None]
     if ent_terms:
@@ -385,6 +378,10 @@ def score_batch(params: ModelParams, cfg: ModelConfig,
 
 _CONFIG_KEY = "__config__"
 
+# config keys of removed options, with the value the model still computes:
+# the padding ablation's losses over real nodes only, and unnormalized terms
+_REMOVED_OPTIONS = {"masked_losses": True, "normalize_losses": False}
+
 
 def save_params(path, params: ModelParams, cfg: ModelConfig) -> None:
     """Write a self-describing npz: little-endian arrays plus the config."""
@@ -407,13 +404,14 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
         if _CONFIG_KEY not in z:
             raise CheckpointError(f"{path} has no embedded config")
         cfg_dict = json.loads(str(z[_CONFIG_KEY]))
-        # older checkpoints carry the removed padding ablation's flag; its
-        # default, losses over real nodes only, is what this model computes
-        masked = cfg_dict.pop("masked_losses", True)
-        if masked is not True:
-            raise CheckpointError(
-                f"{path} was trained with masked_losses={masked!r}, a padding "
-                "ablation this version no longer computes")
+        # older checkpoints carry the flags of removed loss options; each
+        # one's default is what this model computes
+        for key, default in _REMOVED_OPTIONS.items():
+            value = cfg_dict.pop(key, default)
+            if value is not default:
+                raise CheckpointError(
+                    f"{path} was trained with {key}={value!r}, a loss option "
+                    "this version no longer computes")
         try:
             cfg = ModelConfig(**cfg_dict)
         except TypeError as e:
@@ -431,10 +429,10 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
                 raise CheckpointError(
                     f"tensor {name!r} has dtype {arr.dtype}, expected a float dtype")
             first = next(iter(loaded.values()), None)
-            if first is not None and arr.dtype != first.dtype:
+            if first is not None and arr.dtype != first.data.dtype:
                 raise CheckpointError(
                     f"tensor {name!r} has dtype {arr.dtype}, but the checkpoint's "
-                    f"other tensors are {first.dtype}")
+                    f"other tensors are {first.data.dtype}")
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"tensor {name!r} holds a non-finite value")
             loaded[name] = Tensor(np.ascontiguousarray(arr), requires_grad=True)

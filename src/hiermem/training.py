@@ -1,9 +1,10 @@
 """Minibatch training and batched scoring.
 
-Graphs are sorted by (node count, graph id) and chunked into batches. Both
-paths cap the node rows the model sees at once: scoring cuts its chunks at
-CHUNK_ROWS, and training runs each optimizer batch as sub-batches of at
-most TRAIN_ROWS rows whose gradients add up before one Adam step. A
+Graphs are sorted by (node count, graph id) and chunked into batches. No
+forward pass holds more than MAX_ROWS node rows, unless it is one graph
+larger than that: training runs each optimizer batch as sub-batches of at
+most MAX_ROWS rows whose gradients add up before one Adam step, and scoring
+cuts its whole input into sub-batches the same way (`_chunks`). A
 (sub-)batch is built with one `pad_batch` call per node count it holds, at
 that count's own width, so nothing is padded, and is prepared for the model
 once (`model.ragged_batch`); bucketed training reuses its prepared
@@ -37,19 +38,11 @@ from .optim import Adam
 HISTORY_FIELDS = ("epoch", "total", "rec_structure", "rec_attribute",
                   "approximation", "entropy")
 
-# fewest node rows a scoring part is given: below it, one part per OpenBLAS
-# thread scores slower than one multithreaded pass (measured crossover,
-# CHANGES.md)
-SPLIT_ROWS = 1024
-
-# most node rows a scoring chunk holds: the chunk's activations, not its
-# graph count, set scoring's working set (measured sweep, CHANGES.md)
-CHUNK_ROWS = 4096
-
-# most node rows a training sub-batch holds: an optimizer batch's gradient
-# is summed over sub-batches of at most this many rows, so the largest
-# batch no longer sets training's working set (measured sweep, CHANGES.md)
-TRAIN_ROWS = 1024
+# most node rows a forward pass holds: a training batch runs as sub-batches
+# of at most this many rows whose gradients add up, and scoring cuts its
+# sub-batches the same way, so neither the largest batch nor the largest
+# input sets the working set (measured sweep, CHANGES.md)
+MAX_ROWS = 1024
 
 
 # glibc's mallopt parameters (malloc.h) and the largest mmap threshold it
@@ -98,7 +91,6 @@ class TrainConfig:
     latent_dim: int = 256
     seed: int = 0
     variant: str = "full"
-    normalize_losses: bool = False
     bucket_by_size: bool = True
 
     def __post_init__(self):
@@ -119,8 +111,7 @@ def make_model_config(config: TrainConfig, feature_dim: int,
                        num_graph_memory=config.num_graph_memory,
                        max_nodes=max_nodes,
                        shrink_lambda=config.shrink_lambda, alpha=config.alpha,
-                       variant=config.variant,
-                       normalize_losses=config.normalize_losses)
+                       variant=config.variant)
 
 
 def _size_key(graph: Graph) -> tuple[int, int]:
@@ -158,10 +149,10 @@ def _ragged(graphs: list[Graph], idx, dtype) -> RaggedBatch:
 def _plan(graphs: list[Graph], order,
           batch_size: int) -> Iterator[tuple[int, list[list[int]]]]:
     """Optimizer batches of `batch_size` graphs taken in `order`: each one's
-    graph count and its sub-batches of at most TRAIN_ROWS node rows, in
+    graph count and its sub-batches of at most MAX_ROWS node rows, in
     size order (a larger graph is a sub-batch of its own)."""
     for idx in _chunks(graphs, order, batch_size):
-        yield len(idx), list(_chunks(graphs, idx, len(idx), TRAIN_ROWS))
+        yield len(idx), list(_chunks(graphs, idx, len(idx), MAX_ROWS))
 
 
 def _size_order(graphs: list[Graph]) -> list[int]:
@@ -174,7 +165,7 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     """Minimize the mean per-graph training loss with Adam.
 
     Each optimizer batch runs forward and backward once per sub-batch of at
-    most TRAIN_ROWS node rows, each sub-batch's loss being its summed
+    most MAX_ROWS node rows, each sub-batch's loss being its summed
     per-graph loss over the batch's graph count, so the parameter gradients
     add up to those of the batch's mean loss; Adam then steps once per
     batch. A batch under the cap is one sub-batch.
@@ -246,37 +237,21 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     return params, history
 
 
-def _parts(graphs: list[Graph], idx: list[int],
-           threads: int) -> list[list[int]]:
-    """`idx` cut into at most `threads` contiguous parts of about equal node
-    rows, at least SPLIT_ROWS of them per part on average."""
-    counts = np.array([graphs[i].node_count for i in idx])
-    k = min(threads, int(counts.sum()) // SPLIT_ROWS)
-    if k < 2:
-        return [idx]
-    # a graph goes to the part its middle node row falls in
-    middles = np.cumsum(counts) - counts / 2
-    cuts = np.searchsorted(middles, counts.sum() * np.arange(1, k) / k)
-    return [part.tolist() for part in np.split(np.asarray(idx), cuts)
-            if part.size]
-
-
 def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
-                 batch_size: int = 300) -> np.ndarray:
-    """Anomaly scores aligned to the input order, computed in size buckets.
+                 *, batch_size: int | None = None) -> np.ndarray:
+    """Anomaly scores aligned to the input order.
 
-    A bucket holds at most `batch_size` graphs and at most CHUNK_ROWS node
-    rows (a larger graph is scored alone), so scoring's memory does not grow
-    with the largest graphs of a collection; cross-validation folds at the
-    default batch sizes stay below the cap. A bucket of at least
-    2 * SPLIT_ROWS node rows is cut into up to one part per OpenBLAS thread
-    (`_parts`), and the parts are scored at the same time on a thread pool,
-    with OpenBLAS on one thread per part. Smaller buckets are scored one
-    after another with OpenBLAS as it is.
+    A graph's score is a sum over that graph alone, so the graphs are scored
+    in size-ordered sub-batches of at most MAX_ROWS node rows (a larger graph
+    is scored alone), and scoring's memory does not grow with the input.
+    Inputs of at least 2 * MAX_ROWS node rows, when OpenBLAS runs more than
+    one thread, are scored on a pool of that many threads with OpenBLAS on
+    one thread per sub-batch; smaller inputs are scored one sub-batch after
+    another with OpenBLAS as it is, which is faster below that size
+    (CHANGES.md). `batch_size` is ignored: it is still accepted for callers
+    written against the signature that took it.
     """
     _keep_heap()
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if not graphs:
         return np.zeros(0)
     scores = np.zeros(len(graphs))
@@ -285,21 +260,15 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     def score(idx):
         scores[idx] = score_batch(params, cfg, _ragged(graphs, idx, dtype))
 
+    subs = _chunks(graphs, _size_order(graphs), len(graphs), MAX_ROWS)
     threads = blas.threads() or 1
-    split = []
-    for idx in _chunks(graphs, _size_order(graphs), batch_size, CHUNK_ROWS):
-        parts = _parts(graphs, idx, threads)
-        if len(parts) == 1:
+    if threads < 2 or sum(g.node_count for g in graphs) < 2 * MAX_ROWS:
+        for idx in subs:
             score(idx)
-        else:
-            split.append(parts)
-    if split:
-        # pinned once for the call, not per bucket: OpenBLAS workers keep
-        # spinning for a while after a GEMM and would compete with the pool
-        with blas.pinned(1), ThreadPoolExecutor(threads - 1) as pool:
-            for parts in split:
-                futures = [pool.submit(score, part) for part in parts[1:]]
-                score(parts[0])
-                for future in futures:
-                    future.result()
+        return scores
+    # pinned once for the call, not per sub-batch: OpenBLAS workers keep
+    # spinning for a while after a GEMM and would compete with the pool
+    with blas.pinned(1), ThreadPoolExecutor(threads) as pool:
+        for future in [pool.submit(score, idx) for idx in subs]:
+            future.result()
     return scores

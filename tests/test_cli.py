@@ -1,8 +1,11 @@
 """End-to-end command-line runs: exit codes, artifacts, config precedence."""
 
 import ctypes
+import dataclasses
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +52,30 @@ def test_parse_float_list():
     assert parse_float_list("0, 2.5,8") == [0.0, 2.5, 8.0]
     with pytest.raises(ConfigurationError):
         parse_float_list("a,b")
+
+
+# ---------------------------------------------------------------------------
+# config knobs
+
+# TrainConfig fields the command line does not set, and why each stays
+EXEMPT = {
+    "hidden_dim": "the paper's encoder width; tests and the benchmark's "
+                  "self-tests shrink it through the library",
+    "latent_dim": "the paper's latent width; tests and the benchmark's "
+                  "self-tests shrink it through the library",
+    "bucket_by_size": "random minibatches stay until one batching path is "
+                      "chosen against a training-quality oracle (ROADMAP "
+                      "item 7)",
+}
+
+
+def test_every_train_config_field_is_set_by_the_command_line():
+    source = inspect.getsource(cli.build_train_config)
+    fields = [f.name for f in dataclasses.fields(training.TrainConfig)]
+    unset = [name for name in fields if name not in EXEMPT
+             and not re.search(rf"\b{name}=", source)]
+    assert unset == [], f"TrainConfig fields the command line never sets: {unset}"
+    assert set(EXEMPT) <= set(fields)
 
 
 # ---------------------------------------------------------------------------

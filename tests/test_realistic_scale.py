@@ -15,9 +15,11 @@ import csv
 import json
 import math
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from hiermem import blas
 from hiermem import training as T
 from hiermem.cli import main
 from hiermem.data import dataset_checksum, write_tudataset
@@ -36,25 +38,45 @@ def aids_like_run(tmp_path_factory):
     write_tudataset(dataset, data_dir)
     out_dir = tmp_path_factory.mktemp("runs")
 
-    # (graphs, node rows) of every chunk planned, by its row cap: inf for
-    # training's optimizer batches, TRAIN_ROWS for their sub-batches and
-    # CHUNK_ROWS for scoring's chunks
-    chunks, real_chunks = defaultdict(list), T._chunks
+    # (graphs, node rows) of each of training's optimizer batches, of each
+    # training forward pass and of each scoring forward pass, and the
+    # thread count of each pool scoring makes; OpenBLAS is taken to have 2
+    # threads, so only the input's size keeps scoring off the pool
+    seen = defaultdict(list)
+    real_chunks, real_forward, real_score = (T._chunks, T.forward_batch,
+                                             T.score_batch)
 
-    def recording(graphs, order, batch_size, max_rows=math.inf):
+    def chunks(graphs, order, batch_size, max_rows=math.inf):
         for idx in real_chunks(graphs, order, batch_size, max_rows):
-            chunks[max_rows].append(
-                (len(idx), sum(graphs[i].node_count for i in idx)))
+            if max_rows == math.inf:
+                seen["batches"].append(
+                    (len(idx), sum(graphs[i].node_count for i in idx)))
             yield idx
 
+    def forward(params, cfg, batch):
+        seen["train"].append((len(batch.node_counts), batch.x.shape[0]))
+        return real_forward(params, cfg, batch)
+
+    def score(params, cfg, batch):
+        seen["score"].append((len(batch.node_counts), batch.x.shape[0]))
+        return real_score(params, cfg, batch)
+
+    def pool(threads):
+        seen["pools"].append(threads)
+        return ThreadPoolExecutor(threads)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "_chunks", recording)
+        mp.setattr(T, "_chunks", chunks)
+        mp.setattr(T, "forward_batch", forward)
+        mp.setattr(T, "score_batch", score)
+        mp.setattr(T, "ThreadPoolExecutor", pool)
+        mp.setattr(blas, "threads", lambda: 2)
         code = main(["cv", "--dataset", dataset.name,
                      "--data-dir", str(data_dir), "--folds", "5",
                      "--epochs", "1", "--batch-size", "80",
                      "--out-dir", str(out_dir)])
     assert code == 0
-    return dataset, data_dir, out_dir / f"cv-{dataset.name}-s0", chunks
+    return dataset, data_dir, out_dir / f"cv-{dataset.name}-s0", seen
 
 
 def test_every_graph_gets_one_finite_score(aids_like_run):
@@ -92,16 +114,23 @@ def test_the_manifest_names_the_run_and_its_outputs(aids_like_run):
     assert all((run_dir / name).is_file() for name in manifest["outputs"])
 
 
+def _within_the_cap(passes):
+    return all(rows <= T.MAX_ROWS or count == 1 for count, rows in passes)
+
+
 def test_fold_scoring_chunks_stay_below_the_row_cap(aids_like_run):
-    *_, chunks = aids_like_run
-    chunk_rows = [rows for _, rows in chunks[T.CHUNK_ROWS]]
-    assert len(chunk_rows) >= 5          # every fold scores at least one chunk
-    assert max(chunk_rows) < T.CHUNK_ROWS
+    # each fold's test set holds fewer than 2 * MAX_ROWS node rows, so it
+    # is scored serially, one sub-batch after another
+    *_, seen = aids_like_run
+    assert seen["pools"] == []
+    assert len(seen["score"]) >= 5       # every fold scores a sub-batch
+    assert sum(count for count, _ in seen["score"]) == GRAPHS
+    assert _within_the_cap(seen["score"])
 
 
 def test_training_sub_batches_hold_at_most_the_row_cap(aids_like_run):
-    *_, chunks = aids_like_run
-    batches, subs = chunks[math.inf], chunks[T.TRAIN_ROWS]
+    *_, seen = aids_like_run
+    batches, subs = seen["batches"], seen["train"]
     assert sum(count for count, _ in subs) == sum(count for count, _ in batches)
     assert len(subs) > len(batches)      # the largest batches are split
-    assert all(rows <= T.TRAIN_ROWS or count == 1 for count, rows in subs)
+    assert _within_the_cap(subs)

@@ -1,9 +1,11 @@
 """Training loop behavior: memorization, determinism, batching, failure modes."""
 
+import contextlib
 import dataclasses
 import gc
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -181,7 +183,7 @@ def test_score_graphs_aligned_to_input_order(toy_dataset):
     params, _ = T.train(normals, cfg)
     mcfg = T.make_model_config(cfg, 2, max(g.node_count for g in toy_dataset.graphs))
     graphs = toy_dataset.graphs
-    got = T.score_graphs(params, mcfg, graphs, batch_size=4)
+    got = T.score_graphs(params, mcfg, graphs)
     expected = single_scores(params, mcfg, graphs)
     np.testing.assert_allclose(got, expected, rtol=1e-4)
 
@@ -253,7 +255,7 @@ def test_score_graphs_records_no_tape(scoring_setup):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            scores = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+            scores = T.score_graphs(params, mcfg, graphs)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,7 +270,7 @@ def test_score_graphs_records_no_tape(scoring_setup):
 
 def test_score_graphs_equals_the_training_forward(scoring_setup):
     params, mcfg, graphs = scoring_setup
-    got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+    got = T.score_graphs(params, mcfg, graphs)
     out = forward_batch(params, mcfg, ragged(graphs))
     assert out.h_nodes.requires_grad
     bl = batch_losses(out, mcfg)
@@ -293,7 +295,7 @@ def test_score_graphs_on_a_mixed_batch_equals_single_graph_scores():
     cfg = TrainConfig(epochs=1, batch_size=6, seed=0, **SMALL)
     params, _ = T.train(graphs, cfg)
     mcfg = T.make_model_config(cfg, 2, 40)
-    got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+    got = T.score_graphs(params, mcfg, graphs)
     expected = single_scores(params, mcfg, graphs)
     np.testing.assert_allclose(got, expected, rtol=1e-5)
 
@@ -333,17 +335,8 @@ def test_tape_nodes_do_not_depend_on_how_many_sizes_a_batch_mixes():
     assert one_size[1] == many_sizes[1]
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_score_graphs_rejects_a_batch_size_below_one(batch_size, toy_model_config,
-                                                     toy_params, triangle_graph):
-    with pytest.raises(ConfigurationError,
-                       match=f"batch_size must be >= 1, got {batch_size}"):
-        T.score_graphs(toy_params, toy_model_config, [triangle_graph],
-                       batch_size=batch_size)
-
-
 # ---------------------------------------------------------------------------
-# scoring a bucket in parts on a thread pool
+# scoring in sub-batches capped by node rows, serially or on a thread pool
 
 def _real_blas_threads():
     """The bundled OpenBLAS's own count, whatever `blas.threads` is patched
@@ -354,8 +347,9 @@ def _real_blas_threads():
 
 @pytest.fixture
 def forced_split(monkeypatch):
-    """Buckets of 8 or more node rows split into up to 3 parts."""
-    monkeypatch.setattr(T, "SPLIT_ROWS", 4)
+    """Sub-batches of at most 16 node rows; inputs of 32 rows or more are
+    scored on a pool of 3 threads."""
+    monkeypatch.setattr(T, "MAX_ROWS", 16)
     monkeypatch.setattr(blas, "threads", lambda: 3)
 
 
@@ -381,63 +375,89 @@ def _record_parts(monkeypatch):
     return calls
 
 
-def test_parts_are_contiguous_and_balanced_by_node_rows(monkeypatch):
-    monkeypatch.setattr(T, "SPLIT_ROWS", 4)
-    graphs = _graphs_of_sizes([1, 1, 2, 7, 7, 40, 3, 3, 3, 3])
-    assert T._parts(graphs, list(range(6)), 1) == [list(range(6))]
-    # the 40-node graph holds more than a third of the rows: 2 parts, not 3
-    assert T._parts(graphs, list(range(6)), 3) == [[0, 1, 2, 3, 4], [5]]
-    assert T._parts(graphs, list(range(6, 10)), 2) == [[6, 7], [8, 9]]
-    assert T._parts(graphs, list(range(6, 10)), 3) == [[6], [7, 8], [9]]
-    # 12 rows make at most 3 parts of 4 rows on average, whatever the threads
-    assert T._parts(graphs, list(range(6, 10)), 8) == [[6], [7, 8], [9]]
-    assert T._parts(graphs, [6, 7], 8) == [[6, 7]]       # 6 rows: one part
+def _record_pools(monkeypatch):
+    """Wrap the `ThreadPoolExecutor` that `score_graphs` makes; returns the
+    list of the thread counts of the pools it made."""
+    pools = []
+
+    def recording(threads):
+        pools.append(threads)
+        return ThreadPoolExecutor(threads)
+
+    monkeypatch.setattr(T, "ThreadPoolExecutor", recording)
+    return pools
+
+
+def _sub_batches(graphs):
+    return list(T._chunks(graphs, T._size_order(graphs), len(graphs),
+                          T.MAX_ROWS))
+
+
+def _scored_alone(params, cfg, graphs, subs, pinned):
+    """Each sub-batch scored on its own, with OpenBLAS on one thread if
+    `pinned`."""
+    scores = np.zeros(len(graphs))
+    with blas.pinned(1) if pinned else contextlib.nullcontext():
+        for sub in subs:
+            scores[sub] = M.score_batch(
+                params, cfg, T._ragged(graphs, sub, params.enc1.data.dtype))
+    return scores
 
 
 def test_split_scores_equal_each_part_scored_serially(split_setup, forced_split,
                                                       monkeypatch):
     params, mcfg, graphs = split_setup
-    calls = _record_parts(monkeypatch)
-    got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+    calls, pools = _record_parts(monkeypatch), _record_pools(monkeypatch)
+    got = T.score_graphs(params, mcfg, graphs)
 
-    order = sorted(range(len(graphs)), key=lambda i: graphs[i].node_count)
-    parts = T._parts(graphs, order, 3)
-    assert len(parts) == 3 and len(calls) == 3
-    expected = np.zeros(len(graphs))
-    with blas.pinned(1):
-        for part in parts:
-            expected[part] = M.score_batch(
-                params, mcfg, T._ragged(graphs, part, np.float32))
-    np.testing.assert_array_equal(got, expected)
+    subs = _sub_batches(graphs)
+    assert len(subs) == len(calls) == 5 and pools == [3]
+    np.testing.assert_array_equal(
+        got, _scored_alone(params, mcfg, graphs, subs, pinned=True))
 
-    monkeypatch.setattr(T, "SPLIT_ROWS", 10**9)
-    whole = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
-    assert len(calls) == 4
+    monkeypatch.setattr(T, "MAX_ROWS", 10**9)
+    whole = T.score_graphs(params, mcfg, graphs)
+    assert len(calls) == 6 and pools == [3]
     np.testing.assert_allclose(got, whole, rtol=1e-5)
+
+
+def test_inputs_under_twice_the_row_cap_never_reach_the_pool(split_setup,
+                                                             monkeypatch):
+    params, mcfg, graphs = split_setup
+    monkeypatch.setattr(blas, "threads", lambda: 3)
+    rows = sum(g.node_count for g in graphs)
+    monkeypatch.setattr(T, "MAX_ROWS", rows // 2 + 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scoring must stay serial")
+
+    monkeypatch.setattr(blas, "pinned", refuse)
+    monkeypatch.setattr(T, "ThreadPoolExecutor", refuse)
+    calls = _record_parts(monkeypatch)
+    got = T.score_graphs(params, mcfg, graphs)
+    subs = _sub_batches(graphs)
+    assert len(subs) == len(calls) > 1
+    np.testing.assert_array_equal(
+        got, _scored_alone(params, mcfg, graphs, subs, pinned=False))
 
 
 def test_split_over_more_threads_than_cores_loses_no_score(split_setup,
                                                            monkeypatch):
     params, mcfg, _ = split_setup
     graphs = _graphs_of_sizes([1 + i % 9 for i in range(120)], seed=4)
-    monkeypatch.setattr(T, "SPLIT_ROWS", 4)
+    monkeypatch.setattr(T, "MAX_ROWS", 24)
     monkeypatch.setattr(blas, "threads", lambda: 8)
-    calls = _record_parts(monkeypatch)
+    calls, pools = _record_parts(monkeypatch), _record_pools(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = T.score_graphs(params, mcfg, graphs, batch_size=40)
+        got = T.score_graphs(params, mcfg, graphs)
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == 3 * 8
-    order = sorted(range(len(graphs)), key=lambda i: graphs[i].node_count)
-    expected = np.zeros(len(graphs))
-    with blas.pinned(1):
-        for start in range(0, len(order), 40):
-            for part in T._parts(graphs, order[start:start + 40], 8):
-                expected[part] = M.score_batch(
-                    params, mcfg, T._ragged(graphs, part, np.float32))
-    np.testing.assert_array_equal(got, expected)
+    subs = _sub_batches(graphs)
+    assert len(calls) == len(subs) > 8 and pools == [8]
+    np.testing.assert_array_equal(
+        got, _scored_alone(params, mcfg, graphs, subs, pinned=True))
 
 
 def test_split_pins_openblas_to_one_thread_and_restores_it(split_setup,
@@ -449,35 +469,35 @@ def test_split_pins_openblas_to_one_thread_and_restores_it(split_setup,
     calls = _record_parts(monkeypatch)
     with blas.pinned(2):
         before = _real_blas_threads()
-        T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
+        T.score_graphs(params, mcfg, graphs)
         assert _real_blas_threads() == before
-        assert len(calls) == 3 and {c[2] for c in calls} == {1}
+        assert len(calls) == 5 and {c[2] for c in calls} == {1}
 
-        # the widest graph lands in the last part, which a pool thread scores
+        # the widest graphs are sub-batches of their own, scored on the pool
         narrow = dataclasses.replace(mcfg, max_nodes=8)
         narrow_params = init_params(narrow, np.random.default_rng(0))
         with pytest.raises(ConfigurationError,
                            match="batch width 9 exceeds memory width 8"):
-            T.score_graphs(narrow_params, narrow, graphs,
-                           batch_size=len(graphs))
+            T.score_graphs(narrow_params, narrow, graphs)
         assert _real_blas_threads() == before
 
 
 def test_no_openblas_means_no_pool_and_no_pin(split_setup, monkeypatch):
     params, mcfg, graphs = split_setup
-    serial = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
 
     def refuse(*args, **kwargs):
         raise AssertionError("scoring must stay serial")
 
-    monkeypatch.setattr(T, "SPLIT_ROWS", 4)
+    monkeypatch.setattr(T, "MAX_ROWS", 16)
     monkeypatch.setattr(blas, "_openblas", lambda: None)
     monkeypatch.setattr(blas, "pinned", refuse)
     monkeypatch.setattr(T, "ThreadPoolExecutor", refuse)
     calls = _record_parts(monkeypatch)
-    got = T.score_graphs(params, mcfg, graphs, batch_size=len(graphs))
-    assert len(calls) == 1
-    np.testing.assert_array_equal(got, serial)
+    got = T.score_graphs(params, mcfg, graphs)
+    subs = _sub_batches(graphs)
+    assert len(calls) == len(subs) == 5
+    np.testing.assert_array_equal(
+        got, _scored_alone(params, mcfg, graphs, subs, pinned=False))
 
 
 def test_cv_with_two_jobs_equals_serial_while_scoring_splits(forced_split,
@@ -485,9 +505,9 @@ def test_cv_with_two_jobs_equals_serial_while_scoring_splits(forced_split,
     from hiermem.evaluation import run_cv
     ds = make_er_dataset(20, 10, seed=4)
     cfg = TrainConfig(epochs=2, batch_size=16, seed=0, **SMALL)
-    calls = _record_parts(monkeypatch)
+    pools = _record_pools(monkeypatch)
     serial = run_cv(ds, cfg, k=3, seed=3, jobs=1)
-    assert len(calls) > 3       # three folds of one bucket each, split
+    assert pools == [3] * 3     # every fold's test set is scored on the pool
     parallel = run_cv(ds, cfg, k=3, seed=3, jobs=2)
     assert serial.per_fold_auc == parallel.per_fold_auc
     assert serial.per_graph_scores == parallel.per_graph_scores
@@ -500,24 +520,24 @@ def test_a_float64_checkpoint_scores_in_float64_through_the_split(
                   init_params(mcfg, np.random.default_rng(2), dtype=np.float64),
                   mcfg)
     params, cfg = M.load_params(tmp_path / "model.npz")
-    calls = _record_parts(monkeypatch)
-    got = T.score_graphs(params, cfg, graphs, batch_size=len(graphs))
-    assert len(calls) == 3
+    calls, pools = _record_parts(monkeypatch), _record_pools(monkeypatch)
+    got = T.score_graphs(params, cfg, graphs)
+    assert len(calls) == 5 and pools == [3]
     assert {c[0].x.dtype for c in calls} == {np.dtype(np.float64)}
-    monkeypatch.setattr(T, "SPLIT_ROWS", 10**9)
-    whole = T.score_graphs(params, cfg, graphs, batch_size=len(graphs))
+    np.testing.assert_array_equal(
+        got, _scored_alone(params, cfg, graphs, _sub_batches(graphs),
+                           pinned=True))
+    monkeypatch.setattr(T, "MAX_ROWS", 10**9)
+    whole = T.score_graphs(params, cfg, graphs)
     np.testing.assert_allclose(got, whole, rtol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# scoring chunks capped by node rows
-
 def test_scoring_memory_does_not_grow_with_the_count_of_large_graphs(
         monkeypatch):
-    # sixty-node graphs at default widths: 200 of them in chunks of up to
-    # 300 graphs hold twice the node rows of 100, and once held twice the
+    # sixty-node graphs at default widths: 200 of them hold twice the node
+    # rows of 100, and in chunks of up to 300 graphs once held twice the
     # activations (76 against 38 MiB). Scored serially, so the peak does not
-    # depend on how the parts of a split chunk overlap in time.
+    # depend on how the pool's sub-batches overlap in time.
     monkeypatch.setattr(blas, "threads", lambda: 1)
     mcfg = T.make_model_config(TrainConfig(), 2, 60)
     params = init_params(mcfg, np.random.default_rng(0), dtype=np.float32)
@@ -527,7 +547,7 @@ def test_scoring_memory_does_not_grow_with_the_count_of_large_graphs(
         gc.collect()
         tracemalloc.start()
         try:
-            T.score_graphs(params, mcfg, graphs[:count], batch_size=300)
+            T.score_graphs(params, mcfg, graphs[:count])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -574,40 +594,28 @@ def chunk_model():
 
 @settings(max_examples=25, deadline=None)
 @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=30),
-       batch_size=st.integers(1, 10), cap=st.integers(1, 40),
-       threads=st.integers(1, 3))
+       cap=st.integers(1, 40), threads=st.integers(1, 3))
 def test_capped_scores_equal_each_chunk_part_scored_alone(chunk_model, sizes,
-                                                          batch_size, cap,
-                                                          threads):
+                                                          cap, threads):
     params, mcfg = chunk_model
     graphs = _graphs_of_sizes(sizes, seed=len(sizes))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "CHUNK_ROWS", cap)
-        mp.setattr(T, "SPLIT_ROWS", 4)
+        mp.setattr(T, "MAX_ROWS", cap)
         mp.setattr(blas, "threads", lambda: threads)
-        got = T.score_graphs(params, mcfg, graphs, batch_size=batch_size)
-        plans = [T._parts(graphs, chunk, threads) for chunk in
-                 T._chunks(graphs, T._size_order(graphs), batch_size, cap)]
+        pools = _record_pools(mp)
+        got = T.score_graphs(params, mcfg, graphs)
+        subs = _sub_batches(graphs)
 
-    expected = np.zeros(len(graphs))
-
-    def score(parts):
-        for part in parts:
-            expected[part] = M.score_batch(
-                params, mcfg, T._ragged(graphs, part, np.float32))
-
-    for parts in plans:
-        if len(parts) == 1:
-            score(parts)
-    with blas.pinned(1):
-        for parts in plans:
-            if len(parts) > 1:
-                score(parts)
-    np.testing.assert_array_equal(got, expected)
+    # the pool, and OpenBLAS on one thread, only from twice the cap up
+    pooled = threads >= 2 and sum(sizes) >= 2 * cap
+    assert pools == ([threads] if pooled else [])
+    assert all(len(sub) == 1 or _rows(graphs, sub) <= cap for sub in subs)
+    np.testing.assert_array_equal(
+        got, _scored_alone(params, mcfg, graphs, subs, pinned=pooled))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "CHUNK_ROWS", np.inf)
-        whole = T.score_graphs(params, mcfg, graphs, batch_size=batch_size)
+        mp.setattr(T, "MAX_ROWS", np.inf)
+        whole = T.score_graphs(params, mcfg, graphs)
     np.testing.assert_allclose(got, whole, rtol=1e-5)
 
 
@@ -619,11 +627,12 @@ def test_a_graph_wider_than_the_node_memory_raises_the_same_error_capped(
 
     def message():
         with pytest.raises(ConfigurationError) as info:
-            T.score_graphs(params, narrow, graphs, batch_size=len(graphs))
+            T.score_graphs(params, narrow, graphs)
         return str(info.value)
 
     uncapped = message()
-    monkeypatch.setattr(T, "CHUNK_ROWS", 8)     # the 9-node graph alone
+    monkeypatch.setattr(T, "MAX_ROWS", 8)       # the 9-node graph alone
+    monkeypatch.setattr(blas, "threads", lambda: 2)
     assert message() == uncapped == "batch width 9 exceeds memory width 8"
 
 
@@ -644,9 +653,9 @@ def _one_step(graphs, **kwargs):
 def test_a_batch_split_into_sub_batches_matches_the_whole_batch(
         bucket_by_size, monkeypatch):
     graphs = _graphs_of_sizes([3, 9, 2, 4, 5, 7, 7, 1, 6, 8])
-    monkeypatch.setattr(T, "TRAIN_ROWS", np.inf)
+    monkeypatch.setattr(T, "MAX_ROWS", np.inf)
     whole_params, whole_grads = _one_step(graphs, bucket_by_size=bucket_by_size)
-    monkeypatch.setattr(T, "TRAIN_ROWS", 12)
+    monkeypatch.setattr(T, "MAX_ROWS", 12)
     rows, real = [], T.forward_batch
 
     def counting(params, cfg, batch):
@@ -691,7 +700,7 @@ def test_a_nan_in_a_later_sub_batch_names_the_optimizer_batch(monkeypatch):
         return dataclasses.replace(bl, rec_attribute=bad,
                                    total=ad.add(bl.total, bad))
 
-    monkeypatch.setattr(T, "TRAIN_ROWS", 10)
+    monkeypatch.setattr(T, "MAX_ROWS", 10)
     monkeypatch.setattr(T, "batch_losses", poisoned)
     cfg = TrainConfig(epochs=2, batch_size=len(graphs), seed=0, **SMALL)
     with pytest.raises(TrainingDiverged,
