@@ -26,8 +26,8 @@ from .data import (atomic_open, dataset_checksum, export_folds_csv,
                    make_er_dataset, make_folds, parse_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
-from .evaluation import (EvalReport, run_ablation, run_contamination_sweep,
-                         run_cv, run_memory_sweep, write_history_csv,
+from .evaluation import (EvalReport, run_contamination_sweep, run_cv,
+                         run_memory_sweep, write_history_csv,
                          write_report_csv, write_report_json)
 from .gradcheck import DEFAULT_TOL, check_suite
 from .model import VARIANTS
@@ -211,8 +211,7 @@ def write_resolved_cfg(path: Path, values: dict) -> None:
 
 
 def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
-                   checksum: str, outputs: list[str],
-                   heap_kept: bool = False) -> None:
+                   checksum: str, outputs: list[str]) -> None:
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "command": command,
@@ -224,7 +223,7 @@ def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
         "provenance": provenance,
         "outputs": sorted(outputs),
         "blas_threads": blas.threads() or "unknown",
-        "heap_kept": heap_kept,
+        "heap_kept": training._keep_heap(),
     }
     with atomic_open(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -264,8 +263,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     outputs.append(folds_path.name)
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     outputs.append("resolved.cfg")
-    write_manifest(out_dir, "cv", values, provenance, checksum, outputs,
-                   args.heap_kept)
+    write_manifest(out_dir, "cv", values, provenance, checksum, outputs)
     print(f"cv {dataset.name}: mean AUC {report.mean_auc:.4f} "
           f"+/- {report.std_auc:.4f} over {values['folds']} folds")
     for f, auc in enumerate(report.per_fold_auc):
@@ -276,6 +274,14 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     values, provenance = resolve_fields(args, _COMMON)
+    # every config is built, and so checked, before any data is read
+    variants = (values["variant"] if args.protocol == "ablation"
+                else [_single(values, "variant")])
+    if args.protocol == "memory":
+        p, q = values["p"][0], values["q"][0]
+    else:
+        p, q = _single(values, "p"), _single(values, "q")
+    configs = [build_train_config(values, p, q, v) for v in variants]
     dataset, checksum = load_dataset(values)
     k, seed, jobs = values["folds"], values["seed"], values["jobs"]
     out_dir = _run_dir(values, f"sweep-{args.protocol}")
@@ -283,10 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     index: list[dict] = []
 
     if args.protocol == "contamination":
-        p, q = _single(values, "p"), _single(values, "q")
-        variant = _single(values, "variant")
-        config = build_train_config(values, p, q, variant)
-        reports = run_contamination_sweep(dataset, config, values["tau"],
+        reports = run_contamination_sweep(dataset, configs[0], values["tau"],
                                           k, seed, jobs=jobs)
         for tau, report in zip(values["tau"], reports):
             stem = f"report-tau{_fmt(tau)}"
@@ -296,10 +299,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"tau={_fmt(tau)}%: mean AUC {report.mean_auc:.4f} "
                   f"+/- {report.std_auc:.4f}")
     elif args.protocol == "memory":
-        variant = _single(values, "variant")
-        config = build_train_config(values, values["p"][0], values["q"][0],
-                                    variant)
-        grid = run_memory_sweep(dataset, config, values["p"], values["q"],
+        grid = run_memory_sweep(dataset, configs[0], values["p"], values["q"],
                                 k, seed, jobs=jobs)
         for (p, q), report in grid.items():
             stem = f"report-p{p}-q{q}"
@@ -309,15 +309,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"p={p} q={q}: mean AUC {report.mean_auc:.4f} "
                   f"+/- {report.std_auc:.4f}")
     else:  # ablation
-        p, q = _single(values, "p"), _single(values, "q")
-        config = build_train_config(values, p, q, "full")
-        for variant in values["variant"]:
-            report = run_ablation(dataset, config, variant, k, seed, jobs=jobs)
-            stem = f"report-{variant}"
+        for config in configs:
+            report = run_cv(dataset, config, k, seed, jobs=jobs)
+            stem = f"report-{config.variant}"
             outputs += _report_files(out_dir, stem, report)
-            index.append({"variant": variant, "mean_auc": report.mean_auc,
+            index.append({"variant": config.variant,
+                          "mean_auc": report.mean_auc,
                           "std_auc": report.std_auc, "report": f"{stem}.json"})
-            print(f"variant={variant}: mean AUC {report.mean_auc:.4f} "
+            print(f"variant={config.variant}: mean AUC {report.mean_auc:.4f} "
                   f"+/- {report.std_auc:.4f}")
 
     with atomic_open(out_dir / "index.json") as fh:
@@ -328,7 +327,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     outputs.append("resolved.cfg")
     write_manifest(out_dir, f"sweep {args.protocol}", values, provenance,
-                   checksum, outputs, args.heap_kept)
+                   checksum, outputs)
     print(f"outputs: {out_dir}")
     return 0
 
@@ -357,7 +356,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     write_manifest(out_dir, "gradcheck", values, provenance, "",
-                   ["resolved.cfg"], args.heap_kept)
+                   ["resolved.cfg"])
     if not payload["all_passed"]:
         offenders = [n for n, c in cases.items() if not c["passed"]]
         print("FAILED: " + ", ".join(sorted(offenders)), file=sys.stderr)
@@ -391,10 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    heap_kept = training._keep_heap()
+    training._keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.heap_kept = heap_kept
     try:
         return args.func(args)
     except (ConfigurationError, DatasetParseError, StructuralError) as e:

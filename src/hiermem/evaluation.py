@@ -18,7 +18,6 @@ import numpy as np
 from .data import (FoldSplit, GraphDataset, atomic_open, inject_contamination,
                    make_folds)
 from .errors import ConfigurationError
-from .model import VARIANTS
 from .training import (HISTORY_FIELDS, TrainConfig, make_model_config,
                        score_graphs, train)
 
@@ -180,9 +179,6 @@ def run_memory_sweep(dataset: GraphDataset, config: TrainConfig,
 
 def run_ablation(dataset: GraphDataset, config: TrainConfig, variant: str,
                  k: int, seed: int, jobs: int = 1) -> EvalReport:
-    if variant not in VARIANTS:
-        raise ConfigurationError(
-            f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return run_cv(dataset, dataclasses.replace(config, variant=variant),
                   k, seed, jobs=jobs)
 

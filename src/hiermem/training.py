@@ -1,18 +1,16 @@
 """Minibatch training and batched scoring.
 
-Graphs are sorted by (node count, graph id) and chunked into batches. No
-forward pass holds more than MAX_ROWS node rows, unless it is one graph
-larger than that: training runs each optimizer batch as sub-batches of at
-most MAX_ROWS rows whose gradients add up before one Adam step, and scoring
-cuts its whole input into sub-batches the same way (`_chunks`). A
-(sub-)batch is built with one `pad_batch` call per node count it holds, at
-that count's own width, so nothing is padded, and is prepared for the model
-once (`model.ragged_batch`); bucketed training reuses its prepared
-sub-batches every epoch. Batch order is reshuffled every epoch under the
-training seed; without bucketing, each epoch chunks a fresh permutation of
-the graphs, and each chunk is sorted the same way. Both `train` and
-`score_graphs` first make glibc keep freed memory on its heap
-(`_keep_heap`), once per process.
+One plan (`_plan`) groups graphs for every forward pass: it sorts them once
+by (node count, graph id), cuts the sorted order into batches of at most
+`batch_size` consecutive graphs, and cuts each batch into sub-batches of at
+most MAX_ROWS node rows (a larger graph is a sub-batch of its own). Training
+plans once, prepares each sub-batch for the model once (`model.ragged_batch`)
+and visits the batches in a fresh order every epoch under the training
+seed; the sub-batches of a batch add up their gradients before one Adam
+step. Scoring plans its whole input as one batch. A sub-batch is built with
+one `pad_batch` call per node count it holds, at that count's own width, so
+nothing is padded. Both `train` and `score_graphs` first make glibc keep
+freed memory on its heap (`_keep_heap`), once per process.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -91,7 +87,6 @@ class TrainConfig:
     latent_dim: int = 256
     seed: int = 0
     variant: str = "full"
-    bucket_by_size: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -100,6 +95,9 @@ class TrainConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
+        # the model's own checks (variant, memory sizes, shrink_lambda,
+        # alpha, widths), before any data is read
+        make_model_config(self, 1, 1)
 
 
 def make_model_config(config: TrainConfig, feature_dim: int,
@@ -114,29 +112,6 @@ def make_model_config(config: TrainConfig, feature_dim: int,
                        variant=config.variant)
 
 
-def _size_key(graph: Graph) -> tuple[int, int]:
-    return graph.node_count, graph.graph_id
-
-
-def _chunks(graphs: list[Graph], order, batch_size: int,
-            max_rows: float = math.inf) -> Iterator[list[int]]:
-    """Chunks of graph indices taken in `order`, each sorted by size.
-
-    A chunk holds at most `batch_size` graphs and at most `max_rows` node
-    rows; a graph of more than `max_rows` nodes forms a chunk of its own.
-    """
-    chunk, rows = [], 0
-    for i in order:
-        n = graphs[i].node_count
-        if chunk and (len(chunk) == batch_size or rows + n > max_rows):
-            yield sorted(chunk, key=lambda j: _size_key(graphs[j]))
-            chunk, rows = [], 0
-        chunk.append(i)
-        rows += n
-    if chunk:
-        yield sorted(chunk, key=lambda j: _size_key(graphs[j]))
-
-
 def _ragged(graphs: list[Graph], idx, dtype) -> RaggedBatch:
     """The prepared batch of the graphs `idx`, in that order: one run per
     stretch of consecutive graphs of equal node count."""
@@ -146,17 +121,28 @@ def _ragged(graphs: list[Graph], idx, dtype) -> RaggedBatch:
                         dtype)
 
 
-def _plan(graphs: list[Graph], order,
-          batch_size: int) -> Iterator[tuple[int, list[list[int]]]]:
-    """Optimizer batches of `batch_size` graphs taken in `order`: each one's
-    graph count and its sub-batches of at most MAX_ROWS node rows, in
-    size order (a larger graph is a sub-batch of its own)."""
-    for idx in _chunks(graphs, order, batch_size):
-        yield len(idx), list(_chunks(graphs, idx, len(idx), MAX_ROWS))
+def _plan(graphs: list[Graph], batch_size: int) -> list[list[list[int]]]:
+    """Batches of graph indices, each a list of its sub-batches.
 
-
-def _size_order(graphs: list[Graph]) -> list[int]:
-    return sorted(range(len(graphs)), key=lambda i: _size_key(graphs[i]))
+    The graphs are sorted once by (node count, graph id); each batch is the
+    next run of at most `batch_size` graphs in that order, and each of its
+    sub-batches the next run of at most MAX_ROWS node rows, or one graph
+    larger than that.
+    """
+    order = sorted(range(len(graphs)),
+                   key=lambda i: (graphs[i].node_count, graphs[i].graph_id))
+    plan = []
+    for start in range(0, len(order), batch_size):
+        subs, rows = [], 0
+        for i in order[start:start + batch_size]:
+            n = graphs[i].node_count
+            if not subs or rows + n > MAX_ROWS:
+                subs.append([])
+                rows = 0
+            subs[-1].append(i)
+            rows += n
+        plan.append(subs)
+    return plan
 
 
 def train(train_graphs: list[Graph], config: TrainConfig,
@@ -164,11 +150,13 @@ def train(train_graphs: list[Graph], config: TrainConfig,
           max_nodes: int | None = None) -> tuple[ModelParams, list[dict]]:
     """Minimize the mean per-graph training loss with Adam.
 
-    Each optimizer batch runs forward and backward once per sub-batch of at
-    most MAX_ROWS node rows, each sub-batch's loss being its summed
-    per-graph loss over the batch's graph count, so the parameter gradients
-    add up to those of the batch's mean loss; Adam then steps once per
-    batch. A batch under the cap is one sub-batch.
+    The optimizer batches are fixed runs of graphs in size order (`_plan`),
+    prepared once and visited in a fresh order every epoch. Each batch runs
+    forward and backward once per sub-batch of at most MAX_ROWS node rows,
+    each sub-batch's loss being its summed per-graph loss over the batch's
+    graph count, so the parameter gradients add up to those of the batch's
+    mean loss; Adam then steps once per batch. A batch under the cap is one
+    sub-batch.
 
     Returns the trained parameters and one history row per epoch (mean loss
     components over the epoch's graphs). Fixed seed means bit-identical
@@ -189,27 +177,17 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     if config.epochs == 0:
         return params, []
 
-    batch_size = min(config.batch_size, len(train_graphs))
     opt = Adam(params.tensors(), lr=config.learning_rate)
     history: list[dict] = []
-
-    def prepared(subs):
-        return (_ragged(train_graphs, sub, np.float32) for sub in subs)
-
-    if config.bucket_by_size:
-        batches = [(count, list(prepared(subs))) for count, subs in
-                   _plan(train_graphs, _size_order(train_graphs), batch_size)]
+    batches = [(sum(map(len, subs)),
+                [_ragged(train_graphs, sub, np.float32) for sub in subs])
+               for subs in _plan(train_graphs, config.batch_size)]
 
     n_total = len(train_graphs)
     for epoch in range(config.epochs):
-        if config.bucket_by_size:
-            epoch_batches = [batches[i] for i in rng.permutation(len(batches))]
-        else:
-            epoch_batches = ((count, prepared(subs)) for count, subs in _plan(
-                train_graphs, rng.permutation(n_total).tolist(), batch_size))
-
         sums = {k: 0.0 for k in HISTORY_FIELDS[1:]}
-        for bi, (count, subs) in enumerate(epoch_batches):
+        for bi, b in enumerate(rng.permutation(len(batches))):
+            count, subs = batches[b]
             opt.zero_grad()
             for batch in subs:
                 out = forward_batch(params, cfg, batch)
@@ -242,8 +220,9 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     """Anomaly scores aligned to the input order.
 
     A graph's score is a sum over that graph alone, so the graphs are scored
-    in size-ordered sub-batches of at most MAX_ROWS node rows (a larger graph
-    is scored alone), and scoring's memory does not grow with the input.
+    in the sub-batches `_plan` cuts from the whole input as one batch: size
+    ordered, of at most MAX_ROWS node rows (a larger graph is scored alone),
+    so scoring's memory does not grow with the input.
     Inputs of at least 2 * MAX_ROWS node rows, when OpenBLAS runs more than
     one thread, are scored on a pool of that many threads with OpenBLAS on
     one thread per sub-batch; smaller inputs are scored one sub-batch after
@@ -260,7 +239,7 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     def score(idx):
         scores[idx] = score_batch(params, cfg, _ragged(graphs, idx, dtype))
 
-    subs = _chunks(graphs, _size_order(graphs), len(graphs), MAX_ROWS)
+    [subs] = _plan(graphs, len(graphs))
     threads = blas.threads() or 1
     if threads < 2 or sum(g.node_count for g in graphs) < 2 * MAX_ROWS:
         for idx in subs:

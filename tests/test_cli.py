@@ -63,9 +63,6 @@ EXEMPT = {
                   "self-tests shrink it through the library",
     "latent_dim": "the paper's latent width; tests and the benchmark's "
                   "self-tests shrink it through the library",
-    "bucket_by_size": "random minibatches stay until one batching path is "
-                      "chosen against a training-quality oracle (ROADMAP "
-                      "item 7)",
 }
 
 
@@ -102,6 +99,15 @@ def test_multivalue_flag_rejected_for_cv(disk_dataset, tmp_path, capsys):
     code = main(run_cv_args(disk_dataset, tmp_path, ["--tau", "0,8"]))
     assert code == 2
     assert "single value" in capsys.readouterr().err
+
+
+def test_a_bad_config_fails_before_the_data_is_read(tmp_path, capsys):
+    code = main(["cv", "--variant", "bogus", "--dataset", "NOPE",
+                 "--data-dir", str(tmp_path / "missing"),
+                 "--out-dir", str(tmp_path / "runs")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown variant 'bogus'" in err and "NOPE" not in err
 
 
 def test_version_flag():
@@ -265,6 +271,16 @@ def test_sweep_rejects_bad_rate(disk_dataset, tmp_path, capsys):
                  "--epochs", "1", "--tau", "0,400",
                  "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+def test_sweep_ablation_checks_every_variant_before_the_first_cv(tmp_path,
+                                                                 capsys):
+    code = main(["sweep", "ablation", "--dataset", "synthetic-er",
+                 "--variant", "full,bogus", "--epochs", "1", "--folds", "2",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "unknown variant 'bogus'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

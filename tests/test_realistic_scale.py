@@ -28,6 +28,7 @@ from hiermem.evaluation import evaluate_auc
 from conftest import aids_corpus
 
 GRAPHS = 600
+BATCH = 80
 
 
 @pytest.fixture(scope="module")
@@ -38,20 +39,20 @@ def aids_like_run(tmp_path_factory):
     write_tudataset(dataset, data_dir)
     out_dir = tmp_path_factory.mktemp("runs")
 
-    # (graphs, node rows) of each of training's optimizer batches, of each
-    # training forward pass and of each scoring forward pass, and the
-    # thread count of each pool scoring makes; OpenBLAS is taken to have 2
-    # threads, so only the input's size keeps scoring off the pool
+    # (graphs, node rows) of each sub-batch of each plan, of each training
+    # forward pass and of each scoring forward pass, and the thread count of
+    # each pool scoring makes; OpenBLAS is taken to have 2 threads, so only
+    # the input's size keeps scoring off the pool
     seen = defaultdict(list)
-    real_chunks, real_forward, real_score = (T._chunks, T.forward_batch,
-                                             T.score_batch)
+    real_plan, real_forward, real_score = (T._plan, T.forward_batch,
+                                           T.score_batch)
 
-    def chunks(graphs, order, batch_size, max_rows=math.inf):
-        for idx in real_chunks(graphs, order, batch_size, max_rows):
-            if max_rows == math.inf:
-                seen["batches"].append(
-                    (len(idx), sum(graphs[i].node_count for i in idx)))
-            yield idx
+    def plan(graphs, batch_size):
+        cut = real_plan(graphs, batch_size)
+        seen["plans"].append(
+            [[(len(sub), sum(graphs[i].node_count for i in sub))
+              for sub in batch] for batch in cut])
+        return cut
 
     def forward(params, cfg, batch):
         seen["train"].append((len(batch.node_counts), batch.x.shape[0]))
@@ -66,14 +67,14 @@ def aids_like_run(tmp_path_factory):
         return ThreadPoolExecutor(threads)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "_chunks", chunks)
+        mp.setattr(T, "_plan", plan)
         mp.setattr(T, "forward_batch", forward)
         mp.setattr(T, "score_batch", score)
         mp.setattr(T, "ThreadPoolExecutor", pool)
         mp.setattr(blas, "threads", lambda: 2)
         code = main(["cv", "--dataset", dataset.name,
                      "--data-dir", str(data_dir), "--folds", "5",
-                     "--epochs", "1", "--batch-size", "80",
+                     "--epochs", "1", "--batch-size", str(BATCH),
                      "--out-dir", str(out_dir)])
     assert code == 0
     return dataset, data_dir, out_dir / f"cv-{dataset.name}-s0", seen
@@ -118,19 +119,30 @@ def _within_the_cap(passes):
     return all(rows <= T.MAX_ROWS or count == 1 for count, rows in passes)
 
 
+def _plans(seen, role):
+    """The plans training (role 0) or scoring (role 1) cut: each fold
+    trains, then scores its test set."""
+    return seen["plans"][role::2]
+
+
 def test_fold_scoring_chunks_stay_below_the_row_cap(aids_like_run):
     # each fold's test set holds fewer than 2 * MAX_ROWS node rows, so it
-    # is scored serially, one sub-batch after another
+    # is scored serially, one sub-batch after another, as one batch
     *_, seen = aids_like_run
-    assert seen["pools"] == []
-    assert len(seen["score"]) >= 5       # every fold scores a sub-batch
+    scoring = _plans(seen, 1)
+    assert seen["pools"] == [] and len(scoring) == 5
+    assert all(len(plan) == 1 for plan in scoring)
+    assert seen["score"] == [sub for [batch] in scoring for sub in batch]
     assert sum(count for count, _ in seen["score"]) == GRAPHS
     assert _within_the_cap(seen["score"])
 
 
 def test_training_sub_batches_hold_at_most_the_row_cap(aids_like_run):
+    # one epoch runs each sub-batch of each training plan once
     *_, seen = aids_like_run
-    batches, subs = seen["batches"], seen["train"]
-    assert sum(count for count, _ in subs) == sum(count for count, _ in batches)
+    batches = [batch for plan in _plans(seen, 0) for batch in plan]
+    subs = [sub for batch in batches for sub in batch]
+    assert sorted(seen["train"]) == sorted(subs)
     assert len(subs) > len(batches)      # the largest batches are split
+    assert all(sum(count for count, _ in batch) <= BATCH for batch in batches)
     assert _within_the_cap(subs)

@@ -150,26 +150,6 @@ def test_divergence_raises(toy_dataset):
             T.train(normals, cfg)
 
 
-def test_bucketing_off_still_converges(toy_dataset):
-    normals = [g for g in toy_dataset.graphs if g.label == 0]
-    cfg = TrainConfig(epochs=10, batch_size=4, learning_rate=5e-3, seed=0,
-                      bucket_by_size=False, **SMALL)
-    _, history = T.train(normals, cfg)
-    assert history[-1]["total"] < history[0]["total"]
-
-
-def test_single_batch_bucketed_equals_unbucketed(toy_dataset):
-    # with every graph in one batch, bucketing only changes padding width,
-    # which masked losses cannot see
-    normals = [g for g in toy_dataset.graphs if g.label == 0]
-    base = dict(epochs=3, batch_size=len(normals), learning_rate=1e-3,
-                seed=5, **SMALL)
-    _, h_bucketed = T.train(normals, TrainConfig(bucket_by_size=True, **base))
-    _, h_plain = T.train(normals, TrainConfig(bucket_by_size=False, **base))
-    for r1, r2 in zip(h_bucketed, h_plain):
-        assert r1["total"] == pytest.approx(r2["total"], rel=1e-5)
-
-
 def test_max_nodes_override_sizes_memory(toy_dataset):
     normals = [g for g in toy_dataset.graphs if g.label == 0]
     cfg = TrainConfig(epochs=1, **SMALL)
@@ -321,9 +301,7 @@ def test_tape_nodes_do_not_depend_on_how_many_sizes_a_batch_mixes():
 
     def step_nodes(sizes):
         params = init_params(mcfg, np.random.default_rng(0))
-        graphs = _graphs_of_sizes(sizes)
-        idx = next(T._chunks(graphs, range(len(sizes)), len(sizes)))
-        batch = T._ragged(graphs, idx, np.float32)
+        batch = ragged(_graphs_of_sizes(sizes))
         loss = ad.reduce_mean(batch_losses(forward_batch(params, mcfg, batch),
                                            mcfg).total)
         assert np.isfinite(float(loss.data))
@@ -389,8 +367,9 @@ def _record_pools(monkeypatch):
 
 
 def _sub_batches(graphs):
-    return list(T._chunks(graphs, T._size_order(graphs), len(graphs),
-                          T.MAX_ROWS))
+    """The sub-batches of the plan of `graphs` as one batch."""
+    [subs] = T._plan(graphs, len(graphs))
+    return subs
 
 
 def _scored_alone(params, cfg, graphs, subs, pinned):
@@ -563,27 +542,36 @@ def _rows(graphs, idx):
 @settings(max_examples=200, deadline=None)
 @given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=40),
        batch_size=st.integers(1, 12), cap=st.integers(1, 80))
-def test_capped_chunks_cover_every_graph_once_within_both_limits(sizes,
-                                                                 batch_size,
-                                                                 cap):
-    graphs = _graphs_of_sizes(sizes)
-    order = T._size_order(graphs)
-    chunks = list(T._chunks(graphs, order, batch_size, cap))
-    assert [i for chunk in chunks for i in chunk] == order
-    for chunk, after in zip(chunks, chunks[1:] + [None]):
-        assert 1 <= len(chunk) <= batch_size
-        assert len(chunk) == 1 or _rows(graphs, chunk) <= cap
-        if after is not None:
-            # a chunk closes only when the next graph breaks a limit
-            assert (len(chunk) == batch_size
-                    or _rows(graphs, chunk) + graphs[after[0]].node_count > cap)
-    for i, g in enumerate(graphs):
-        if g.node_count > cap:
-            assert [i] in chunks
-    # without a cap the chunks are the plain slices training batches use
-    uncapped = list(T._chunks(graphs, order, batch_size))
-    assert uncapped == [order[s:s + batch_size]
-                        for s in range(0, len(order), batch_size)]
+def test_capped_chunks_cover_every_graph_once_within_both_limits(
+        chunk_model, sizes, batch_size, cap):
+    graphs = _graphs_of_sizes(sizes)          # graph i has graph id i
+    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
+    cut = []
+
+    def recording(graphs, idx, dtype):
+        cut.append(list(idx))
+        return idx
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "MAX_ROWS", cap)
+        plan = T._plan(graphs, batch_size)
+        [whole] = T._plan(graphs, len(graphs))
+        # what scoring cuts, recorded without running the model
+        mp.setattr(blas, "threads", lambda: 1)
+        mp.setattr(T, "_ragged", recording)
+        mp.setattr(T, "score_batch", lambda params, cfg, idx: np.zeros(len(idx)))
+        T.score_graphs(*chunk_model, graphs)
+
+    # each batch is the next slice of the size order
+    assert [[i for sub in batch for i in sub] for batch in plan] == [
+        order[s:s + batch_size] for s in range(0, len(order), batch_size)]
+    for batch in plan + [whole]:
+        for sub, after in zip(batch, batch[1:] + [None]):
+            assert len(sub) == 1 or _rows(graphs, sub) <= cap
+            if after is not None:
+                # a sub-batch closes only when the next graph breaks the cap
+                assert _rows(graphs, sub) + graphs[after[0]].node_count > cap
+    assert cut == whole and [i for sub in whole for i in sub] == order
 
 
 @pytest.fixture(scope="module")
@@ -639,22 +627,19 @@ def test_a_graph_wider_than_the_node_memory_raises_the_same_error_capped(
 # ---------------------------------------------------------------------------
 # training batches run as sub-batches capped by node rows
 
-def _one_step(graphs, **kwargs):
+def _one_step(graphs):
     """Parameters and their gradients after one Adam step on all `graphs`
     as one optimizer batch."""
-    cfg = TrainConfig(epochs=1, batch_size=len(graphs), seed=3, **SMALL,
-                      **kwargs)
+    cfg = TrainConfig(epochs=1, batch_size=len(graphs), seed=3, **SMALL)
     params, _ = T.train(graphs, cfg)
     return ([p.data.copy() for p in params.tensors()],
             [p.grad.copy() for p in params.tensors()])
 
 
-@pytest.mark.parametrize("bucket_by_size", [True, False])
-def test_a_batch_split_into_sub_batches_matches_the_whole_batch(
-        bucket_by_size, monkeypatch):
+def test_a_batch_split_into_sub_batches_matches_the_whole_batch(monkeypatch):
     graphs = _graphs_of_sizes([3, 9, 2, 4, 5, 7, 7, 1, 6, 8])
     monkeypatch.setattr(T, "MAX_ROWS", np.inf)
-    whole_params, whole_grads = _one_step(graphs, bucket_by_size=bucket_by_size)
+    whole_params, whole_grads = _one_step(graphs)
     monkeypatch.setattr(T, "MAX_ROWS", 12)
     rows, real = [], T.forward_batch
 
@@ -663,7 +648,7 @@ def test_a_batch_split_into_sub_batches_matches_the_whole_batch(
         return real(params, cfg, batch)
 
     monkeypatch.setattr(T, "forward_batch", counting)
-    split_params, split_grads = _one_step(graphs, bucket_by_size=bucket_by_size)
+    split_params, split_grads = _one_step(graphs)
     assert len(rows) > 3 and max(rows) <= 12 and sum(rows) == 52
     for split, whole in zip(split_grads, whole_grads):
         np.testing.assert_allclose(split, whole, rtol=1e-5)
@@ -678,7 +663,8 @@ def test_a_batch_under_the_cap_takes_the_gradient_of_its_mean_loss():
 
     mcfg = T.make_model_config(cfg, 2, 9)
     params = init_params(mcfg, np.random.default_rng(3), dtype=np.float32)
-    batch = T._ragged(graphs, T._size_order(graphs), np.float32)
+    [[idx]] = T._plan(graphs, len(graphs))
+    batch = T._ragged(graphs, idx, np.float32)
     loss = ad.reduce_mean(batch_losses(forward_batch(params, mcfg, batch),
                                        mcfg).total)
     ad.backward(loss)
@@ -710,19 +696,18 @@ def test_a_nan_in_a_later_sub_batch_names_the_optimizer_batch(monkeypatch):
 
 
 def test_training_memory_does_not_grow_with_the_rows_of_a_batch():
-    # one optimizer batch of sixty-node graphs at default widths: 200 of
-    # them hold twice the node rows of 100, and unsplit once held twice the
-    # activations (179 against 92 MiB). Random minibatches build each
-    # sub-batch's input when it runs; bucketing keeps every prepared input
-    # for the whole run, which does grow with the graph count.
+    # the same 200 sixty-node graphs at default widths, so the prepared
+    # inputs held for the run are the same: in batches of 200 a batch holds
+    # twice the node rows of one of 100, and unsplit held about twice the
+    # activations (179 against 99 MiB)
     graphs = _graphs_of_sizes([60] * 200)
 
-    def peak(count):
-        cfg = TrainConfig(epochs=1, batch_size=300, bucket_by_size=False)
+    def peak(batch_size):
+        cfg = TrainConfig(epochs=1, batch_size=batch_size)
         gc.collect()
         tracemalloc.start()
         try:
-            T.train(graphs[:count], cfg)
+            T.train(graphs, cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
