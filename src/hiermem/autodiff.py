@@ -9,8 +9,10 @@ Only the operations this model needs are provided. All of them keep the dtype
 of their inputs (float32 for training, float64 for gradient verification) and
 never emit NaN/Inf on finite input. NaN passes through `relu` (as it does
 through `torch.relu`) rather than being clipped to 0, so a non-finite weight
-or activation reaches the loss and trips the divergence check. A Python int
-or float operand of `add` or `mul` takes the dtype of the tensor it meets, so a float32 loss, its gradients and everything on its tape stay
+or activation reaches the loss and trips the divergence check. `add` and
+`mul` do not broadcast: their operands share one shape, or one of them is a
+constant scalar. A Python int or float operand takes the dtype of the tensor
+it meets, so a float32 loss, its gradients and everything on its tape stay
 float32.
 
 The tape costs nothing where it is not needed. An op none of whose inputs
@@ -72,16 +74,22 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as tensors; a Python scalar takes the other's dtype.
+    """Both operands of `add` or `mul` as tensors of one shape, or a tensor
+    and a constant scalar; a Python scalar takes the other's dtype.
 
     Without this a float becomes a 0-d float64 array, and numpy promotes a
     float32 operand against it to float64.
     """
     if isinstance(a, (int, float)) and isinstance(b, Tensor):
-        return as_tensor(a, b.data.dtype), b
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        return a, as_tensor(b, a.data.dtype)
-    return as_tensor(a), as_tensor(b)
+        a = as_tensor(a, b.data.dtype)
+    elif isinstance(b, (int, float)) and isinstance(a, Tensor):
+        b = as_tensor(b, a.data.dtype)
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.shape != b.data.shape and not any(
+            t.data.ndim == 0 and not t.requires_grad for t in (a, b)):
+        raise ValueError(f"operands must share one shape, or one be a constant "
+                         f"scalar, got {a.data.shape} and {b.data.shape}")
+    return a, b
 
 
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
@@ -101,19 +109,6 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad = g
     else:
         t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `g` down to `shape`, undoing numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
@@ -174,11 +169,9 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bw():
-        ga = _unbroadcast(out.grad, a.data.shape)
-        gb = _unbroadcast(out.grad, b.data.shape)
-        _accumulate(a, ga, fresh=True)
+        _accumulate(a, out.grad, fresh=True)
         # the same array handed to both parents is owned by the first one
-        _accumulate(b, gb, fresh=gb is not ga or not a.requires_grad)
+        _accumulate(b, out.grad, fresh=not a.requires_grad)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -190,11 +183,9 @@ def mul(a, b) -> Tensor:
 
     def bw():
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape),
-                        fresh=True)
+            _accumulate(a, out.grad * b.data, fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape),
-                        fresh=True)
+            _accumulate(b, out.grad * a.data, fresh=True)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -322,24 +313,22 @@ def gram(h, runs) -> Tensor:
     return out
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a) -> Tensor:
+    """Sum of every element, a 0-d tensor."""
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum()
 
     def bw():
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=False))
+        _accumulate(a, np.broadcast_to(out.grad, a.data.shape).astype(a.data.dtype, copy=False))
 
     out = _make(out_data, (a,), bw)
     return out
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a) -> Tensor:
+    """Mean of every element, a 0-d tensor."""
     a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(reduce_sum(a), 1.0 / a.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -412,39 +401,6 @@ def row_softmax(a) -> Tensor:
 # memory addressing ops
 
 COSINE_EPS = 1e-8
-
-
-def cosine_rows(x, m, eps: float = COSINE_EPS) -> Tensor:
-    """Pairwise cosine similarity between rows of x (R,F) and rows of m (S,F).
-
-    The denominator carries +eps so all-zero rows yield similarity 0 instead
-    of dividing by zero.
-    """
-    x, m = as_tensor(x), as_tensor(m)
-    if x.data.ndim != 2 or m.data.ndim != 2 or x.data.shape[1] != m.data.shape[1]:
-        raise ValueError(f"cosine_rows shapes incompatible: {x.data.shape}, {m.data.shape}")
-    num = x.data @ m.data.T
-    nx = np.sqrt((x.data * x.data).sum(axis=1))
-    nm = np.sqrt((m.data * m.data).sum(axis=1))
-    den = nx[:, None] * nm[None, :] + eps
-    out_data = num / den
-
-    def bw():
-        g = out.grad
-        a_coef = g / den
-        if x.requires_grad:
-            nx_safe = np.where(nx > 0, nx, 1.0)
-            c = (g * out_data * nm[None, :] / den).sum(axis=1)
-            gx = a_coef @ m.data - (c / nx_safe)[:, None] * x.data
-            _accumulate(x, gx, fresh=True)
-        if m.requires_grad:
-            nm_safe = np.where(nm > 0, nm, 1.0)
-            c = (g * out_data * nx[:, None] / den).sum(axis=0)
-            gm = a_coef.T @ x.data - (c / nm_safe)[:, None] * m.data
-            _accumulate(m, gm, fresh=True)
-
-    out = _make(out_data, (x, m), bw)
-    return out
 
 
 def matrix_cosine(h, m, runs, eps: float = COSINE_EPS) -> Tensor:

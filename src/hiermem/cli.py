@@ -35,6 +35,21 @@ from .training import TrainConfig
 
 MANIFEST_SCHEMA_VERSION = 1
 
+
+def parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(f"expected an integer, got {text!r}") from None
+
+
+def parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigurationError(f"expected a number, got {text!r}") from None
+
+
 def parse_int_list(text: str) -> list[int]:
     """Comma-separated integers, each token optionally a 'lo..hi' range."""
     out: list[int] = []
@@ -88,27 +103,35 @@ class Field:
     parse: Callable[[str], object]
     default: object
     help: str
+    at_least: float | None = None  # the value's range, where it has one
+    above: float | None = None
 
 
 FIELDS: dict[str, Field] = {f.name: f for f in [
     Field("dataset", str, None, "dataset name (TUDataset directory name)"),
     Field("data-dir", str, "data", "directory holding dataset directories"),
-    Field("folds", int, 5, "number of cross-validation folds"),
-    Field("seed", int, 0, "run seed; fold f trains under seed+f"),
-    Field("epochs", int, 100, "training epochs per fold"),
-    Field("lr", float, 1e-3, "Adam learning rate"),
-    Field("batch-size", int, 300, "training batch size"),
-    Field("alpha", float, 0.01, "entropy term weight in the training loss"),
-    Field("shrink-lambda", float, 0.01, "attention hard-shrink threshold"),
+    Field("folds", parse_int, 5, "number of cross-validation folds",
+          at_least=2),
+    Field("seed", parse_int, 0, "run seed; fold f trains under seed+f",
+          at_least=0),
+    Field("epochs", parse_int, 100, "training epochs per fold", at_least=0),
+    Field("lr", parse_float, 1e-3, "Adam learning rate", above=0),
+    Field("batch-size", parse_int, 300, "training batch size", at_least=1),
+    Field("alpha", parse_float, 0.01, "entropy term weight in the training loss",
+          at_least=0),
+    Field("shrink-lambda", parse_float, 0.01, "attention hard-shrink threshold"),
     Field("p", parse_int_list, [3], "node memory block count(s), e.g. 3 or 1..6"),
     Field("q", parse_int_list, [3], "graph memory block count(s)"),
     Field("tau", parse_float_list, [0.0], "contamination rate(s) in percent"),
     Field("variant", parse_str_list, ["full"],
           "model variant(s): " + ", ".join(VARIANTS)),
-    Field("jobs", int, 1, "worker processes for fold-parallel training"),
+    Field("jobs", parse_int, 1, "worker processes for fold-parallel training",
+          at_least=1),
     Field("out-dir", str, "runs", "directory for run outputs"),
-    Field("eps", float, 1e-5, "finite-difference step (gradcheck)"),
-    Field("seeds", int, 10, "number of random seeds (gradcheck)"),
+    Field("eps", parse_float, 1e-5, "finite-difference step (gradcheck)",
+          above=0),
+    Field("seeds", parse_int, 10, "number of random seeds (gradcheck)",
+          at_least=1),
 ]}
 
 _COMMON = ["dataset", "data-dir", "folds", "seed", "epochs", "lr",
@@ -144,9 +167,28 @@ def read_config_file(path, allowed: list[str]) -> dict[str, str]:
     return values
 
 
+def _parse_field(field: Field, text: str, source: str):
+    """One field's value from its text, range-checked; an error names
+    `source`, the flag or the config file's key."""
+    try:
+        value = field.parse(text)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{source}: {e}") from None
+    if field.at_least is not None and not value >= field.at_least:
+        raise ConfigurationError(
+            f"{source} must be >= {field.at_least}, got {value}")
+    if field.above is not None and not value > field.above:
+        raise ConfigurationError(
+            f"{source} must be > {field.above}, got {value}")
+    return value
+
+
 def resolve_fields(args: argparse.Namespace,
                    names: list[str]) -> tuple[dict, dict]:
-    """Apply flag > config-file > default; returns (values, provenance)."""
+    """Apply flag > config-file > default; returns (values, provenance).
+
+    Every value is parsed and range-checked here, before any data is read.
+    """
     file_values = {}
     if getattr(args, "config", None):
         file_values = read_config_file(args.config, names)
@@ -156,10 +198,11 @@ def resolve_fields(args: argparse.Namespace,
         field = FIELDS[name]
         flag_val = getattr(args, _attr(name), None)
         if flag_val is not None:
-            values[name] = field.parse(flag_val)
+            values[name] = _parse_field(field, flag_val, f"--{name}")
             provenance[name] = "flag"
         elif name in file_values:
-            values[name] = field.parse(file_values[name])
+            values[name] = _parse_field(field, file_values[name],
+                                        f"{args.config}: key {name!r}")
             provenance[name] = "config"
         else:
             values[name] = field.default
@@ -334,8 +377,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     values, provenance = resolve_fields(args, _GRADCHECK)
-    if values["seeds"] < 1:
-        raise ConfigurationError(f"--seeds must be >= 1, got {values['seeds']}")
     base = values["seed"]
     results = check_suite(seeds=range(base, base + values["seeds"]),
                           eps=values["eps"])

@@ -177,12 +177,6 @@ def run_memory_sweep(dataset: GraphDataset, config: TrainConfig,
     return grid
 
 
-def run_ablation(dataset: GraphDataset, config: TrainConfig, variant: str,
-                 k: int, seed: int, jobs: int = 1) -> EvalReport:
-    return run_cv(dataset, dataclasses.replace(config, variant=variant),
-                  k, seed, jobs=jobs)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -3,7 +3,9 @@
 A three-layer GCN encoder maps each graph to node representations and a
 mean-pooled graph representation. Two learned memory banks approximate what
 the encoder produced: graph-level blocks approximate the pooled vector, and
-node-level blocks approximate the whole node matrix. The decoders reconstruct
+node-level blocks approximate the whole node matrix. Both banks are read
+through one attention path (`_attend`): a graph block is a node block of one
+row, read by the pooled vectors as graphs of one node. The decoders reconstruct
 adjacency (inner product + sigmoid) and attributes (two-layer GCN) from the
 memory approximation, so reconstruction quality reflects how well the stored
 normal patterns explain the input. The anomaly score is the reconstruction
@@ -188,7 +190,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     if cfg.uses_node_memory:
         shapes["node_memory"] = (cfg.num_node_memory, cfg.max_nodes, cfg.latent_dim)
     if cfg.uses_graph_memory:
-        shapes["graph_memory"] = (cfg.num_graph_memory, cfg.latent_dim)
+        shapes["graph_memory"] = (cfg.num_graph_memory, 1, cfg.latent_dim)
     return shapes
 
 
@@ -263,12 +265,19 @@ def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
     return h
 
 
-def _attend_graph(h_graph: Tensor, memory: Tensor, lam: float):
-    sims = ad.cosine_rows(h_graph, memory)
-    raw = ad.row_softmax(sims)
+def _attend(h: Tensor, memory: Tensor, runs, lam: float):
+    """MemAE attention of each graph over (P, N, D) memory blocks: cosine,
+    softmax, hard shrink, then the weighted readout of the blocks cropped to
+    the graph's node count. Returns (raw weights, shrunk weights, readout)."""
+    raw = ad.row_softmax(ad.matrix_cosine(h, memory, runs))
     weights = ad.hard_shrink(raw, lam)
-    approx = ad.matmul(weights, memory)
-    return raw, weights, approx
+    return raw, weights, ad.block_readout(weights, memory, runs)
+
+
+def _attend_graph(h_graph: Tensor, memory: Tensor, lam: float):
+    # the graph bank is a node bank of one-row blocks, read by the pooled
+    # vectors as graphs of one node
+    return _attend(h_graph, memory, ((h_graph.data.shape[0], 1),), lam)
 
 
 def _attend_nodes(h_nodes: Tensor, memory: Tensor, runs, lam: float):
@@ -277,11 +286,7 @@ def _attend_nodes(h_nodes: Tensor, memory: Tensor, runs, lam: float):
         raise ConfigurationError(
             f"batch width {width} exceeds memory width {memory.data.shape[1]}")
     # a graph of n nodes reads the first n rows of every block
-    sims = ad.matrix_cosine(h_nodes, memory, runs)
-    raw = ad.row_softmax(sims)
-    weights = ad.hard_shrink(raw, lam)
-    approx = ad.block_readout(weights, memory, runs)
-    return raw, weights, approx
+    return _attend(h_nodes, memory, runs, lam)
 
 
 def decode_structure(h_hat: Tensor, runs) -> Tensor:
@@ -422,6 +427,9 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
             if name not in z:
                 raise CheckpointError(f"{path} is missing tensor {name!r}")
             arr = z[name]
+            if name == "graph_memory" and arr.shape == (shape[0], shape[2]):
+                # older checkpoints store the graph bank as (q, latent) rows
+                arr = arr.reshape(shape)
             if arr.shape != shape:
                 raise CheckpointError(
                     f"tensor {name!r} has shape {arr.shape}, expected {shape}")

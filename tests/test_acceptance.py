@@ -166,7 +166,7 @@ def test_criterion_6_bzr_reproduction():
 
 def test_criterion_7_ablation_ordering(aids_full_cv):
     dataset, full_report = aids_full_cv
-    gae = ev.run_ablation(dataset, TrainConfig(), "gae_only", k=5, seed=0)
+    gae = ev.run_cv(dataset, TrainConfig(variant="gae_only"), k=5, seed=0)
     ok = gae.mean_auc >= 0.90 and full_report.mean_auc >= gae.mean_auc - 0.02
     verdict(7, ok, f"AIDS gae_only {gae.mean_auc:.4f} (need >= 0.90), "
             f"full {full_report.mean_auc:.4f} "

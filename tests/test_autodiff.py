@@ -87,22 +87,16 @@ def test_add_mul_forward_and_backward():
     np.testing.assert_allclose(b.grad, a.data + 1.0)
 
 
-def test_broadcast_backward_sums_over_expanded_axes():
-    a = leaf(np.ones((3, 4)))
-    b = leaf(np.arange(4.0))
-    out = ad.reduce_sum(ad.mul(a, b))
-    ad.backward(out)
-    np.testing.assert_allclose(a.grad, np.broadcast_to(np.arange(4.0), (3, 4)))
-    np.testing.assert_allclose(b.grad, np.full(4, 3.0))
-
-
-def test_scalar_broadcast_gradient():
-    s = leaf(2.0)
-    m = leaf(np.arange(6.0).reshape(2, 3))
-    out = ad.reduce_sum(ad.mul(s, m))
-    ad.backward(out)
-    assert s.grad == pytest.approx(m.data.sum())
-    np.testing.assert_allclose(m.grad, np.full((2, 3), 2.0))
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_add_mul_take_one_shape_or_a_constant_scalar(op):
+    a = leaf(np.ones((2, 3)))
+    for other in (np.ones(3), np.ones((1, 3)), leaf(2.0)):
+        with pytest.raises(ValueError, match="one shape"):
+            op(a, other)
+        with pytest.raises(ValueError, match="one shape"):
+            op(other, a)
+    assert op(a, np.array(2.0)).data.shape == (2, 3)
+    assert op(2.0, a).data.shape == (2, 3)
 
 
 def test_fanout_accumulates():
@@ -135,6 +129,7 @@ def test_fanout_graph_float32_gradients_match_float64():
     # several consumers; float32 must track the float64 gradients
     rng = np.random.default_rng(12)
     x0, w0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+    m0 = rng.normal(size=(2, 1, 3))
 
     def grads(dtype):
         x = Tensor(x0.astype(dtype), requires_grad=True)
@@ -146,10 +141,12 @@ def test_fanout_graph_float32_gradients_match_float64():
         u = ad.add(ad.mul(t, x), ad.mul(r, -1.0))
         p = ad.hard_shrink(ad.row_softmax(u), 0.05)
         loss = ad.add(ad.reduce_sum(ad.mul(p, t)), ad.reduce_sum(ad.entropy(p)))
-        loss = ad.add(loss, ad.frobenius_sq(ad.add(x, x), t, segments=[4]))
-        loss = ad.add(loss, ad.reduce_sum(ad.cosine_rows(u, x)))
+        loss = ad.add(loss, ad.reduce_sum(
+            ad.frobenius_sq(ad.add(x, x), t, segments=[4])))
+        mem = Tensor(m0.astype(dtype), requires_grad=True)
+        loss = ad.add(loss, ad.reduce_sum(ad.matrix_cosine(u, mem, ((4, 1),))))
         ad.backward(loss)
-        return x.grad, w.grad
+        return x.grad, w.grad, mem.grad
 
     for got, want in zip(grads(np.float32), grads(np.float64)):
         assert got.dtype == np.float32
@@ -165,15 +162,6 @@ def test_matmul_forward_backward():
     ad.backward(out)
     np.testing.assert_allclose(a.grad, g @ b.data.T)
     np.testing.assert_allclose(b.grad, a.data.T @ g)
-
-
-def test_reduce_sum_axis_keepdims():
-    a = leaf(np.arange(6.0).reshape(2, 3))
-    out = ad.reduce_sum(a, axis=1, keepdims=True)
-    assert out.data.shape == (2, 1)
-    np.testing.assert_allclose(out.data, a.data.sum(axis=1, keepdims=True))
-    ad.backward(ad.reduce_sum(out))
-    np.testing.assert_allclose(a.grad, np.ones((2, 3)))
 
 
 def test_reduce_mean_gradient_is_uniform():
@@ -418,49 +406,21 @@ def test_row_softmax_gradient_matches_jacobian():
 # ---------------------------------------------------------------------------
 # cosine similarity family
 
-def test_cosine_rows_matches_numpy_oracle():
+def test_matrix_cosine_of_one_node_runs_matches_numpy_oracle():
+    # the graph memory's form: each row a graph of one node, each block a row
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 6))
     m = rng.normal(size=(5, 6))
-    out = ad.cosine_rows(Tensor(x), Tensor(m)).data
+    out = ad.matrix_cosine(Tensor(x), Tensor(m[:, None]), ((3, 1),)).data
     nx = np.linalg.norm(x, axis=1)
     nm = np.linalg.norm(m, axis=1)
     expected = (x @ m.T) / (nx[:, None] * nm[None, :])
     np.testing.assert_allclose(out, expected, rtol=1e-7)
-
-
-def test_cosine_rows_zero_row_yields_zero_not_nan():
-    x = np.zeros((1, 4))
-    m = np.ones((2, 4))
-    out = ad.cosine_rows(Tensor(x), Tensor(m)).data
-    np.testing.assert_allclose(out, np.zeros((1, 2)))
-
-
-def test_cosine_rows_backward_against_finite_differences():
-    rng = np.random.default_rng(5)
-    x = leaf(rng.normal(size=(2, 4)))
-    m = leaf(rng.normal(size=(3, 4)))
-    r = rng.normal(size=(2, 3))
-
-    def f():
-        return ad.reduce_sum(ad.mul(ad.cosine_rows(x, m), r))
-
-    out = f()
-    ad.backward(out)
-    gx, gm = fd_grad(f, [x, m])
-    np.testing.assert_allclose(x.grad, gx, atol=1e-7)
-    np.testing.assert_allclose(m.grad, gm, atol=1e-7)
-
-
-def test_cosine_rows_one_row_form():
-    u = np.array([[1.0, 0.0]])
-    v = np.array([[1.0, 1.0]])
-    out = ad.cosine_rows(Tensor(u), Tensor(v))
-    assert out.data.shape == (1, 1)
-    assert out.data[0, 0] == pytest.approx(1 / np.sqrt(2), rel=1e-7)
-    assert ad.cosine_rows(Tensor(u), Tensor(u)).data[0, 0] == pytest.approx(
-        1.0, rel=1e-7)
-    assert ad.cosine_rows(Tensor(np.zeros((1, 2))), Tensor(v)).data[0, 0] == 0.0
+    u, v = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]), np.array([[[1.0, 1.0]]])
+    out = ad.matrix_cosine(Tensor(u), Tensor(v), ((3, 1),)).data
+    assert out.shape == (3, 1)
+    np.testing.assert_allclose(out[:2, 0], [1 / np.sqrt(2), 1.0], rtol=1e-7)
+    assert out[2, 0] == 0.0                 # a zero row gives 0, not NaN
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +621,9 @@ def test_sigmoid_softmax_finite_on_large_inputs(x):
 
 @given(finite_arrays)
 @settings(max_examples=50, deadline=None)
-def test_cosine_rows_bounded_and_finite(x):
-    m = np.linspace(-1e3, 1e3, 8).reshape(2, 4)
-    out = ad.cosine_rows(Tensor(x), Tensor(m)).data
+def test_matrix_cosine_bounded_and_finite(x):
+    m = np.linspace(-1e3, 1e3, 8).reshape(2, 1, 4)
+    out = ad.matrix_cosine(Tensor(x), Tensor(m), ((3, 1),)).data
     assert np.all(np.isfinite(out))
     assert np.all(np.abs(out) <= 1.0 + 1e-9)
 

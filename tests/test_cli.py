@@ -110,6 +110,42 @@ def test_a_bad_config_fails_before_the_data_is_read(tmp_path, capsys):
     assert "unknown variant 'bogus'" in err and "NOPE" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["cv", "--dataset", "synthetic-er", "--folds", "abc"], "--folds"),
+    (["cv", "--dataset", "synthetic-er", "--lr", "x"], "--lr"),
+    (["cv", "--dataset", "synthetic-er", "--jobs", "two"], "--jobs"),
+    (["cv", "--dataset", "synthetic-er", "--seed", "-1"], "--seed"),
+    (["gradcheck", "--seeds", "x"], "--seeds"),
+    (["gradcheck", "--eps", "0"], "--eps must be > 0"),
+    (["cv", "--dataset", "X", "--lr", "nan"], "--lr must be > 0"),
+    (["cv", "--dataset", "X", "--folds", "0"], "--folds must be >= 2"),
+    (["cv", "--dataset", "X", "--folds", "1"], "--folds must be >= 2"),
+    (["cv", "--dataset", "X", "--jobs", "0"], "--jobs must be >= 1"),
+])
+def test_a_bad_scalar_flag_is_named_before_the_data_is_read(tmp_path, capsys,
+                                                            argv, named):
+    code = main(argv + ["--data-dir", str(tmp_path / "missing"),
+                        "--out-dir", str(tmp_path / "runs")]
+                if argv[0] == "cv" else argv + ["--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err and "missing dataset" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("line, named", [
+    ("folds=abc", "key 'folds': expected an integer, got 'abc'"),
+    ("jobs=0", "key 'jobs' must be >= 1, got 0"),
+])
+def test_a_bad_scalar_config_key_is_named(tmp_path, capsys, line, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset=synthetic-er\n{line}\n")
+    assert main(["cv", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    assert f"{cfg}: {named}" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as e:
         main(["--version"])

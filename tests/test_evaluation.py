@@ -169,12 +169,10 @@ def test_memory_sweep_grid_shape(er_dataset):
 
 
 def test_ablation_sets_variant(er_dataset):
-    cfg = TrainConfig(seed=0, **SMALL)
-    rep = ev.run_ablation(er_dataset, cfg, "gae_only", k=2, seed=0)
+    cfg = TrainConfig(seed=0, variant="gae_only", **SMALL)
+    rep = ev.run_cv(er_dataset, cfg, k=2, seed=0)
     assert rep.variant == "gae_only"
     assert rep.config["variant"] == "gae_only"
-    with pytest.raises(ConfigurationError):
-        ev.run_ablation(er_dataset, cfg, "nope", k=2, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_full_model_case_passes():
 
 def test_projection_is_deterministic_within_case():
     # two evaluations of the same case closure must hit the identical scalar
-    case = gc.PRIMITIVE_CASES["cosine_rows"](np.random.default_rng(0))
+    case = gc.PRIMITIVE_CASES["matrix_cosine"](np.random.default_rng(0))
     v1 = float(case.fn().data)
     v2 = float(case.fn().data)
     assert v1 == v2

@@ -47,7 +47,7 @@ def test_param_shapes(toy_model_config):
     assert shapes["enc3"] == (8, 5)
     assert shapes["dec2"] == (5, 2)
     assert shapes["node_memory"] == (2, 6, 5)
-    assert shapes["graph_memory"] == (3, 5)
+    assert shapes["graph_memory"] == (3, 1, 5)
 
 
 def test_init_params_bounds(toy_model_config):
@@ -156,7 +156,8 @@ def test_encode_permutation_equivariant(toy_params, toy_model_config):
 # memory attention
 
 def _graph_attention(h_graph, memory, lam):
-    """One graph's shrunk weights over the graph blocks and its approximation."""
+    """One graph's shrunk weights over the (Q, 1, D) graph blocks and its
+    approximation."""
     _, w, approx = M._attend_graph(Tensor(h_graph[None]), Tensor(memory), lam)
     return w.data[0], approx.data[0]
 
@@ -169,27 +170,27 @@ def _node_attention(h_nodes, memory, lam):
 
 
 def test_graph_attend_single_block_is_identity():
-    mem = np.array([[1.0, 2.0, 3.0]])
+    mem = np.array([[[1.0, 2.0, 3.0]]])
     weights, approx = _graph_attention(np.array([9.0, -1.0, 4.0]), mem, lam=0.0)
     np.testing.assert_allclose(weights, [1.0])
-    np.testing.assert_allclose(approx, mem[0])
+    np.testing.assert_allclose(approx, mem[0, 0])
 
 
 def test_graph_attend_identical_blocks_uniform():
-    mem = np.tile(np.array([[1.0, 1.0]]), (4, 1))
+    mem = np.tile(np.array([[[1.0, 1.0]]]), (4, 1, 1))
     weights, _ = _graph_attention(np.array([3.0, 3.0]), mem, lam=0.0)
     np.testing.assert_allclose(weights, np.full(4, 0.25), rtol=1e-7)
 
 
 def test_graph_attend_prefers_aligned_block():
-    mem = np.array([[1.0, 0.0], [0.0, 1.0]])
+    mem = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     weights, _ = _graph_attention(np.array([5.0, 0.0]), mem, lam=0.0)
     assert weights[0] > weights[1]
     assert weights.sum() == pytest.approx(1.0)
 
 
 def test_graph_attend_shrink_concentrates():
-    mem = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    mem = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[-1.0, 0.0]]])
     soft, _ = _graph_attention(np.array([5.0, 0.1]), mem, lam=0.0)
     hard, _ = _graph_attention(np.array([5.0, 0.1]), mem, lam=0.45)
     assert np.count_nonzero(hard) < np.count_nonzero(soft)
@@ -223,6 +224,26 @@ def test_node_attend_rejects_oversized_batch():
     mem = np.zeros((2, 3, 2))
     with pytest.raises(ConfigurationError, match="width"):
         _node_attention(np.zeros((5, 2)), mem, lam=0.0)
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_each_memory_is_read_by_its_own_attend_function(monkeypatch, variant):
+    # the benchmark charges each op to the innermost model function it runs
+    # under, so graph-memory work must run in _attend_graph and node-memory
+    # work in _attend_nodes, each once per forward, neither inside the other
+    calls = {"_attend_nodes": 0, "_attend_graph": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(M, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(M, name, counted)
+    cfg = M.ModelConfig(feature_dim=2, hidden_dim=4, latent_dim=3, max_nodes=4,
+                        num_node_memory=2, num_graph_memory=2, variant=variant)
+    params = M.init_params(cfg, np.random.default_rng(1))
+    graphs = [build_graph([(0, 1), (1, 2)], 3), build_graph([(0, 1)], 2)]
+    M.forward_batch(params, cfg, ragged(graphs))
+    assert calls == {"_attend_nodes": int(cfg.uses_node_memory),
+                     "_attend_graph": int(cfg.uses_graph_memory)}
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +348,7 @@ def test_entropy_uniform_two_by_two_banks():
     params = M.init_params(cfg, np.random.default_rng(0), dtype=np.float64)
     # identical blocks force uniform attention in both banks
     params.node_memory.data = np.tile(params.node_memory.data[:1], (2, 1, 1))
-    params.graph_memory.data = np.tile(params.graph_memory.data[:1], (2, 1))
+    params.graph_memory.data = np.tile(params.graph_memory.data[:1], (2, 1, 1))
     g = build_graph([(0, 1), (1, 2)], 3)
     assert _losses(g, params, cfg)["entropy"] == pytest.approx(2 * np.log(2),
                                                                rel=1e-9)
@@ -398,6 +419,32 @@ def test_checkpoint_round_trip(tmp_path, toy_model_config, toy_params):
         assert n1 == n2
         np.testing.assert_array_equal(t1.data, t2.data)
         assert t2.requires_grad
+
+
+def test_checkpoint_with_a_two_dimensional_graph_memory_loads(
+        tmp_path, toy_model_config, toy_params, toy_dataset):
+    # checkpoints written before the graph bank held one-row blocks store it
+    # as (q, latent)
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    q, _, latent = arrays["graph_memory"].shape
+    old = tmp_path / "old.npz"
+    with open(old, "wb") as fh:
+        np.savez(fh, **{**arrays, "graph_memory": arrays["graph_memory"][:, 0]})
+    params, cfg = M.load_params(old)
+    assert params.graph_memory.data.shape == (q, 1, latent)
+    graphs = toy_dataset.graphs[:5]
+    np.testing.assert_array_equal(
+        score_graphs(params, cfg, graphs),
+        score_graphs(*M.load_params(path), graphs))
+    wide = tmp_path / "wide.npz"
+    with open(wide, "wb") as fh:
+        np.savez(fh, **{**arrays, "graph_memory": np.zeros((q, latent + 1),
+                                                            np.float32)})
+    with pytest.raises(CheckpointError, match="graph_memory"):
+        M.load_params(wide)
 
 
 def test_checkpoint_missing_file(tmp_path):
