@@ -7,8 +7,7 @@ from .data import (FoldSplit, Graph, GraphDataset, degree_features,
                    make_folds, pad_batch, parse_tudataset, write_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
-from .evaluation import (EvalReport, evaluate_auc, run_contamination_sweep,
-                         run_cv, run_memory_sweep)
+from .evaluation import EvalReport, evaluate_auc, run_cv
 from .model import (ModelConfig, ModelParams, init_params, load_params,
                     normalize_adjacency, save_params)
 from .training import TrainConfig, score_graphs, train
@@ -21,8 +20,7 @@ __all__ = [
     "ModelConfig", "ModelParams", "init_params", "normalize_adjacency",
     "save_params", "load_params",
     "TrainConfig", "train", "score_graphs",
-    "EvalReport", "evaluate_auc", "run_cv", "run_contamination_sweep",
-    "run_memory_sweep",
+    "EvalReport", "evaluate_auc", "run_cv",
     "DatasetParseError", "StructuralError", "ConfigurationError",
     "TrainingDiverged", "CheckpointError",
 ]

@@ -2,10 +2,12 @@
 
 Subcommands: `cv` (cross-validation), `sweep contamination|memory|ablation`
 (experiment protocols), `gradcheck` (gradient verification). Every value is
-resolved as flag > config file > built-in default, and every run writes a
-manifest recording the resolved configuration with per-field provenance plus
-a `resolved.cfg` that replays the run bit-identically (wall-clock aside) when
-passed back through --config.
+resolved as flag > config file > built-in default, and parsed and
+range-checked, each item of a list too, before any data is read. A sweep is
+one list of cells, one per --tau, memory-grid point or --variant, run through
+`run_cv` in one loop. Every run writes a manifest recording the resolved
+configuration with per-field provenance plus a `resolved.cfg` that replays the
+run bit-identically (wall-clock aside) when passed back through --config.
 
 Human-readable text goes to stdout, diagnostics to stderr, reports only to
 files. Exit codes: 0 success, 1 failed checks or runtime errors, 2 bad
@@ -26,8 +28,7 @@ from .data import (atomic_open, dataset_checksum, export_folds_csv,
                    make_er_dataset, make_folds, parse_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
-from .evaluation import (EvalReport, run_contamination_sweep, run_cv,
-                         run_memory_sweep, write_history_csv,
+from .evaluation import (EvalReport, run_cv, write_history_csv,
                          write_report_csv, write_report_json)
 from .gradcheck import DEFAULT_TOL, check_suite
 from .model import VARIANTS
@@ -50,11 +51,19 @@ def parse_float(text: str) -> float:
         raise ConfigurationError(f"expected a number, got {text!r}") from None
 
 
+def parse_str_list(text: str) -> list[str]:
+    """The comma-separated items of a list value, the tokens every list
+    parser reads; none may be empty."""
+    tokens = [t.strip() for t in text.split(",")]
+    if "" in tokens:
+        raise ConfigurationError(f"empty item in list {text!r}")
+    return tokens
+
+
 def parse_int_list(text: str) -> list[int]:
     """Comma-separated integers, each token optionally a 'lo..hi' range."""
     out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
+    for token in parse_str_list(text):
         if ".." in token:
             lo_s, hi_s = token.split("..", 1)
             try:
@@ -69,26 +78,15 @@ def parse_int_list(text: str) -> list[int]:
                 out.append(int(token))
             except ValueError:
                 raise ConfigurationError(f"bad integer {token!r}") from None
-    if not out:
-        raise ConfigurationError("empty integer list")
     return out
 
 
 def parse_float_list(text: str) -> list[float]:
     try:
-        values = [float(t.strip()) for t in text.split(",") if t.strip() != ""]
+        return [float(t) for t in parse_str_list(text)]
     except ValueError:
         raise ConfigurationError(f"bad number list {text!r}") from None
-    if not values:
-        raise ConfigurationError("empty number list")
-    return values
 
-
-def parse_str_list(text: str) -> list[str]:
-    values = [t.strip() for t in text.split(",") if t.strip()]
-    if not values:
-        raise ConfigurationError("empty list")
-    return values
 
 
 def _fmt(value) -> str:
@@ -103,8 +101,9 @@ class Field:
     parse: Callable[[str], object]
     default: object
     help: str
-    at_least: float | None = None  # the value's range, where it has one
-    above: float | None = None
+    at_least: float | None = None  # the range of the value, or of each
+    above: float | None = None     # item of a list value, where it has one
+    at_most: float | None = None
 
 
 FIELDS: dict[str, Field] = {f.name: f for f in [
@@ -120,9 +119,11 @@ FIELDS: dict[str, Field] = {f.name: f for f in [
     Field("alpha", parse_float, 0.01, "entropy term weight in the training loss",
           at_least=0),
     Field("shrink-lambda", parse_float, 0.01, "attention hard-shrink threshold"),
-    Field("p", parse_int_list, [3], "node memory block count(s), e.g. 3 or 1..6"),
-    Field("q", parse_int_list, [3], "graph memory block count(s)"),
-    Field("tau", parse_float_list, [0.0], "contamination rate(s) in percent"),
+    Field("p", parse_int_list, [3], "node memory block count(s), e.g. 3 or 1..6",
+          at_least=1),
+    Field("q", parse_int_list, [3], "graph memory block count(s)", at_least=1),
+    Field("tau", parse_float_list, [0.0], "contamination rate(s) in percent",
+          at_least=0, at_most=100),
     Field("variant", parse_str_list, ["full"],
           "model variant(s): " + ", ".join(VARIANTS)),
     Field("jobs", parse_int, 1, "worker processes for fold-parallel training",
@@ -168,18 +169,21 @@ def read_config_file(path, allowed: list[str]) -> dict[str, str]:
 
 
 def _parse_field(field: Field, text: str, source: str):
-    """One field's value from its text, range-checked; an error names
-    `source`, the flag or the config file's key."""
+    """One field's value from its text, range-checked item by item for a
+    list; an error names `source`, the flag or the config file's key."""
     try:
         value = field.parse(text)
     except ConfigurationError as e:
         raise ConfigurationError(f"{source}: {e}") from None
-    if field.at_least is not None and not value >= field.at_least:
-        raise ConfigurationError(
-            f"{source} must be >= {field.at_least}, got {value}")
-    if field.above is not None and not value > field.above:
-        raise ConfigurationError(
-            f"{source} must be > {field.above}, got {value}")
+    for v in value if isinstance(value, list) else [value]:
+        if field.at_least is not None and not v >= field.at_least:
+            raise ConfigurationError(
+                f"{source} must be >= {field.at_least}, got {v}")
+        if field.above is not None and not v > field.above:
+            raise ConfigurationError(f"{source} must be > {field.above}, got {v}")
+        if field.at_most is not None and not v <= field.at_most:
+            raise ConfigurationError(
+                f"{source} must be <= {field.at_most}, got {v}")
     return value
 
 
@@ -315,52 +319,47 @@ def cmd_cv(args: argparse.Namespace) -> int:
     return 0
 
 
+def sweep_cells(protocol: str, values: dict) -> list[tuple]:
+    """The (tau, config, report stem, printed label, index fields) of each
+    cell, in order.
+
+    Contamination has one cell per --tau, memory the (p, 1) then (1, q)
+    grid without repeats, ablation one cell per --variant; every other list
+    flag takes a single value. Each config is built, and so checked, here.
+    """
+    def one(key: str):
+        return _single(values, key)
+
+    if protocol == "contamination":
+        config = build_train_config(values, one("p"), one("q"), one("variant"))
+        return [(t, config, f"tau{_fmt(t)}", f"tau={_fmt(t)}%", {"tau": t})
+                for t in values["tau"]]
+    tau = one("tau")
+    if protocol == "memory":
+        grid = dict.fromkeys([(p, 1) for p in values["p"]]
+                             + [(1, q) for q in values["q"]])
+        return [(tau, build_train_config(values, p, q, one("variant")),
+                 f"p{p}-q{q}", f"p={p} q={q}", {"p": p, "q": q})
+                for p, q in grid]
+    return [(tau, build_train_config(values, one("p"), one("q"), v), v,
+             f"variant={v}", {"variant": v}) for v in values["variant"]]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     values, provenance = resolve_fields(args, _COMMON)
-    # every config is built, and so checked, before any data is read
-    variants = (values["variant"] if args.protocol == "ablation"
-                else [_single(values, "variant")])
-    if args.protocol == "memory":
-        p, q = values["p"][0], values["q"][0]
-    else:
-        p, q = _single(values, "p"), _single(values, "q")
-    configs = [build_train_config(values, p, q, v) for v in variants]
+    cells = sweep_cells(args.protocol, values)
     dataset, checksum = load_dataset(values)
-    k, seed, jobs = values["folds"], values["seed"], values["jobs"]
     out_dir = _run_dir(values, f"sweep-{args.protocol}")
     outputs: list[str] = []
     index: list[dict] = []
-
-    if args.protocol == "contamination":
-        reports = run_contamination_sweep(dataset, configs[0], values["tau"],
-                                          k, seed, jobs=jobs)
-        for tau, report in zip(values["tau"], reports):
-            stem = f"report-tau{_fmt(tau)}"
-            outputs += _report_files(out_dir, stem, report)
-            index.append({"tau": tau, "mean_auc": report.mean_auc,
-                          "std_auc": report.std_auc, "report": f"{stem}.json"})
-            print(f"tau={_fmt(tau)}%: mean AUC {report.mean_auc:.4f} "
-                  f"+/- {report.std_auc:.4f}")
-    elif args.protocol == "memory":
-        grid = run_memory_sweep(dataset, configs[0], values["p"], values["q"],
-                                k, seed, jobs=jobs)
-        for (p, q), report in grid.items():
-            stem = f"report-p{p}-q{q}"
-            outputs += _report_files(out_dir, stem, report)
-            index.append({"p": p, "q": q, "mean_auc": report.mean_auc,
-                          "std_auc": report.std_auc, "report": f"{stem}.json"})
-            print(f"p={p} q={q}: mean AUC {report.mean_auc:.4f} "
-                  f"+/- {report.std_auc:.4f}")
-    else:  # ablation
-        for config in configs:
-            report = run_cv(dataset, config, k, seed, jobs=jobs)
-            stem = f"report-{config.variant}"
-            outputs += _report_files(out_dir, stem, report)
-            index.append({"variant": config.variant,
-                          "mean_auc": report.mean_auc,
-                          "std_auc": report.std_auc, "report": f"{stem}.json"})
-            print(f"variant={config.variant}: mean AUC {report.mean_auc:.4f} "
-                  f"+/- {report.std_auc:.4f}")
+    for tau, config, stem, label, fields in cells:
+        report = run_cv(dataset, config, values["folds"], values["seed"],
+                        tau=tau, jobs=values["jobs"])
+        outputs += _report_files(out_dir, f"report-{stem}", report)
+        index.append({**fields, "mean_auc": report.mean_auc,
+                      "std_auc": report.std_auc, "report": f"report-{stem}.json"})
+        print(f"{label}: mean AUC {report.mean_auc:.4f} "
+              f"+/- {report.std_auc:.4f}")
 
     with atomic_open(out_dir / "index.json") as fh:
         json.dump({"protocol": args.protocol, "cells": index}, fh,

@@ -1,8 +1,9 @@
-"""AUC scoring, cross-validation, and the sweep protocols.
+"""AUC scoring, cross-validation, and the report writers.
 
 Every fold owns its seed (run seed + fold index), parameters, and optimizer
 state, so folds can train in separate processes without changing any result:
-reports are bit-identical for any --jobs value.
+reports are bit-identical for any --jobs value. A sweep protocol is a list of
+cells, each one `run_cv` call (`cli.sweep_cells`).
 """
 
 from __future__ import annotations
@@ -137,44 +138,6 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
         wall_clock_seconds=time.perf_counter() - t0,
         fold_histories=[r["history"] for r in results],
     )
-
-
-def run_contamination_sweep(dataset: GraphDataset, config: TrainConfig,
-                            rates: list[float], k: int, seed: int,
-                            jobs: int = 1) -> list[EvalReport]:
-    """One cross-validation report per contamination rate, in given order."""
-    for tau in rates:
-        if not 0.0 <= tau <= 100.0:
-            raise ConfigurationError(f"tau must be in [0, 100], got {tau}")
-    return [run_cv(dataset, config, k, seed, tau=tau, jobs=jobs)
-            for tau in rates]
-
-
-def run_memory_sweep(dataset: GraphDataset, config: TrainConfig,
-                     p_values: list[int], q_values: list[int], k: int,
-                     seed: int, jobs: int = 1) -> dict[tuple[int, int], EvalReport]:
-    """Vary one memory bank while the other stays at a single block.
-
-    Cells are (p, 1) for each p then (1, q) for each q, de-duplicated.
-    """
-    if not p_values or not q_values:
-        raise ConfigurationError("memory sweep needs nonempty p and q lists")
-    for v in list(p_values) + list(q_values):
-        if v < 1:
-            raise ConfigurationError(f"memory sizes must be >= 1, got {v}")
-    cells: list[tuple[int, int]] = []
-    for p in p_values:
-        if (p, 1) not in cells:
-            cells.append((p, 1))
-    for q in q_values:
-        if (1, q) not in cells:
-            cells.append((1, q))
-    grid: dict[tuple[int, int], EvalReport] = {}
-    for p, q in cells:
-        cell_cfg = dataclasses.replace(config, num_node_memory=p,
-                                       num_graph_memory=q)
-        grid[(p, q)] = run_cv(dataset, cell_cfg, k, seed, jobs=jobs)
-    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, artifacts, config precedence."""
 
+import ast
 import ctypes
 import dataclasses
 import inspect
@@ -13,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hiermem
 from hiermem import blas, cli, training
-from hiermem.cli import main, parse_float_list, parse_int_list
+from hiermem.cli import main, parse_float_list, parse_int_list, parse_str_list
 from hiermem.data import make_er_dataset, write_tudataset
 from hiermem.errors import ConfigurationError
 
@@ -43,15 +45,23 @@ def test_parse_int_list_ranges_and_commas():
 
 
 def test_parse_int_list_errors():
-    for bad in ("x", "", "5..3", "1..y"):
+    for bad in ("x", "", "5..3", "1..y", "1,,2", "1,", " , "):
         with pytest.raises(ConfigurationError):
             parse_int_list(bad)
 
 
 def test_parse_float_list():
     assert parse_float_list("0, 2.5,8") == [0.0, 2.5, 8.0]
-    with pytest.raises(ConfigurationError):
-        parse_float_list("a,b")
+    for bad in ("a,b", "", "0,,8", "0,8,", ",0"):
+        with pytest.raises(ConfigurationError):
+            parse_float_list(bad)
+
+
+def test_parse_str_list():
+    assert parse_str_list("full, gae_only") == ["full", "gae_only"]
+    for bad in ("", "full,,gae_only", "full,", " , "):
+        with pytest.raises(ConfigurationError, match="empty item"):
+            parse_str_list(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +83,30 @@ def test_every_train_config_field_is_set_by_the_command_line():
              and not re.search(rf"\b{name}=", source)]
     assert unset == [], f"TrainConfig fields the command line never sets: {unset}"
     assert set(EXEMPT) <= set(fields)
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every name a module reads, imports or reaches as an attribute."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_exported_name_is_used_by_the_package_or_the_benchmark():
+    # no public name should exist just for a test to call
+    root = Path(__file__).resolve().parent.parent
+    users = [p for p in sorted((root / "src" / "hiermem").glob("*.py"))
+             if p.name != "__init__.py"]
+    users += sorted((root / "perfbench").glob("*.py"))
+    used = set().union(*map(_names_used, users))
+    unused = [name for name in hiermem.__all__ if name not in used]
+    assert unused == [], f"exported names nothing in src/ or perfbench/ uses: {unused}"
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +155,23 @@ def test_a_bad_config_fails_before_the_data_is_read(tmp_path, capsys):
     (["cv", "--dataset", "X", "--folds", "0"], "--folds must be >= 2"),
     (["cv", "--dataset", "X", "--folds", "1"], "--folds must be >= 2"),
     (["cv", "--dataset", "X", "--jobs", "0"], "--jobs must be >= 1"),
+    (["cv", "--dataset", "X", "--tau", "400"], "--tau must be <= 100, got 400.0"),
+    (["cv", "--dataset", "X", "--tau", "nan"], "--tau must be >= 0, got nan"),
+    (["sweep", "contamination", "--dataset", "X", "--tau", "0,400"],
+     "--tau must be <= 100, got 400.0"),
+    (["sweep", "memory", "--dataset", "X", "--p", "1,0"],
+     "--p must be >= 1, got 0"),
+    (["sweep", "memory", "--dataset", "X", "--q", "0"], "--q must be >= 1, got 0"),
+    (["sweep", "contamination", "--dataset", "X", "--jobs", "0"],
+     "--jobs must be >= 1, got 0"),
+    (["sweep", "ablation", "--dataset", "X", "--jobs", "-2"],
+     "--jobs must be >= 1, got -2"),
 ])
 def test_a_bad_scalar_flag_is_named_before_the_data_is_read(tmp_path, capsys,
                                                             argv, named):
     code = main(argv + ["--data-dir", str(tmp_path / "missing"),
                         "--out-dir", str(tmp_path / "runs")]
-                if argv[0] == "cv" else argv + ["--out-dir", str(tmp_path)])
+                if argv[0] != "gradcheck" else argv + ["--out-dir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert named in err
@@ -137,6 +182,7 @@ def test_a_bad_scalar_flag_is_named_before_the_data_is_read(tmp_path, capsys,
 @pytest.mark.parametrize("line, named", [
     ("folds=abc", "key 'folds': expected an integer, got 'abc'"),
     ("jobs=0", "key 'jobs' must be >= 1, got 0"),
+    ("tau=-1", "key 'tau' must be >= 0, got -1.0"),
 ])
 def test_a_bad_scalar_config_key_is_named(tmp_path, capsys, line, named):
     cfg = tmp_path / "run.cfg"
@@ -260,10 +306,8 @@ def test_cv_replay_from_resolved_cfg(disk_dataset, tmp_path, capsys):
 # sweep command
 
 def test_sweep_ablation_index_and_reports(disk_dataset, tmp_path, capsys):
-    code = main(["sweep", "ablation", "--dataset", "ERS",
-                 "--data-dir", str(disk_dataset), "--folds", "2",
-                 "--epochs", "1", "--variant", "full,gae_only",
-                 "--out-dir", str(tmp_path)])
+    code = main(run_sweep_args(disk_dataset, tmp_path, "ablation",
+                               ["--variant", "full,gae_only"]))
     assert code == 0
     run_dir = tmp_path / "sweep-ablation-ERS-s0"
     index = json.loads((run_dir / "index.json").read_text())
@@ -275,38 +319,74 @@ def test_sweep_ablation_index_and_reports(disk_dataset, tmp_path, capsys):
         assert report["variant"] == cell["variant"]
 
 
+def run_sweep_args(disk_dataset, out_dir, protocol, extra=()):
+    return ["sweep", protocol, "--dataset", "ERS", "--data-dir",
+            str(disk_dataset), "--folds", "2", "--epochs", "1",
+            "--out-dir", str(out_dir), *extra]
+
+
 def test_sweep_memory_grid_cells(disk_dataset, tmp_path, capsys):
-    code = main(["sweep", "memory", "--dataset", "ERS",
-                 "--data-dir", str(disk_dataset), "--folds", "2",
-                 "--epochs", "1", "--p", "1..2", "--q", "1",
-                 "--out-dir", str(tmp_path)])
+    code = main(run_sweep_args(disk_dataset, tmp_path, "memory",
+                               ["--p", "1..2", "--q", "1,3"]))
     assert code == 0
     run_dir = tmp_path / "sweep-memory-ERS-s0"
     index = json.loads((run_dir / "index.json").read_text())
-    cells = {(c["p"], c["q"]) for c in index["cells"]}
-    assert cells == {(1, 1), (2, 1)}
-    assert (run_dir / "report-p2-q1.json").is_file()
+    # (p, 1) for each p, then (1, q) for each q, without the repeated (1, 1)
+    assert [(c["p"], c["q"]) for c in index["cells"]] == [(1, 1), (2, 1), (1, 3)]
+    for cell in index["cells"]:
+        report = json.loads((run_dir / cell["report"]).read_text())
+        assert cell["report"] == f"report-p{cell['p']}-q{cell['q']}.json"
+        assert report["num_node_memory"] == cell["p"]
+        assert report["num_graph_memory"] == cell["q"]
+    assert "p=1 q=3: mean AUC" in capsys.readouterr().out
 
 
 def test_sweep_contamination_rates(disk_dataset, tmp_path, capsys):
-    code = main(["sweep", "contamination", "--dataset", "ERS",
-                 "--data-dir", str(disk_dataset), "--folds", "2",
-                 "--epochs", "1", "--tau", "0,50",
-                 "--out-dir", str(tmp_path)])
+    code = main(run_sweep_args(disk_dataset, tmp_path, "contamination",
+                               ["--tau", "50,0"]))
     assert code == 0
     run_dir = tmp_path / "sweep-contamination-ERS-s0"
     index = json.loads((run_dir / "index.json").read_text())
-    assert [c["tau"] for c in index["cells"]] == [0.0, 50.0]
+    assert [c["tau"] for c in index["cells"]] == [50.0, 0.0]  # as given
+    for cell in index["cells"]:
+        report = json.loads((run_dir / cell["report"]).read_text())
+        assert report["tau"] == cell["tau"]
     out = capsys.readouterr().out
-    assert "tau=0.0%" in out and "tau=50.0%" in out
+    assert out.index("tau=50.0%") < out.index("tau=0.0%")
 
 
 def test_sweep_rejects_bad_rate(disk_dataset, tmp_path, capsys):
-    code = main(["sweep", "contamination", "--dataset", "ERS",
-                 "--data-dir", str(disk_dataset), "--folds", "2",
-                 "--epochs", "1", "--tau", "0,400",
-                 "--out-dir", str(tmp_path)])
+    for rates, named in [("0,400", "<= 100, got 400.0"),
+                         ("0,120", "<= 100, got 120.0"),
+                         ("-1", ">= 0, got -1.0"), ("0,nan", ">= 0, got nan")]:
+        code = main(run_sweep_args(disk_dataset, tmp_path, "contamination",
+                                   ["--tau", rates]))
+        assert code == 2
+        assert f"--tau must be {named}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("protocol", ["memory", "ablation"])
+def test_sweep_takes_a_single_tau_outside_contamination(disk_dataset, tmp_path,
+                                                        capsys, protocol):
+    code = main(run_sweep_args(disk_dataset, tmp_path, protocol,
+                               ["--tau", "0,8"]))
     assert code == 2
+    assert "--tau takes a single value here" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("protocol", ["memory", "ablation"])
+def test_sweep_applies_its_tau_to_every_cell(disk_dataset, tmp_path, capsys,
+                                             protocol):
+    code = main(run_sweep_args(disk_dataset, tmp_path, protocol,
+                               ["--epochs", "0", "--tau", "50"]))
+    assert code == 0
+    run_dir = tmp_path / f"sweep-{protocol}-ERS-s0"
+    cells = json.loads((run_dir / "index.json").read_text())["cells"]
+    for cell in cells:
+        report = json.loads((run_dir / cell["report"]).read_text())
+        assert report["tau"] == 50.0 and report["config"]["tau"] == 50.0
 
 
 def test_sweep_ablation_checks_every_variant_before_the_first_cv(tmp_path,

@@ -1,4 +1,4 @@
-"""AUC against a pairwise oracle, cross-validation reports, sweeps, writers."""
+"""AUC against a pairwise oracle, cross-validation reports, writers."""
 
 import csv
 import dataclasses
@@ -141,31 +141,6 @@ def test_run_cv_rejects_a_job_count_below_one(er_dataset, jobs):
     cfg = TrainConfig(seed=0, **SMALL)
     with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
         ev.run_cv(er_dataset, cfg, k=3, seed=0, jobs=jobs)
-    with pytest.raises(ConfigurationError, match="jobs"):
-        ev.run_contamination_sweep(er_dataset, cfg, [0.0], k=3, seed=0, jobs=jobs)
-
-
-def test_contamination_sweep_orders_and_validates(er_dataset):
-    cfg = TrainConfig(seed=0, **SMALL)
-    reports = ev.run_contamination_sweep(er_dataset, cfg, [0.0, 50.0],
-                                         k=3, seed=0)
-    assert [r.tau for r in reports] == [0.0, 50.0]
-    with pytest.raises(ConfigurationError):
-        ev.run_contamination_sweep(er_dataset, cfg, [0.0, 120.0], k=3, seed=0)
-
-
-def test_memory_sweep_grid_shape(er_dataset):
-    cfg = TrainConfig(seed=0, **SMALL)
-    grid = ev.run_memory_sweep(er_dataset, cfg, p_values=[1, 2],
-                               q_values=[1, 3], k=2, seed=0)
-    assert set(grid) == {(1, 1), (2, 1), (1, 3)}
-    for (p, q), rep in grid.items():
-        assert rep.num_node_memory == p
-        assert rep.num_graph_memory == q
-    with pytest.raises(ConfigurationError):
-        ev.run_memory_sweep(er_dataset, cfg, [0], [1], k=2, seed=0)
-    with pytest.raises(ConfigurationError):
-        ev.run_memory_sweep(er_dataset, cfg, [], [1], k=2, seed=0)
 
 
 def test_ablation_sets_variant(er_dataset):
