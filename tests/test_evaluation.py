@@ -1,4 +1,4 @@
-"""AUC against a pairwise oracle, cross-validation reports, writers."""
+"""AUC against a pairwise oracle, cross-validation, sweep cells, writers."""
 
 import csv
 import dataclasses
@@ -141,6 +141,46 @@ def test_run_cv_rejects_a_job_count_below_one(er_dataset, jobs):
     cfg = TrainConfig(seed=0, **SMALL)
     with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
         ev.run_cv(er_dataset, cfg, k=3, seed=0, jobs=jobs)
+
+
+def sweep_values(protocol, *flags):
+    args = cli.build_parser().parse_args(["sweep", protocol, *flags])
+    values, _ = cli.resolve_fields(args, cli._COMMON)
+    return values
+
+
+def run_sweep(dataset, protocol, *flags, k):
+    """Each sweep cell run through run_cv at SMALL sizes, keeping the
+    cell's memory sizes and variant."""
+    small = {key: v for key, v in SMALL.items()
+             if key not in ("num_node_memory", "num_graph_memory")}
+    return [(fields, ev.run_cv(dataset, dataclasses.replace(config, **small),
+                               k=k, seed=0, tau=tau))
+            for tau, config, _, _, fields in
+            cli.sweep_cells(protocol, sweep_values(protocol, *flags))]
+
+
+def test_contamination_sweep_orders_and_validates(er_dataset):
+    runs = run_sweep(er_dataset, "contamination", "--tau", "0,50", k=3)
+    assert [r.tau for _, r in runs] == [0.0, 50.0]
+    assert [f["tau"] for f, _ in runs] == [0.0, 50.0]
+    with pytest.raises(ConfigurationError, match="--tau must be <= 100"):
+        sweep_values("contamination", "--tau", "0,120")
+    cfg = TrainConfig(seed=0, **SMALL)
+    with pytest.raises(ConfigurationError, match="tau must be in"):
+        ev.run_cv(er_dataset, cfg, k=3, seed=0, tau=120.0)
+
+
+def test_memory_sweep_grid_shape(er_dataset):
+    runs = run_sweep(er_dataset, "memory", "--p", "1,2", "--q", "1,3", k=2)
+    assert [(f["p"], f["q"]) for f, _ in runs] == [(1, 1), (2, 1), (1, 3)]
+    for fields, rep in runs:
+        assert rep.num_node_memory == fields["p"]
+        assert rep.num_graph_memory == fields["q"]
+    with pytest.raises(ConfigurationError, match="--p must be >= 1"):
+        sweep_values("memory", "--p", "0", "--q", "1")
+    with pytest.raises(ConfigurationError, match="--p: empty item"):
+        sweep_values("memory", "--p", "", "--q", "1")
 
 
 def test_ablation_sets_variant(er_dataset):
