@@ -104,6 +104,7 @@ class Field:
     at_least: float | None = None  # the range of the value, or of each
     above: float | None = None     # item of a list value, where it has one
     at_most: float | None = None
+    below: float | None = None
 
 
 FIELDS: dict[str, Field] = {f.name: f for f in [
@@ -118,12 +119,14 @@ FIELDS: dict[str, Field] = {f.name: f for f in [
     Field("batch-size", parse_int, 300, "training batch size", at_least=1),
     Field("alpha", parse_float, 0.01, "entropy term weight in the training loss",
           at_least=0),
-    Field("shrink-lambda", parse_float, 0.01, "attention hard-shrink threshold"),
+    Field("shrink-lambda", parse_float, 0.01, "attention hard-shrink threshold",
+          at_least=0, below=1),
     Field("p", parse_int_list, [3], "node memory block count(s), e.g. 3 or 1..6",
           at_least=1),
     Field("q", parse_int_list, [3], "graph memory block count(s)", at_least=1),
-    Field("tau", parse_float_list, [0.0], "contamination rate(s) in percent",
-          at_least=0, at_most=100),
+    Field("tau", parse_float_list, [0.0],
+          "contamination rate(s): percent of each fold's held-out anomaly "
+          "pool moved into its training set", at_least=0, at_most=100),
     Field("variant", parse_str_list, ["full"],
           "model variant(s): " + ", ".join(VARIANTS)),
     Field("jobs", parse_int, 1, "worker processes for fold-parallel training",
@@ -170,12 +173,14 @@ def read_config_file(path, allowed: list[str]) -> dict[str, str]:
 
 def _parse_field(field: Field, text: str, source: str):
     """One field's value from its text, range-checked item by item for a
-    list; an error names `source`, the flag or the config file's key."""
+    list, whose items must differ; an error names `source`, the flag or the
+    config file's key."""
     try:
         value = field.parse(text)
     except ConfigurationError as e:
         raise ConfigurationError(f"{source}: {e}") from None
-    for v in value if isinstance(value, list) else [value]:
+    items = value if isinstance(value, list) else [value]
+    for i, v in enumerate(items):
         if field.at_least is not None and not v >= field.at_least:
             raise ConfigurationError(
                 f"{source} must be >= {field.at_least}, got {v}")
@@ -184,6 +189,10 @@ def _parse_field(field: Field, text: str, source: str):
         if field.at_most is not None and not v <= field.at_most:
             raise ConfigurationError(
                 f"{source} must be <= {field.at_most}, got {v}")
+        if field.below is not None and not v < field.below:
+            raise ConfigurationError(f"{source} must be < {field.below}, got {v}")
+        if v in items[:i]:
+            raise ConfigurationError(f"{source} lists {_fmt(v)} more than once")
     return value
 
 

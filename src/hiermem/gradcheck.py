@@ -1,7 +1,9 @@
 """Finite-difference verification of every backward rule.
 
-Each registered case builds random float64 inputs, runs the tape once for
-analytic gradients, then compares them against central differences of the
+Each primitive case is one row of `PRIMITIVE_CASES`: the leaf shapes, the op
+and, where needed, a smoothness guard and constant inputs, so adding an op
+means adding one row. A case builds random float64 inputs, runs the tape once
+for analytic gradients, then compares them against central differences of the
 scalar output. Inputs that land too close to a nondifferentiable point (ReLU
 kinks, shrink thresholds, near-zero norms) are rejected and redrawn from a
 shifted seed, so the comparison is only ever made where the function is
@@ -107,89 +109,34 @@ def _projector(rng: np.random.Generator):
     return project
 
 
-# --- case builders ---------------------------------------------------------
+# --- cases -----------------------------------------------------------------
 
-def _case_add(rng):
-    a, b = _leaf(rng, (3, 4)), _leaf(rng, (3, 4))
-    proj = _projector(rng)
-    return CheckCase([a, b], ["a", "b"], lambda: proj(ad.add(a, b)))
+def _case(shapes: dict[str, tuple], op: Callable,
+          guard: Callable[..., bool] | None = None,
+          consts: Callable | None = None) -> Callable:
+    """A builder of one case from an rng.
 
+    It draws `consts(rng)` if given, then one leaf per entry of `shapes` in
+    order, then the projector, and checks `op` applied to the constants, if
+    any, and the leaves. `op` looks its primitive up on `ad` when it runs, so
+    a patched op is the one checked. `guard`, if given, sees the same
+    arguments, with the leaves as arrays.
+    """
+    def build(rng: np.random.Generator) -> CheckCase:
+        fixed = [consts(rng)] if consts is not None else []
+        leaves = [_leaf(rng, shape) for shape in shapes.values()]
+        proj = _projector(rng)
+        return CheckCase(
+            leaves, list(shapes), lambda: proj(op(*fixed, *leaves)),
+            guard and (lambda: guard(*fixed, *(t.data for t in leaves))))
 
-def _case_mul(rng):
-    a, b = _leaf(rng, (3, 4)), _leaf(rng, (3, 4))
-    proj = _projector(rng)
-    return CheckCase([a, b], ["a", "b"], lambda: proj(ad.mul(a, b)))
-
-
-def _case_matmul(rng):
-    # node rows times a layer weight, as in every h @ W of the model
-    a, b = _leaf(rng, (6, 4)), _leaf(rng, (4, 5))
-    proj = _projector(rng)
-    return CheckCase([a, b], ["a", "b"], lambda: proj(ad.matmul(a, b)))
-
-
-def _case_reduce_sum(rng):
-    a = _leaf(rng, (3, 4, 2))
-    proj = _projector(rng)
-    return CheckCase([a], ["a"], lambda: proj(ad.reduce_sum(a)))
+    return build
 
 
-def _case_reduce_mean(rng):
-    a = _leaf(rng, (3, 4))
-    proj = _projector(rng)
-    return CheckCase([a], ["a"], lambda: proj(ad.reduce_mean(a)))
-
-
-def _case_relu(rng):
-    a = _leaf(rng, (4, 5))
-    proj = _projector(rng)
-    return CheckCase([a], ["a"], lambda: proj(ad.relu(a)))
-
-
-def _case_matmul_relu(rng):
-    a, b = _leaf(rng, (6, 4)), _leaf(rng, (4, 5))
-    proj = _projector(rng)
-    return CheckCase([a, b], ["a", "b"],
-                     lambda: proj(ad.matmul(a, b, relu=True)))
-
-
-def _case_sigmoid(rng):
-    a = _leaf(rng, (4, 5))
-    proj = _projector(rng)
-    return CheckCase([a], ["a"], lambda: proj(ad.sigmoid(a)))
-
-
-def _case_row_softmax(rng):
-    a = _leaf(rng, (3, 5))
-    proj = _projector(rng)
-    return CheckCase([a], ["a"], lambda: proj(ad.row_softmax(a)))
-
-
-def _case_hard_shrink(rng):
-    lam = 0.15
-    a = _leaf(rng, (4, 5))
-
-    proj = _projector(rng)
-    def fn():
-        return proj(ad.hard_shrink(ad.row_softmax(a), lam))
-
-    def guard():
-        w = _simplex_rows_of(a.data)
-        return float(np.min(np.abs(w - lam))) > KINK_MARGIN
-
-    return CheckCase([a], ["a"], fn, guard)
-
-
-def _simplex_rows_of(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _case_entropy(rng):
-    a = _leaf(rng, (3, 4))
-    proj = _projector(rng)
-    return CheckCase([a], ["a"],
-                     lambda: proj(ad.entropy(ad.row_softmax(a))))
+def _min_graph_norm(h: np.ndarray, node_counts) -> float:
+    """The smallest Frobenius norm of one graph's rows in the stack `h`."""
+    starts = np.concatenate(([0], np.cumsum(node_counts)[:-1]))
+    return float(np.sqrt(np.add.reduceat((h ** 2).sum(axis=1), starts).min()))
 
 
 # a ragged batch of five graphs: one of 1 node, two of 3, two of 2
@@ -202,81 +149,53 @@ def _run_matrices(rng):
     return [rng.normal(size=(count, size, size)) for count, size in _RUNS]
 
 
-def _case_propagate(rng):
-    adj = _run_matrices(rng)
-    h = _leaf(rng, (_ROWS, 3))
-    proj = _projector(rng)
-    return CheckCase([h], ["h"], lambda: proj(ad.propagate(adj, h)))
+_SHRINK = 0.15
 
 
-def _case_propagate_relu(rng):
-    adj = _run_matrices(rng)
-    h = _leaf(rng, (_ROWS, 3))
-    proj = _projector(rng)
-    return CheckCase([h], ["h"],
-                     lambda: proj(ad.propagate(adj, h, relu=True)))
+def _shrink_guard(a):
+    return float(np.min(np.abs(ad.row_softmax(a).data - _SHRINK))) > KINK_MARGIN
 
 
-def _case_gram(rng):
-    h = _leaf(rng, (_ROWS, 3))
-    proj = _projector(rng)
-    return CheckCase([h], ["h"], lambda: proj(ad.gram(h, _RUNS)))
+def _cosine_guard(h, m):
+    # the memory's blocks are compared, cropped to one row, with the 1-node graph
+    nm = np.linalg.norm(m[:, :1].reshape(len(m), -1), axis=1).min()
+    return min(_min_graph_norm(h, _NODE_COUNTS), nm) > 1e-2
 
 
-def _case_matrix_cosine(rng):
-    h, m = _leaf(rng, (_ROWS, 2)), _leaf(rng, (3, 4, 2))
-
-    def guard():
-        starts = np.concatenate(([0], np.cumsum(_NODE_COUNTS)[:-1]))
-        nh = np.sqrt(np.add.reduceat((h.data ** 2).sum(axis=1), starts)).min()
-        nm = np.linalg.norm(m.data[:, :1].reshape(3, -1), axis=1).min()
-        return min(nh, nm) > 1e-2
-
-    proj = _projector(rng)
-    return CheckCase([h, m], ["h", "m"],
-                     lambda: proj(ad.matrix_cosine(h, m, _RUNS)), guard)
-
-
-def _case_block_readout(rng):
-    w, m = _leaf(rng, (len(_NODE_COUNTS), 3)), _leaf(rng, (3, 4, 2))
-    proj = _projector(rng)
-    return CheckCase([w, m], ["w", "m"],
-                     lambda: proj(ad.block_readout(w, m, _RUNS)))
-
-
-def _case_graph_mean(rng):
-    h = _leaf(rng, (_ROWS, 3))
-    proj = _projector(rng)
-    return CheckCase([h], ["h"], lambda: proj(ad.graph_mean(h, _RUNS)))
-
-
-def _case_frobenius_sq(rng):
-    a, b = _leaf(rng, (_ROWS, 2)), _leaf(rng, (_ROWS, 2))
-    proj = _projector(rng)
-    return CheckCase(
-        [a, b], ["a", "b"],
-        lambda: proj(ad.frobenius_sq(a, b, segments=_NODE_COUNTS)))
-
+_PAIR = {"a": (3, 4), "b": (3, 4)}
+# node rows times a layer weight, as in every h @ W of the model
+_LAYER = {"a": (6, 4), "b": (4, 5)}
+_NODES = {"h": (_ROWS, 3)}
 
 PRIMITIVE_CASES: dict[str, Callable] = {
-    "add": _case_add,
-    "mul": _case_mul,
-    "matmul": _case_matmul,
-    "matmul_relu": _case_matmul_relu,
-    "reduce_sum": _case_reduce_sum,
-    "reduce_mean": _case_reduce_mean,
-    "relu": _case_relu,
-    "sigmoid": _case_sigmoid,
-    "row_softmax": _case_row_softmax,
-    "hard_shrink": _case_hard_shrink,
-    "entropy": _case_entropy,
-    "propagate": _case_propagate,
-    "propagate_relu": _case_propagate_relu,
-    "gram": _case_gram,
-    "matrix_cosine": _case_matrix_cosine,
-    "block_readout": _case_block_readout,
-    "graph_mean": _case_graph_mean,
-    "frobenius_sq": _case_frobenius_sq,
+    "add": _case(_PAIR, lambda a, b: ad.add(a, b)),
+    "mul": _case(_PAIR, lambda a, b: ad.mul(a, b)),
+    "matmul": _case(_LAYER, lambda a, b: ad.matmul(a, b)),
+    "matmul_relu": _case(_LAYER, lambda a, b: ad.matmul(a, b, relu=True)),
+    "reduce_sum": _case({"a": (3, 4, 2)}, lambda a: ad.reduce_sum(a)),
+    "reduce_mean": _case({"a": (3, 4)}, lambda a: ad.reduce_mean(a)),
+    "relu": _case({"a": (4, 5)}, lambda a: ad.relu(a)),
+    "sigmoid": _case({"a": (4, 5)}, lambda a: ad.sigmoid(a)),
+    "row_softmax": _case({"a": (3, 5)}, lambda a: ad.row_softmax(a)),
+    "hard_shrink": _case(
+        {"a": (4, 5)}, lambda a: ad.hard_shrink(ad.row_softmax(a), _SHRINK),
+        guard=_shrink_guard),
+    "entropy": _case({"a": (3, 4)}, lambda a: ad.entropy(ad.row_softmax(a))),
+    "propagate": _case(_NODES, lambda adj, h: ad.propagate(adj, h),
+                       consts=_run_matrices),
+    "propagate_relu": _case(_NODES,
+                            lambda adj, h: ad.propagate(adj, h, relu=True),
+                            consts=_run_matrices),
+    "gram": _case(_NODES, lambda h: ad.gram(h, _RUNS)),
+    "matrix_cosine": _case({"h": (_ROWS, 2), "m": (3, 4, 2)},
+                           lambda h, m: ad.matrix_cosine(h, m, _RUNS),
+                           guard=_cosine_guard),
+    "block_readout": _case({"w": (len(_NODE_COUNTS), 3), "m": (3, 4, 2)},
+                           lambda w, m: ad.block_readout(w, m, _RUNS)),
+    "graph_mean": _case(_NODES, lambda h: ad.graph_mean(h, _RUNS)),
+    "frobenius_sq": _case(
+        {"a": (_ROWS, 2), "b": (_ROWS, 2)},
+        lambda a, b: ad.frobenius_sq(a, b, segments=_NODE_COUNTS)),
 }
 
 
@@ -314,10 +233,8 @@ def _full_loss_case(rng: np.random.Generator) -> CheckCase:
             if raw is not None:
                 margins.append(float(np.min(np.abs(raw.data - cfg.shrink_lambda))))
         # cosine denominators must sit well away from the eps floor
-        starts = np.concatenate(([0], np.cumsum(batch.node_counts)[:-1]))
-        node_norms = np.add.reduceat((out.h_nodes.data ** 2).sum(axis=1), starts)
         norms = min(float(np.linalg.norm(out.h_graph.data, axis=-1).min()),
-                    float(np.sqrt(node_norms.min())))
+                    _min_graph_norm(out.h_nodes.data, batch.node_counts))
         return min(margins) > KINK_MARGIN and norms > 1e-2
 
     return CheckCase(params.tensors(), params.tensor_names(), fn, guard)

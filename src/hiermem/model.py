@@ -419,7 +419,7 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
                     "this version no longer computes")
         try:
             cfg = ModelConfig(**cfg_dict)
-        except TypeError as e:
+        except (TypeError, ConfigurationError) as e:
             raise CheckpointError(f"bad config in {path}: {e}") from None
         expected = param_shapes(cfg)
         loaded = {}
@@ -432,17 +432,20 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
                 arr = arr.reshape(shape)
             if arr.shape != shape:
                 raise CheckpointError(
-                    f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+                    f"{path}: tensor {name!r} has shape {arr.shape}, "
+                    f"expected {shape}")
             if not np.issubdtype(arr.dtype, np.floating):
                 raise CheckpointError(
-                    f"tensor {name!r} has dtype {arr.dtype}, expected a float dtype")
+                    f"{path}: tensor {name!r} has dtype {arr.dtype}, "
+                    "expected a float dtype")
             first = next(iter(loaded.values()), None)
             if first is not None and arr.dtype != first.data.dtype:
                 raise CheckpointError(
-                    f"tensor {name!r} has dtype {arr.dtype}, but the checkpoint's "
-                    f"other tensors are {first.data.dtype}")
+                    f"{path}: tensor {name!r} has dtype {arr.dtype}, but the "
+                    f"checkpoint's other tensors are {first.data.dtype}")
             if not np.all(np.isfinite(arr)):
-                raise CheckpointError(f"tensor {name!r} holds a non-finite value")
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} holds a non-finite value")
             loaded[name] = Tensor(np.ascontiguousarray(arr), requires_grad=True)
     return ModelParams(
         enc1=loaded["enc1"], enc2=loaded["enc2"], enc3=loaded["enc3"],

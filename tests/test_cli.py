@@ -166,6 +166,19 @@ def test_a_bad_config_fails_before_the_data_is_read(tmp_path, capsys):
      "--jobs must be >= 1, got 0"),
     (["sweep", "ablation", "--dataset", "X", "--jobs", "-2"],
      "--jobs must be >= 1, got -2"),
+    (["cv", "--dataset", "X", "--shrink-lambda", "1.5"],
+     "--shrink-lambda must be < 1, got 1.5"),
+    (["cv", "--dataset", "X", "--shrink-lambda", "-0.1"],
+     "--shrink-lambda must be >= 0, got -0.1"),
+    # a repeated item would run one cell twice and overwrite its report
+    (["sweep", "ablation", "--dataset", "X", "--variant", "full,full"],
+     "--variant lists full more than once"),
+    (["sweep", "contamination", "--dataset", "X", "--tau", "0,0"],
+     "--tau lists 0.0 more than once"),
+    (["sweep", "contamination", "--dataset", "X", "--tau", "8,8.0"],
+     "--tau lists 8.0 more than once"),
+    (["sweep", "memory", "--dataset", "X", "--p", "1..3,2"],
+     "--p lists 2 more than once"),
 ])
 def test_a_bad_scalar_flag_is_named_before_the_data_is_read(tmp_path, capsys,
                                                             argv, named):
@@ -183,6 +196,8 @@ def test_a_bad_scalar_flag_is_named_before_the_data_is_read(tmp_path, capsys,
     ("folds=abc", "key 'folds': expected an integer, got 'abc'"),
     ("jobs=0", "key 'jobs' must be >= 1, got 0"),
     ("tau=-1", "key 'tau' must be >= 0, got -1.0"),
+    ("shrink-lambda=1", "key 'shrink-lambda' must be < 1, got 1.0"),
+    ("variant=full,no_node,full", "key 'variant' lists full more than once"),
 ])
 def test_a_bad_scalar_config_key_is_named(tmp_path, capsys, line, named):
     cfg = tmp_path / "run.cfg"

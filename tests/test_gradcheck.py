@@ -142,3 +142,21 @@ def test_run_case_reports_per_param_errors():
     assert res.per_param
     assert res.max_rel_err == pytest.approx(max(res.per_param.values()))
     assert res.seed == 3
+
+
+@pytest.mark.parametrize("name", sorted(gc.PRIMITIVE_CASES))
+def test_every_case_looks_up_its_op_when_it_runs(name, monkeypatch):
+    op = name.removesuffix("_relu")
+    original = getattr(ad, op)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ad, op, recording)
+    case = gc.PRIMITIVE_CASES[name](np.random.default_rng(0))
+    case.fn()
+    # the projector itself calls mul and reduce_sum once per evaluation, so
+    # those two cases must add a call of their own
+    assert len(calls) > (op in ("mul", "reduce_sum"))

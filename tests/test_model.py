@@ -521,6 +521,31 @@ def test_checkpoint_non_finite_value_rejected(tmp_path, toy_model_config,
     with pytest.raises(CheckpointError, match="'enc2' holds a non-finite value"):
         M.load_params(path)
 
+def test_checkpoint_with_an_out_of_range_config_names_its_file(
+        tmp_path, toy_model_config, toy_params):
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    import json as js
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    cfg = js.loads(str(arrays["__config__"]))
+    arrays["__config__"] = np.array(js.dumps(dict(cfg, shrink_lambda=2.0)))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(CheckpointError,
+                       match=rf"bad config in .*model\.npz: shrink_lambda"):
+        M.load_params(path)
+
+
+def test_checkpoint_tensor_errors_name_the_file(tmp_path, toy_model_config,
+                                                toy_params):
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    _rewrite_checkpoint(path, dec1=np.int64)
+    with pytest.raises(CheckpointError, match=r"model\.npz: tensor 'dec1'"):
+        M.load_params(path)
+
+
 def test_checkpoint_uniform_float64_loads(tmp_path, toy_model_config):
     params = M.init_params(toy_model_config, np.random.default_rng(1),
                            dtype=np.float64)
