@@ -26,7 +26,9 @@ from .errors import ConfigurationError, DatasetParseError, StructuralError
 
 @dataclass(eq=False)
 class Graph:
-    """One undirected graph: binary adjacency, node attributes, anomaly label."""
+    """One undirected graph: binary adjacency, node attributes, anomaly label.
+    Construction checks every invariant; `parse_tudataset` proves them for a
+    whole corpus at once and builds its graphs without these checks."""
     adjacency: np.ndarray
     attributes: np.ndarray
     label: int
@@ -142,6 +144,18 @@ def _numbered_lines(text: str):
             if line.strip())
 
 
+def _at(path: Path, row: int) -> str:
+    """`path:line` of row `row` of `_read_rows(path, ...)`, for an error."""
+    return f"{path}:{next(islice(_numbered_lines(path.read_text()), row, None))[0]}"
+
+
+def _proven_graph(**fields) -> Graph:
+    """A `Graph` built as pickle builds one, without `__post_init__`."""
+    graph = object.__new__(Graph)
+    graph.__dict__.update(fields)
+    return graph
+
+
 def degree_features(adjacency: np.ndarray) -> np.ndarray:
     """Per-node degree as a single-column attribute matrix, the attributes
     of a graph that comes without any."""
@@ -162,11 +176,14 @@ def label_anomalies(raw_labels: list[int]) -> list[int]:
 
 
 def parse_tudataset(root_dir, name: str) -> GraphDataset:
-    """Load `<name>_*.txt` files from `root_dir/name/`or `root_dir` itself.
+    """Load `<name>_*.txt` files from `root_dir/name/` or `root_dir` itself.
 
     Node ids in the files are global and 1-indexed; each graph gets local
     0-indexed nodes in file order. Edges are symmetrized and de-duplicated.
     Without a node-attribute file, node degree becomes the sole attribute.
+
+    Each file is checked once, in whole-array passes, for every invariant
+    `Graph` checks; the parsed graphs skip those per-graph checks.
     """
     root = Path(root_dir)
     base = root / name if (root / name).is_dir() else root
@@ -180,18 +197,24 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
         raise DatasetParseError(f"{indicator_path}: no nodes listed")
     raw_labels = _read_rows(labels_path, np.int64, 1)[:, 0]
     num_graphs = len(raw_labels)
-    if not np.array_equal(np.unique(indicator), np.arange(1, num_graphs + 1)):
-        raise DatasetParseError(
-            f"{indicator_path}: graph ids must cover 1..{num_graphs} "
-            "(one label line per graph)")
-
-    num_nodes = len(indicator)
+    cover = f"graph ids must cover 1..{num_graphs} (one label line per graph)"
+    stray = (indicator < 1) | (indicator > num_graphs)
+    if stray.any():
+        r = int(np.argmax(stray))
+        raise DatasetParseError(f"{_at(indicator_path, r)}: graph id {indicator[r]} "
+                                f"outside 1..{num_graphs}; {cover}")
     node_graph = indicator - 1
     counts = np.bincount(node_graph, minlength=num_graphs)
-    # global node ids grouped by graph, in file order within each graph
-    # (a stable sort), so graph g owns by_graph[starts[g]:starts[g + 1]]
-    by_graph = np.argsort(node_graph, kind="stable")
+    if not counts.all():
+        raise DatasetParseError(f"{indicator_path}: graph {int(np.argmin(counts)) + 1} "
+                                f"has no node line; {cover}")
+    num_nodes = len(indicator)
     starts = np.concatenate(([0], np.cumsum(counts)))
+    # global node ids grouped by graph, in file order within each graph
+    # (a stable sort), so graph g owns by_graph[starts[g]:starts[g + 1]];
+    # when the file already lists them so, nothing is sorted or copied
+    ordered = bool((node_graph[1:] >= node_graph[:-1]).all())
+    by_graph = slice(None) if ordered else np.argsort(node_graph, kind="stable")
     local_index = np.empty(num_nodes, dtype=int)
     local_index[by_graph] = np.arange(num_nodes) - np.repeat(starts[:-1], counts)
 
@@ -201,6 +224,12 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
         if len(attributes) != num_nodes:
             raise DatasetParseError(
                 f"{attrs_path}: {len(attributes)} attribute rows for {num_nodes} nodes")
+        bad = ~np.isfinite(attributes).all(axis=1)
+        if bad.any():
+            g = node_graph[bad].min()
+            r = int(np.argmax(bad & (node_graph == g)))
+            raise StructuralError(
+                f"{_at(attrs_path, r)}: non-finite attribute in graph {g + 1}")
         attributes = attributes[by_graph]
 
     edges = _read_rows(edges_path, np.int64, 2) - 1
@@ -211,8 +240,7 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
     bad = outside | (gu != gv) | (u == v)
     if bad.any():
         r = int(np.argmax(bad))
-        lineno = next(islice(_numbered_lines(edges_path.read_text()), r, None))[0]
-        at = f"{edges_path}:{lineno}"
+        at = _at(edges_path, r)
         if outside[r]:
             raise StructuralError(f"{at}: node id outside 1..{num_nodes}")
         if gu[r] != gv[r]:
@@ -228,6 +256,8 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
     flat[cells[gu] + lu * size + lv] = True
     flat[cells[gu] + lv * size + lu] = True
 
+    # the checks above prove Graph's: nodes in every graph, symmetric (n, n)
+    # adjacency without self-loops, n finite attribute rows, 0/1 labels
     labels = label_anomalies(raw_labels.tolist())
     cells, starts = cells.tolist(), starts.tolist()
     graphs = []
@@ -237,8 +267,8 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
             attr = attributes[starts[g]:starts[g + 1]]
         else:
             attr = degree_features(adjacency)
-        graphs.append(Graph(adjacency=adjacency, attributes=attr,
-                            label=labels[g], node_count=n, graph_id=g))
+        graphs.append(_proven_graph(adjacency=adjacency, attributes=attr,
+                                    label=labels[g], node_count=n, graph_id=g))
 
     return GraphDataset(graphs=graphs,
                         attribute_dim=graphs[0].attributes.shape[1],

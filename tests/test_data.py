@@ -75,10 +75,11 @@ def test_parse_hand_traced_dataset(tud_dir):
     assert [g.label for g in ds.graphs] == [0, 1, 0]
 
 
-def test_parse_interleaved_indicator_keeps_file_order(tmp_path):
-    # graph ids interleave in the indicator file; each graph's local nodes
-    # must follow the global file order, and attribute rows must follow them
-    d = tmp_path / "MIX"
+def _write_mix(root):
+    """A 3-graph dataset whose graph ids interleave in the indicator file:
+    graph 1 holds global nodes 2, 5, graph 2 nodes 1, 3, 7, graph 3 nodes
+    4, 6; node v has attributes (v, 10 v)."""
+    d = root / "MIX"
     d.mkdir()
     (d / "MIX_graph_indicator.txt").write_text(
         "".join(f"{g}\n" for g in (2, 1, 2, 3, 1, 3, 2)))
@@ -86,6 +87,13 @@ def test_parse_interleaved_indicator_keeps_file_order(tmp_path):
     (d / "MIX_A.txt").write_text("1, 7\n7, 1\n3, 7\n2, 5\n6, 4\n")
     (d / "MIX_node_attributes.txt").write_text(
         "".join(f"{v}.0, {10 * v}.0\n" for v in range(1, 8)))
+    return d
+
+
+def test_parse_interleaved_indicator_keeps_file_order(tmp_path):
+    # graph ids interleave in the indicator file; each graph's local nodes
+    # must follow the global file order, and attribute rows must follow them
+    _write_mix(tmp_path)
     ds = dt.parse_tudataset(tmp_path, "MIX")
 
     assert [g.node_count for g in ds.graphs] == [2, 3, 2]
@@ -230,6 +238,8 @@ def test_parse_skips_blank_lines_and_reads_crlf(tud_dir, tmp_path):
     ("graph_labels.txt", "0\n\n\n1.5\n", DatasetParseError, 4, "non-numeric"),
     ("A.txt", "1, 2\n\n2, 99999999999999999999\n", DatasetParseError, 3,
      "non-numeric or out-of-range token"),
+    ("graph_indicator.txt", "1\n1\n\n1\n2\n2\n4\n3\n3\n", DatasetParseError, 7,
+     "graph id 4 outside 1..3; graph ids must cover 1..3"),
 ])
 def test_parse_errors_name_the_exact_line(tmp_path, suffix, text, error, line,
                                           message):
@@ -250,14 +260,40 @@ def test_parse_symmetrises_and_deduplicates_edges(tud_dir, tmp_path):
     _assert_same_graphs(dt.parse_tudataset(tmp_path / "one-way", "TOY"), clean)
 
 
+def test_parse_names_a_graph_without_nodes(tmp_path):
+    d = write_tud_files(tmp_path, "TOY")
+    path = d / "TOY_graph_indicator.txt"
+    path.write_text("1\n1\n1\n3\n3\n3\n3\n3\n")
+    with pytest.raises(DatasetParseError, match=re.escape(
+            f"{path}: graph 2 has no node line; graph ids must cover 1..3")):
+        dt.parse_tudataset(tmp_path, "TOY")
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_parse_rejects_a_non_finite_attribute(tmp_path, token):
     d = write_tud_files(tmp_path, "TOY")
-    (d / "TOY_node_attributes.txt").write_text(
+    path = d / "TOY_node_attributes.txt"
+    path.write_text(
         "1.0, 0.5\n2.0, 0.5\n3.0, 0.5\n4.0, 1.5\n"
         f"5.0, {token}\n6.0, 2.5\n7.0, 2.5\n8.0, 2.5\n")
-    with pytest.raises(StructuralError, match="graph 1: non-finite attribute"):
+    # node 5 is the second node of graph 2
+    with pytest.raises(StructuralError, match=re.escape(
+            f"{path}:5: non-finite attribute in graph 2")):
         dt.parse_tudataset(tmp_path, "TOY")
+
+
+def test_parse_names_the_lowest_graph_with_a_non_finite_attribute(tmp_path):
+    # nodes 1 and 7 (graph 2) come before node 5 (graph 1) in the file, and
+    # a blank line shifts node 5 to line 6; graph 1 is named, at its line
+    d = _write_mix(tmp_path)
+    path = d / "MIX_node_attributes.txt"
+    rows = [f"{v}.0, {10 * v}.0" for v in range(1, 8)]
+    rows[0] = rows[6] = "nan, 1.0"
+    rows[4] = "5.0, inf"
+    path.write_text("\n".join(rows[:2] + [""] + rows[2:]) + "\n")
+    with pytest.raises(StructuralError, match=re.escape(
+            f"{path}:6: non-finite attribute in graph 1")):
+        dt.parse_tudataset(tmp_path, "MIX")
 
 
 def test_parse_ignores_node_labels(tud_dir, tmp_path):
@@ -276,6 +312,54 @@ def test_parsed_adjacencies_are_bool_views_of_one_buffer(tud_dir):
     assert base.size == sum(g.node_count ** 2 for g in graphs)
     for g in graphs:
         assert g.adjacency.dtype == bool and g.adjacency.base is base
+
+
+def test_parsed_attributes_are_views_of_the_array_read(tmp_path, monkeypatch):
+    # TOY lists its nodes graph by graph, so no graph's attributes are copied
+    write_tud_files(tmp_path, "TOY")
+    read = {}
+    real = dt._read_rows
+
+    def recording(path, kind, width=None):
+        read[path.name] = rows = real(path, kind, width)
+        return rows
+
+    monkeypatch.setattr(dt, "_read_rows", recording)
+    graphs = dt.parse_tudataset(tmp_path, "TOY").graphs
+    base = graphs[0].attributes.base
+    assert base is not None
+    for g in graphs:
+        assert g.attributes.base is base
+        assert np.shares_memory(g.attributes, read["TOY_node_attributes.txt"])
+
+
+def test_parse_runs_no_per_graph_check(tmp_path, monkeypatch):
+    dt.write_tudataset(aids_corpus().make_aids_like(100, seed=3), tmp_path)
+    calls = []
+    monkeypatch.setattr(dt.Graph, "__post_init__", lambda g: calls.append(g))
+    assert len(dt.parse_tudataset(tmp_path, "AIDSLIKE").graphs) == 100
+    assert calls == []
+
+
+@pytest.mark.parametrize("corpus", ["TOY", "MIX", "TOY-no-attributes"])
+def test_parsed_graphs_pass_every_graph_check(tmp_path, corpus):
+    if corpus == "MIX":
+        _write_mix(tmp_path)
+    else:
+        d = write_tud_files(tmp_path, "TOY")
+        if corpus == "TOY-no-attributes":
+            (d / "TOY_node_attributes.txt").unlink()
+    for g in dt.parse_tudataset(tmp_path, corpus.split("-")[0]).graphs:
+        dt.Graph.__post_init__(g)
+
+
+def test_parse_round_trips_an_aids_shaped_corpus_to_the_bit(tmp_path):
+    dataset = aids_corpus().make_aids_like(600, seed=7)
+    dt.write_tudataset(dataset, tmp_path)
+    parsed = dt.parse_tudataset(tmp_path, dataset.name)
+    _assert_same_graphs(parsed, dataset)
+    for a, b in zip(parsed.graphs, dataset.graphs):
+        assert a.attributes.tobytes() == b.attributes.tobytes()
 
 
 def test_parse_peak_memory_of_an_aids_sized_corpus(tmp_path):
@@ -328,6 +412,77 @@ def test_write_then_parse_round_trips_any_dataset(ds, rnd):
         with open(edges, "w") as fh:
             fh.write("".join(line + "\n" for line in lines))
         _assert_same_graphs(dt.parse_tudataset(root, "RT"), ds)
+
+
+@st.composite
+def _corpus_files(draw):
+    """The rows of a small corpus's four files, nodes listed graph by graph
+    or interleaved, edges one-way or repeated, with at most one injected
+    fault; and either the graphs they hold, built through the checked
+    `Graph(...)`, or the error that parsing them must raise."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    num_graphs = len(sizes)
+    raw = draw(st.lists(st.integers(0, 2), min_size=num_graphs,
+                        max_size=num_graphs).filter(lambda r: len(set(r)) > 1))
+    owner = [g for g, n in enumerate(sizes) for _ in range(n)]
+    if draw(st.booleans()):
+        owner = draw(st.permutations(owner))
+    num_nodes, dim = len(owner), draw(st.integers(1, 2))
+    attrs = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=num_nodes * dim,
+                                   max_size=num_nodes * dim))).reshape(num_nodes, dim)
+    members = [[v for v in range(num_nodes) if owner[v] == g] for g in range(num_graphs)]
+    edges = [(u, v) for nodes in members
+             for u, v in draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                                 st.sampled_from(nodes)), max_size=6))
+             if u != v]
+    edges = draw(st.permutations(edges))
+    indicator = [g + 1 for g in owner]
+    fault = draw(st.sampled_from([None, "attribute", "graph id"]))
+    row = draw(st.integers(0, num_nodes - 1))
+    if fault == "attribute":
+        attrs[row, draw(st.integers(0, dim - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        return indicator, raw, edges, attrs, (
+            StructuralError, "node_attributes", row,
+            f"non-finite attribute in graph {owner[row] + 1}")
+    if fault == "graph id":
+        indicator[row] = v = draw(st.sampled_from([0, -1, num_graphs + 1, 99]))
+        return indicator, raw, edges, attrs, (
+            DatasetParseError, "graph_indicator", row,
+            f"graph id {v} outside 1..{num_graphs}; graph ids must cover "
+            f"1..{num_graphs} (one label line per graph)")
+    labels = dt.label_anomalies(raw)
+    graphs = []
+    for g, nodes in enumerate(members):
+        adj = np.zeros((len(nodes), len(nodes)))
+        for u, v in edges:
+            if owner[u] == g:
+                adj[nodes.index(u), nodes.index(v)] = adj[nodes.index(v), nodes.index(u)] = 1
+        graphs.append(dt.Graph(adjacency=adj, attributes=attrs[nodes], label=labels[g],
+                               node_count=len(nodes), graph_id=g))
+    return indicator, raw, edges, attrs, dt.GraphDataset(
+        graphs=graphs, attribute_dim=dim, n_max=max(sizes), name="PB")
+
+
+@given(_corpus_files())
+@settings(max_examples=60, deadline=None)
+def test_parse_equals_checked_graphs_or_names_the_fault(corpus):
+    indicator, raw, edges, attrs, want = corpus
+    with tempfile.TemporaryDirectory() as root:
+        for suffix, rows in (("graph_indicator", indicator), ("graph_labels", raw),
+                             ("A", [f"{u + 1}, {v + 1}" for u, v in edges]),
+                             ("node_attributes",
+                              [", ".join(map(repr, map(float, r))) for r in attrs])):
+            with open(f"{root}/PB_{suffix}.txt", "w") as fh:
+                fh.write("".join(f"{r}\n" for r in rows))
+        if isinstance(want, dt.GraphDataset):
+            _assert_same_graphs(dt.parse_tudataset(root, "PB"), want)
+            return
+        error, suffix, row, message = want
+        with pytest.raises(error) as caught:
+            dt.parse_tudataset(root, "PB")
+        assert str(caught.value) == f"{root}/PB_{suffix}.txt:{row + 1}: {message}"
+
 
 def test_checksum_stable_and_sensitive(tud_dir):
     c1 = dt.dataset_checksum(tud_dir, "TOY")
