@@ -15,7 +15,7 @@ import os
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
 
@@ -89,7 +89,6 @@ class FoldSplit:
     test_graphs: list[Graph]
     contamination_pool: list[Graph]
     fold_index: int
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -361,33 +360,29 @@ def make_folds(dataset: GraphDataset, k: int, seed: int) -> list[FoldSplit]:
         train = [g for g in by_class[0] if g.graph_id not in test_ids]
         pool = [g for g in by_class[1] if g.graph_id not in test_ids]
         folds.append(FoldSplit(train_graphs=train, test_graphs=test_sets[f],
-                               contamination_pool=pool, fold_index=f, seed=seed))
+                               contamination_pool=pool, fold_index=f))
     return folds
 
 
-def inject_contamination(split: FoldSplit, anomaly_pool: list[Graph],
-                         tau_percent: float, seed: int) -> FoldSplit:
-    """Move floor(tau% of the pool) anomalies into the training set.
+def inject_contamination(split: FoldSplit, tau_percent: float,
+                         seed: int) -> FoldSplit:
+    """Move floor(tau% of the contamination pool) anomalies into training.
 
     Sampling is without replacement under `seed`; the test set is untouched.
     """
     if not 0.0 <= tau_percent <= 100.0:
         raise ConfigurationError(f"tau must be in [0, 100], got {tau_percent}")
-    test_ids = {g.graph_id for g in split.test_graphs}
-    if any(g.graph_id in test_ids for g in anomaly_pool):
-        raise StructuralError("contamination pool overlaps the test set")
-    count = math.floor(tau_percent * len(anomaly_pool) / 100.0)
+    pool = split.contamination_pool
+    count = math.floor(tau_percent * len(pool) / 100.0)
     if count == 0:
         return split
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(anomaly_pool), size=count, replace=False)
-    picked = [anomaly_pool[i] for i in chosen]
+    chosen = rng.choice(len(pool), size=count, replace=False)
+    picked = [pool[i] for i in chosen]
     picked_ids = {g.graph_id for g in picked}
-    remaining = [g for g in anomaly_pool if g.graph_id not in picked_ids]
-    return FoldSplit(train_graphs=list(split.train_graphs) + picked,
-                     test_graphs=split.test_graphs,
-                     contamination_pool=remaining,
-                     fold_index=split.fold_index, seed=split.seed)
+    return replace(
+        split, train_graphs=list(split.train_graphs) + picked,
+        contamination_pool=[g for g in pool if g.graph_id not in picked_ids])
 
 
 @contextmanager

@@ -59,16 +59,12 @@ def evaluate_auc(scores, labels) -> float:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ConfigurationError("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(n)
-    sorted_scores = scores[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0  # 1-based average rank
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True, equal_nan=False)
+    # a group of equal scores shares the mean of its first and last 1-based rank
+    last = np.cumsum(counts)
+    first = last - counts + 1
+    ranks = ((first + last) / 2.0)[group]
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -79,8 +75,7 @@ def evaluate_auc(scores, labels) -> float:
 def _run_fold(split: FoldSplit, config: TrainConfig, tau: float,
               feature_dim: int, n_max: int) -> dict:
     fold_cfg = dataclasses.replace(config, seed=config.seed + split.fold_index)
-    split = inject_contamination(split, split.contamination_pool, tau,
-                                 seed=fold_cfg.seed)
+    split = inject_contamination(split, tau, seed=fold_cfg.seed)
     params, history = train(split.train_graphs, fold_cfg,
                             feature_dim=feature_dim, max_nodes=n_max)
     cfg = make_model_config(fold_cfg, feature_dim, n_max)

@@ -208,17 +208,20 @@ def _full_loss_case(rng: np.random.Generator) -> CheckCase:
     and checked.
     """
     from . import model as M
+    from .data import Graph
 
     cfg = M.ModelConfig(feature_dim=3, hidden_dim=7, latent_dim=5,
                         num_node_memory=2, num_graph_memory=3, max_nodes=6,
                         shrink_lambda=0.05)
     params = M.init_params(cfg, rng, dtype=np.float64)
-    runs = []
-    for n in (1, 3, 6):
+    graphs = []
+    for gid, n in enumerate((1, 3, 6)):
         upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-        adj = (upper | upper.T).astype(np.float64)[None]
-        runs.append((adj, rng.normal(size=(1, n, cfg.feature_dim))))
-    batch = M.ragged_batch(runs, np.float64)
+        adj = (upper | upper.T).astype(np.float64)
+        graphs.append(Graph(adjacency=adj,
+                            attributes=rng.normal(size=(n, cfg.feature_dim)),
+                            label=0, node_count=n, graph_id=gid))
+    batch = M.ragged_batch(graphs, np.float64)
     batch_cell: dict = {}
 
     def fn():

@@ -12,9 +12,11 @@ normal patterns explain the input. The anomaly score is the reconstruction
 error plus the graph-level approximation error.
 
 A batch is ragged (`RaggedBatch`): the real node rows of all its graphs,
-grouped into runs of equal node count. Nothing is computed on padding: every
-`h @ W` is one GEMM over the batch's node rows, and each per-graph product
-runs once per run (see `autodiff`).
+grouped into runs of equal node count. `ragged_batch`, the only route from
+graphs to the model, stacks each run at its own count (`data.pad_batch`), so
+nothing is computed on padding: every `h @ W` is one GEMM over the batch's
+node rows, and each per-graph product runs once per run (see `autodiff`).
+The parameter tensors are named once, in `param_shapes`.
 
 Variants for ablations:
   full      both memory banks (default)
@@ -28,6 +30,7 @@ gradients into them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import Graph, pad_batch
 from .errors import CheckpointError, ConfigurationError, StructuralError
 
 VARIANTS = ("full", "no_node", "no_graph", "gae_only")
@@ -79,20 +83,18 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All learnable tensors. Memory fields are None for disabled variants."""
+    """All learnable tensors in `param_shapes` order; a disabled bank is None."""
     enc1: Tensor
     enc2: Tensor
     enc3: Tensor
     dec1: Tensor
     dec2: Tensor
-    node_memory: Tensor | None
-    graph_memory: Tensor | None
+    node_memory: Tensor | None = None
+    graph_memory: Tensor | None = None
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        pairs = [("enc1", self.enc1), ("enc2", self.enc2), ("enc3", self.enc3),
-                 ("dec1", self.dec1), ("dec2", self.dec2),
-                 ("node_memory", self.node_memory),
-                 ("graph_memory", self.graph_memory)]
+        pairs = [(f.name, getattr(self, f.name))
+                 for f in dataclasses.fields(self)]
         return [(n, t) for n, t in pairs if t is not None]
 
     def tensors(self) -> list[Tensor]:
@@ -134,18 +136,18 @@ class RaggedBatch:
     node_counts: np.ndarray
 
 
-def ragged_batch(runs: Sequence[tuple[np.ndarray, np.ndarray]],
-                 dtype) -> RaggedBatch:
-    """Prepare a batch from one (adjacency, attributes) pair per run.
+def ragged_batch(graphs: Sequence[Graph], dtype) -> RaggedBatch:
+    """Prepare a batch of `graphs`, in their order.
 
-    Each pair holds `count` graphs of the same `size` nodes, unpadded:
-    (count, size, size) and (count, size, d). Everything the forward pass
-    and the losses read but never change is built here, once, in `dtype`.
+    Each stretch of consecutive graphs of equal node count is one run,
+    stacked unpadded at that count: (count, size, size) and (count, size, d).
+    Everything the forward pass and the losses read but never change is
+    built here, once, in `dtype`.
     """
     shapes, a_norm, xs, targets = [], [], [], []
-    for adj, x in runs:
-        adj = np.asarray(adj)
-        count, size = adj.shape[:2]
+    for size, run in itertools.groupby(graphs, key=lambda g: g.node_count):
+        adj, x = pad_batch(list(run), size)
+        count = len(adj)
         shapes.append((count, size))
         a_norm.append(normalize_adjacency(adj).astype(dtype, copy=False))
         xs.append(np.asarray(x, dtype=dtype).reshape(count * size, -1))
@@ -196,31 +198,18 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator,
                 dtype=np.float32) -> ModelParams:
-    """Glorot-uniform GCN weights; memory blocks uniform in +-1/sqrt(D)."""
+    """Glorot-uniform GCN weights; memory blocks, the 3-d tensors, uniform in
+    +-1/sqrt(D). Tensors are drawn in `param_shapes` order."""
     if cfg.uses_node_memory and cfg.max_nodes < 1:
         raise ConfigurationError("max_nodes must be set before initializing "
                                  "node memory")
-
-    def glorot(shape):
-        limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return Tensor(rng.uniform(-limit, limit, shape).astype(dtype),
-                      requires_grad=True)
-
-    def memory(shape):
-        limit = 1.0 / np.sqrt(cfg.latent_dim)
-        return Tensor(rng.uniform(-limit, limit, shape).astype(dtype),
-                      requires_grad=True)
-
-    shapes = param_shapes(cfg)
-    return ModelParams(
-        enc1=glorot(shapes["enc1"]),
-        enc2=glorot(shapes["enc2"]),
-        enc3=glorot(shapes["enc3"]),
-        dec1=glorot(shapes["dec1"]),
-        dec2=glorot(shapes["dec2"]),
-        node_memory=memory(shapes["node_memory"]) if cfg.uses_node_memory else None,
-        graph_memory=memory(shapes["graph_memory"]) if cfg.uses_graph_memory else None,
-    )
+    tensors = {}
+    for name, shape in param_shapes(cfg).items():
+        limit = (1.0 / np.sqrt(cfg.latent_dim) if len(shape) == 3
+                 else np.sqrt(6.0 / (shape[0] + shape[1])))
+        tensors[name] = Tensor(rng.uniform(-limit, limit, shape).astype(dtype),
+                               requires_grad=True)
+    return ModelParams(**tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +416,9 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
             if name not in z:
                 raise CheckpointError(f"{path} is missing tensor {name!r}")
             arr = z[name]
-            if name == "graph_memory" and arr.shape == (shape[0], shape[2]):
-                # older checkpoints store the graph bank as (q, latent) rows
+            if len(shape) == 3 and shape[1] == 1 and arr.shape == shape[::2]:
+                # older checkpoints store a bank of one-row blocks (the graph
+                # bank) as (q, latent) rows
                 arr = arr.reshape(shape)
             if arr.shape != shape:
                 raise CheckpointError(
@@ -447,9 +437,4 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
                 raise CheckpointError(
                     f"{path}: tensor {name!r} holds a non-finite value")
             loaded[name] = Tensor(np.ascontiguousarray(arr), requires_grad=True)
-    return ModelParams(
-        enc1=loaded["enc1"], enc2=loaded["enc2"], enc3=loaded["enc3"],
-        dec1=loaded["dec1"], dec2=loaded["dec2"],
-        node_memory=loaded.get("node_memory"),
-        graph_memory=loaded.get("graph_memory"),
-    ), cfg
+    return ModelParams(**loaded), cfg

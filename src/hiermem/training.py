@@ -3,21 +3,20 @@
 One plan (`_plan`) groups graphs for every forward pass: it sorts them once
 by (node count, graph id), cuts the sorted order into batches of at most
 `batch_size` consecutive graphs, and cuts each batch into sub-batches of at
-most MAX_ROWS node rows (a larger graph is a sub-batch of its own). Training
-plans once, prepares each sub-batch for the model once (`model.ragged_batch`)
-and visits the batches in a fresh order every epoch under the training
-seed; the sub-batches of a batch add up their gradients before one Adam
-step. Scoring plans its whole input as one batch. A sub-batch is built with
-one `pad_batch` call per node count it holds, at that count's own width, so
-nothing is padded. Both `train` and `score_graphs` first make glibc keep
-freed memory on its heap (`_keep_heap`), once per process.
+most MAX_ROWS node rows (a larger graph is a sub-batch of its own). A plan
+holds graph indices; each sub-batch's graphs, in plan order, are handed to
+`model.ragged_batch`, which builds the model's batch from them. Training
+plans once, prepares each sub-batch once and visits the batches in a fresh
+order every epoch under the training seed; the sub-batches of a batch add up
+their gradients before one Adam step. Scoring plans its whole input as one
+batch. Both `train` and `score_graphs` first make glibc keep freed memory on
+its heap (`_keep_heap`), once per process.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,10 +24,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import blas
-from .data import Graph, pad_batch
+from .data import Graph
 from .errors import ConfigurationError, TrainingDiverged
-from .model import (ModelConfig, ModelParams, RaggedBatch, batch_losses,
-                    forward_batch, init_params, ragged_batch, score_batch)
+from .model import (ModelConfig, ModelParams, batch_losses, forward_batch,
+                    init_params, ragged_batch, score_batch)
 from .optim import Adam
 
 HISTORY_FIELDS = ("epoch", "total", "rec_structure", "rec_attribute",
@@ -112,15 +111,6 @@ def make_model_config(config: TrainConfig, feature_dim: int,
                        variant=config.variant)
 
 
-def _ragged(graphs: list[Graph], idx, dtype) -> RaggedBatch:
-    """The prepared batch of the graphs `idx`, in that order: one run per
-    stretch of consecutive graphs of equal node count."""
-    return ragged_batch([pad_batch(list(run), size) for size, run in
-                         itertools.groupby((graphs[i] for i in idx),
-                                           key=lambda g: g.node_count)],
-                        dtype)
-
-
 def _plan(graphs: list[Graph], batch_size: int) -> list[list[list[int]]]:
     """Batches of graph indices, each a list of its sub-batches.
 
@@ -180,7 +170,8 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     opt = Adam(params.tensors(), lr=config.learning_rate)
     history: list[dict] = []
     batches = [(sum(map(len, subs)),
-                [_ragged(train_graphs, sub, np.float32) for sub in subs])
+                [ragged_batch([train_graphs[i] for i in sub], np.float32)
+                 for sub in subs])
                for subs in _plan(train_graphs, config.batch_size)]
 
     n_total = len(train_graphs)
@@ -237,7 +228,8 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     dtype = params.enc1.data.dtype
 
     def score(idx):
-        scores[idx] = score_batch(params, cfg, _ragged(graphs, idx, dtype))
+        scores[idx] = score_batch(params, cfg,
+                                  ragged_batch([graphs[i] for i in idx], dtype))
 
     [subs] = _plan(graphs, len(graphs))
     threads = blas.threads() or 1

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hiermem.data import Graph, GraphDataset
-from hiermem.model import ModelConfig, init_params
-from hiermem.training import TrainConfig, _ragged
+from hiermem.model import ModelConfig, init_params, ragged_batch
+from hiermem.training import TrainConfig
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +36,7 @@ def build_graph(edges, num_nodes, label=0, graph_id=1, attr_dim=2, seed=0):
 def ragged(graphs, dtype=np.float32):
     """The prepared model batch of `graphs` in their order: one run per
     stretch of consecutive graphs of equal node count."""
-    return _ragged(graphs, range(len(graphs)), dtype)
+    return ragged_batch(graphs, dtype)
 
 
 @pytest.fixture

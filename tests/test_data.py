@@ -584,7 +584,7 @@ def test_contamination_count_uses_floor(toy_dataset):
     split = _fold(toy_dataset)
     pool = split.contamination_pool
     assert len(pool) == 4
-    out = dt.inject_contamination(split, pool, tau_percent=26.0, seed=0)
+    out = dt.inject_contamination(split, tau_percent=26.0, seed=0)
     # floor(0.26 * 4) = 1
     assert len(out.train_graphs) == len(split.train_graphs) + 1
     assert len(out.contamination_pool) == 3
@@ -593,35 +593,28 @@ def test_contamination_count_uses_floor(toy_dataset):
 def test_contamination_zero_and_full(toy_dataset):
     split = _fold(toy_dataset)
     pool = split.contamination_pool
-    zero = dt.inject_contamination(split, pool, tau_percent=0.0, seed=0)
+    zero = dt.inject_contamination(split, tau_percent=0.0, seed=0)
     assert [g.graph_id for g in zero.train_graphs] == \
         [g.graph_id for g in split.train_graphs]
-    full = dt.inject_contamination(split, pool, tau_percent=100.0, seed=0)
+    full = dt.inject_contamination(split, tau_percent=100.0, seed=0)
     assert len(full.train_graphs) == len(split.train_graphs) + len(pool)
     assert full.contamination_pool == []
 
 
 def test_contamination_leaves_test_untouched_and_samples_without_replacement(toy_dataset):
     split = _fold(toy_dataset)
-    out = dt.inject_contamination(split, split.contamination_pool, 100.0, seed=3)
+    out = dt.inject_contamination(split, 100.0, seed=3)
     assert [g.graph_id for g in out.test_graphs] == \
         [g.graph_id for g in split.test_graphs]
     added = [g.graph_id for g in out.train_graphs[len(split.train_graphs):]]
     assert len(added) == len(set(added))
 
 
-def test_contamination_rejects_pool_overlapping_test(toy_dataset):
-    split = _fold(toy_dataset)
-    bad_pool = split.contamination_pool + [split.test_graphs[0]]
-    with pytest.raises(StructuralError, match="overlaps"):
-        dt.inject_contamination(split, bad_pool, 10.0, seed=0)
-
-
 def test_contamination_rejects_bad_tau(toy_dataset):
     split = _fold(toy_dataset)
     for tau in (-1.0, 101.0):
         with pytest.raises(ConfigurationError):
-            dt.inject_contamination(split, split.contamination_pool, tau, seed=0)
+            dt.inject_contamination(split, tau, seed=0)
 
 
 def test_export_folds_csv(toy_dataset, tmp_path):

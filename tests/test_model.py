@@ -421,6 +421,21 @@ def test_checkpoint_round_trip(tmp_path, toy_model_config, toy_params):
         assert t2.requires_grad
 
 
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_every_variant_names_its_tensors_in_param_shapes_order(
+        tmp_path, toy_model_config, variant):
+    cfg = dataclasses.replace(toy_model_config, variant=variant)
+    names = list(M.param_shapes(cfg))
+    params = M.init_params(cfg, np.random.default_rng(0))
+    path = tmp_path / "model.npz"
+    M.save_params(path, params, cfg)
+    with np.load(path, allow_pickle=False) as z:
+        saved = [k for k in z.files if k != "__config__"]
+    assert params.tensor_names() == names
+    assert M.load_params(path)[0].tensor_names() == names
+    assert saved == names
+
+
 def test_checkpoint_with_a_two_dimensional_graph_memory_loads(
         tmp_path, toy_model_config, toy_params, toy_dataset):
     # checkpoints written before the graph bank held one-row blocks store it

@@ -25,7 +25,7 @@ def test_first_step_moves_by_lr_times_sign():
     x = np.array([1.0, -2.0, 3.0])
     g = np.array([0.4, -0.1, 2.5])
     state = AdamState(m=np.zeros(3), v=np.zeros(3), step=0)
-    adam_step(x, g, state, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    adam_step(x, g, state, lr=0.01)
     # bias correction makes step one effectively lr * sign(g)
     np.testing.assert_allclose(x, np.array([1.0, -2.0, 3.0]) - 0.01 * np.sign(g),
                                atol=1e-6)
@@ -40,7 +40,7 @@ def test_multiple_steps_match_reference():
     got = x.copy()
     state = AdamState(m=np.zeros_like(x), v=np.zeros_like(x), step=0)
     for g in grads:
-        adam_step(got, g, state, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(got, g, state, lr=0.05)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 

@@ -378,8 +378,8 @@ def _scored_alone(params, cfg, graphs, subs, pinned):
     scores = np.zeros(len(graphs))
     with blas.pinned(1) if pinned else contextlib.nullcontext():
         for sub in subs:
-            scores[sub] = M.score_batch(
-                params, cfg, T._ragged(graphs, sub, params.enc1.data.dtype))
+            scores[sub] = M.score_batch(params, cfg, M.ragged_batch(
+                [graphs[i] for i in sub], params.enc1.data.dtype))
     return scores
 
 
@@ -548,9 +548,9 @@ def test_capped_chunks_cover_every_graph_once_within_both_limits(
     order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
     cut = []
 
-    def recording(graphs, idx, dtype):
-        cut.append(list(idx))
-        return idx
+    def recording(batch, dtype):
+        cut.append([g.graph_id for g in batch])
+        return batch
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "MAX_ROWS", cap)
@@ -558,8 +558,9 @@ def test_capped_chunks_cover_every_graph_once_within_both_limits(
         [whole] = T._plan(graphs, len(graphs))
         # what scoring cuts, recorded without running the model
         mp.setattr(blas, "threads", lambda: 1)
-        mp.setattr(T, "_ragged", recording)
-        mp.setattr(T, "score_batch", lambda params, cfg, idx: np.zeros(len(idx)))
+        mp.setattr(T, "ragged_batch", recording)
+        mp.setattr(T, "score_batch",
+                   lambda params, cfg, batch: np.zeros(len(batch)))
         T.score_graphs(*chunk_model, graphs)
 
     # each batch is the next slice of the size order
@@ -664,7 +665,7 @@ def test_a_batch_under_the_cap_takes_the_gradient_of_its_mean_loss():
     mcfg = T.make_model_config(cfg, 2, 9)
     params = init_params(mcfg, np.random.default_rng(3), dtype=np.float32)
     [[idx]] = T._plan(graphs, len(graphs))
-    batch = T._ragged(graphs, idx, np.float32)
+    batch = M.ragged_batch([graphs[i] for i in idx], np.float32)
     loss = ad.reduce_mean(batch_losses(forward_batch(params, mcfg, batch),
                                        mcfg).total)
     ad.backward(loss)
