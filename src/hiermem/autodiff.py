@@ -92,21 +92,13 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return a, b
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add `g` into `t.grad`. A `fresh` gradient, an array no one else holds,
-    becomes `t.grad` as it is; any other is copied first, so that a later
-    `+=` cannot write through to an array another tensor shares.
-
-    A closure's own output gradient is dropped once the closure returns, so
-    it, or a view of it, is fresh when exactly one parent receives it."""
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into `t.grad`. Every backward closure hands over an array no
+    one else holds, so the first one becomes `t.grad` as it is."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        if not isinstance(g, np.ndarray):
-            g = np.asarray(g)
-        elif not fresh:
-            g = g.copy()
-        t.grad = g
+        t.grad = np.asarray(g)
     else:
         t.grad += g
 
@@ -169,9 +161,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bw():
-        _accumulate(a, out.grad, fresh=True)
-        # the same array handed to both parents is owned by the first one
-        _accumulate(b, out.grad, fresh=not a.requires_grad)
+        _accumulate(a, out.grad)
+        # an array handed to both parents is owned by the first one
+        if b.requires_grad:
+            _accumulate(b, out.grad.copy() if a.requires_grad else out.grad)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -183,9 +176,9 @@ def mul(a, b) -> Tensor:
 
     def bw():
         if a.requires_grad:
-            _accumulate(a, out.grad * b.data, fresh=True)
+            _accumulate(a, out.grad * b.data)
         if b.requires_grad:
-            _accumulate(b, out.grad * a.data, fresh=True)
+            _accumulate(b, out.grad * a.data)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -211,9 +204,9 @@ def matmul(a, b, relu: bool = False) -> Tensor:
     def bw():
         g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T, fresh=True)
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g, fresh=True)
+            _accumulate(b, a.data.T @ g)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -278,7 +271,7 @@ def propagate(adj, h, relu: bool = False) -> Tensor:
         g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
         gh = apply([np.swapaxes(a, -1, -2) for a in adj], g,
                    np.empty(h.data.shape, h.data.dtype))
-        _accumulate(h, gh, fresh=True)
+        _accumulate(h, gh)
 
     out = _make(out_data, (h,), bw)
     return out
@@ -307,7 +300,7 @@ def gram(h, runs) -> Tensor:
             np.matmul(g + np.swapaxes(g, -1, -2),
                       h.data[rows].reshape(count, size, D),
                       out=gh[rows].reshape(count, size, D))
-        _accumulate(h, gh, fresh=True)
+        _accumulate(h, gh)
 
     out = _make(out_data, (h,), bw)
     return out
@@ -319,7 +312,7 @@ def reduce_sum(a) -> Tensor:
     out_data = a.data.sum()
 
     def bw():
-        _accumulate(a, np.broadcast_to(out.grad, a.data.shape).astype(a.data.dtype, copy=False))
+        _accumulate(a, np.full(a.data.shape, out.grad, a.data.dtype))
 
     out = _make(out_data, (a,), bw)
     return out
@@ -360,7 +353,7 @@ def relu(a) -> Tensor:
         # out.grad is this node's own array, dropped once bw returns, so it
         # is masked in place and handed on (subgradient 0 at the kink)
         g = np.multiply(out.grad, out_data > 0, out=out.grad)
-        _accumulate(a, g, fresh=True)
+        _accumulate(a, g)
 
     out = _make(out_data, (a,), bw)
     return out
@@ -375,7 +368,7 @@ def sigmoid(a) -> Tensor:
     out_data = np.where(x >= 0, 1, e) / (1 + e)
 
     def bw():
-        _accumulate(a, out.grad * out_data * (1.0 - out_data), fresh=True)
+        _accumulate(a, out.grad * out_data * (1.0 - out_data))
 
     out = _make(out_data, (a,), bw)
     return out
@@ -391,7 +384,7 @@ def row_softmax(a) -> Tensor:
     def bw():
         g = out.grad
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(a, out_data * (g - dot), fresh=True)
+        _accumulate(a, out_data * (g - dot))
 
     out = _make(out_data, (a,), bw)
     return out
@@ -403,14 +396,14 @@ def row_softmax(a) -> Tensor:
 COSINE_EPS = 1e-8
 
 
-def matrix_cosine(h, m, runs, eps: float = COSINE_EPS) -> Tensor:
+def matrix_cosine(h, m, runs) -> Tensor:
     """Cosine similarity between each graph's node matrix and every memory
     block cropped to that graph's node count.
 
     h: (sum n, D) node rows; m: (P, N, D) blocks, N at least the widest
     graph; runs: (count, size) pairs. Returns (B, P). A graph of n nodes is
     compared, flattened, with the first n rows of each block, flattened; the
-    +eps denominator maps an all-zero matrix to similarity 0.
+    +COSINE_EPS denominator maps an all-zero matrix to similarity 0.
     """
     h, m = as_tensor(h), as_tensor(m)
     spans = _run_spans(runs, h.data.shape[0])
@@ -427,7 +420,7 @@ def matrix_cosine(h, m, runs, eps: float = COSINE_EPS) -> Tensor:
         mf = m.data[:, :size].reshape(P, size * D)
         nh = np.sqrt((hf * hf).sum(axis=1))
         nm = np.sqrt((mf * mf).sum(axis=1))
-        den = nh[:, None] * nm[None, :] + eps
+        den = nh[:, None] * nm[None, :] + COSINE_EPS
         out_data[graphs] = (hf @ mf.T) / den
         norms.append((nh, nm, den))
 
@@ -448,9 +441,9 @@ def matrix_cosine(h, m, runs, eps: float = COSINE_EPS) -> Tensor:
                 gmf = a_coef.T @ hf - (c / np.where(nm > 0, nm, 1.0))[:, None] * mf
                 gm[:, :size] += gmf.reshape(P, size, D)
         if gh is not None:
-            _accumulate(h, gh, fresh=True)
+            _accumulate(h, gh)
         if gm is not None:
-            _accumulate(m, gm, fresh=True)
+            _accumulate(m, gm)
 
     out = _make(out_data, (h, m), bw)
     return out
@@ -485,9 +478,9 @@ def block_readout(w, m, runs) -> Tensor:
             if gm is not None:
                 gm[:, :size] += (w.data[graphs].T @ g).reshape(P, size, D)
         if gw is not None:
-            _accumulate(w, gw, fresh=True)
+            _accumulate(w, gw)
         if gm is not None:
-            _accumulate(m, gm, fresh=True)
+            _accumulate(m, gm)
 
     out = _make(out_data, (w, m), bw)
     return out
@@ -517,7 +510,7 @@ def hard_shrink(w, lam: float) -> Tensor:
     def bw():
         g = out.grad
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(w, keep * (g - dot) / s_safe, fresh=True)
+        _accumulate(w, keep * (g - dot) / s_safe)
 
     out = _make(out_data, (w,), bw)
     return out
@@ -532,7 +525,7 @@ def entropy(w) -> Tensor:
 
     def bw():
         g = np.expand_dims(out.grad, -1)
-        _accumulate(w, np.where(pos, -g * (logw + 1.0), 0), fresh=True)
+        _accumulate(w, np.where(pos, -g * (logw + 1.0), 0))
 
     out = _make(out_data, (w,), bw)
     return out
@@ -558,7 +551,7 @@ def graph_mean(h, runs) -> Tensor:
         gh = np.empty(h.data.shape, h.data.dtype)
         for graphs, rows, _, count, size in spans:
             gh[rows].reshape(count, size, D)[:] = out.grad[graphs, None, :] / size
-        _accumulate(h, gh, fresh=True)
+        _accumulate(h, gh)
 
     out = _make(out_data, (h,), bw)
     return out
@@ -583,9 +576,9 @@ def frobenius_sq(a, b, segments) -> Tensor:
         g = g.reshape(g.shape + (1,) * (a.data.ndim - 1))
         core = 2.0 * diff
         if a.requires_grad:
-            _accumulate(a, core * g, fresh=True)
+            _accumulate(a, core * g)
         if b.requires_grad:
-            _accumulate(b, -core * g, fresh=True)
+            _accumulate(b, -core * g)
 
     out = _make(out_data, (a, b), bw)
     return out

@@ -314,7 +314,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     out_dir = _run_dir(values, "cv")
     outputs = _report_files(out_dir, "report", report)
     folds_path = out_dir / "folds.csv"
-    export_folds_csv(make_folds(dataset, values["folds"], values["seed"]),
+    export_folds_csv(make_folds(dataset, values["folds"], values["seed"], tau),
                      folds_path)
     outputs.append(folds_path.name)
     write_resolved_cfg(out_dir / "resolved.cfg", values)

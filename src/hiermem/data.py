@@ -79,16 +79,17 @@ class GraphDataset:
 
 @dataclass(eq=False)
 class FoldSplit:
-    """One cross-validation fold.
+    """One cross-validation fold, as it trains.
 
-    train_graphs holds normal graphs only (until contamination is injected);
-    contamination_pool holds the anomalous graphs excluded from this fold's
-    test set, kept so contamination experiments reuse the same split.
+    train_graphs holds the non-test normal graphs plus any contaminating
+    anomalies; contamination_pool holds the non-test anomalies left out of
+    training; seed is the one the fold contaminates and trains under.
     """
     train_graphs: list[Graph]
     test_graphs: list[Graph]
     contamination_pool: list[Graph]
     fold_index: int
+    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +255,21 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
     size, lu, lv = counts[gu], local_index[u], local_index[v]
     flat[cells[gu] + lu * size + lv] = True
     flat[cells[gu] + lv * size + lu] = True
+    if attributes is None:
+        # every node's degree (`degree_features`) in one pass: node i of a
+        # graph of n nodes sums the n cells from i * n into the graph's own
+        rows = (np.repeat(cells[:-1], counts)
+                + local_index[by_graph] * np.repeat(counts, counts))
+        attributes = np.add.reduceat(flat, rows, dtype=float)[:, None]
 
     # the checks above prove Graph's: nodes in every graph, symmetric (n, n)
     # adjacency without self-loops, n finite attribute rows, 0/1 labels
     labels = label_anomalies(raw_labels.tolist())
     cells, starts = cells.tolist(), starts.tolist()
-    graphs = []
-    for g, n in enumerate(counts.tolist()):
-        adjacency = flat[cells[g]:cells[g + 1]].reshape(n, n)
-        if attributes is not None:
-            attr = attributes[starts[g]:starts[g + 1]]
-        else:
-            attr = degree_features(adjacency)
-        graphs.append(_proven_graph(adjacency=adjacency, attributes=attr,
-                                    label=labels[g], node_count=n, graph_id=g))
+    graphs = [_proven_graph(adjacency=flat[cells[g]:cells[g + 1]].reshape(n, n),
+                            attributes=attributes[starts[g]:starts[g + 1]],
+                            label=labels[g], node_count=n, graph_id=g)
+              for g, n in enumerate(counts.tolist())]
 
     return GraphDataset(graphs=graphs,
                         attribute_dim=graphs[0].attributes.shape[1],
@@ -321,13 +323,15 @@ def dataset_checksum(root_dir, name: str) -> str:
 # ---------------------------------------------------------------------------
 # folds and contamination
 
-def make_folds(dataset: GraphDataset, k: int, seed: int) -> list[FoldSplit]:
-    """Stratified k-fold split under a fixed seed.
+def make_folds(dataset: GraphDataset, k: int, seed: int,
+               tau: float = 0.0) -> list[FoldSplit]:
+    """Stratified k-fold split under a fixed seed, each fold as it trains.
 
     Each class is shuffled and dealt into k contiguous chunks; remainder
     chunks rotate across classes so fold sizes stay balanced. Training sets
     hold the non-test normal graphs; non-test anomalies form the fold's
-    contamination pool.
+    contamination pool. Fold f's seed is seed + f, under which tau% of its
+    pool moves into its training set (`inject_contamination`).
     """
     if k < 2:
         raise ConfigurationError(f"need k >= 2 folds, got {k}")
@@ -359,8 +363,9 @@ def make_folds(dataset: GraphDataset, k: int, seed: int) -> list[FoldSplit]:
         test_ids = {g.graph_id for g in test_sets[f]}
         train = [g for g in by_class[0] if g.graph_id not in test_ids]
         pool = [g for g in by_class[1] if g.graph_id not in test_ids]
-        folds.append(FoldSplit(train_graphs=train, test_graphs=test_sets[f],
-                               contamination_pool=pool, fold_index=f))
+        split = FoldSplit(train_graphs=train, test_graphs=test_sets[f],
+                          contamination_pool=pool, fold_index=f, seed=seed + f)
+        folds.append(inject_contamination(split, tau, split.seed))
     return folds
 
 
@@ -444,16 +449,16 @@ def pad_batch(graphs: list[Graph], n_max: int) -> tuple[np.ndarray, np.ndarray]:
 # synthetic data
 
 def make_er_dataset(num_normal: int, num_anomalous: int, seed: int,
-                    p_normal: float = 0.3, p_anomalous: float = 0.7,
                     n_range: tuple[int, int] = (10, 14),
                     name: str = "synthetic-er") -> GraphDataset:
-    """Random-graph collection where anomalies differ by edge density.
+    """Random-graph collection where anomalies differ by edge density, 0.7
+    against 0.3.
 
     Every graph gets degree features, matching the plain-graph convention.
     """
     rng = np.random.default_rng(seed)
     graphs = []
-    specs = [(p_normal, 0)] * num_normal + [(p_anomalous, 1)] * num_anomalous
+    specs = [(0.3, 0)] * num_normal + [(0.7, 1)] * num_anomalous
     for gid, (p, label) in enumerate(specs):
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         upper = np.triu(rng.random((n, n)) < p, k=1)

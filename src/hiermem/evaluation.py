@@ -1,6 +1,6 @@
 """AUC scoring, cross-validation, and the report writers.
 
-Every fold owns its seed (run seed + fold index), parameters, and optimizer
+Every fold owns its seed (`FoldSplit.seed`), parameters, and optimizer
 state, so folds can train in separate processes without changing any result:
 reports are bit-identical for any --jobs value. A sweep protocol is a list of
 cells, each one `run_cv` call (`cli.sweep_cells`).
@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (FoldSplit, GraphDataset, atomic_open, inject_contamination,
-                   make_folds)
+from .data import FoldSplit, GraphDataset, atomic_open, make_folds
 from .errors import ConfigurationError
 from .training import (HISTORY_FIELDS, TrainConfig, make_model_config,
                        score_graphs, train)
@@ -72,52 +72,45 @@ def evaluate_auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 # cross-validation
 
-def _run_fold(split: FoldSplit, config: TrainConfig, tau: float,
-              feature_dim: int, n_max: int) -> dict:
-    fold_cfg = dataclasses.replace(config, seed=config.seed + split.fold_index)
-    split = inject_contamination(split, tau, seed=fold_cfg.seed)
+def _run_fold(split: FoldSplit, config: TrainConfig, feature_dim: int,
+              n_max: int) -> tuple[float, list, list[dict]]:
+    """Train one fold under its seed and score its test set: the fold's AUC,
+    its (graph id, score, label) triples and its training history."""
+    fold_cfg = dataclasses.replace(config, seed=split.seed)
     params, history = train(split.train_graphs, fold_cfg,
                             feature_dim=feature_dim, max_nodes=n_max)
     cfg = make_model_config(fold_cfg, feature_dim, n_max)
     scores = score_graphs(params, cfg, split.test_graphs)
     labels = [g.label for g in split.test_graphs]
-    auc = evaluate_auc(scores, labels)
     triples = [(g.graph_id, float(s), g.label)
                for g, s in zip(split.test_graphs, scores)]
-    return {"fold_index": split.fold_index, "auc": auc,
-            "scores": triples, "history": history}
-
-
-def _fold_worker(args):
-    return _run_fold(*args)
+    return evaluate_auc(scores, labels), triples, history
 
 
 def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
            tau: float = 0.0, jobs: int = 1) -> EvalReport:
     """k-fold cross-validation: train on normals, score the mixed test fold.
 
-    `seed` drives the fold split; fold f trains under seed + f. With tau > 0
-    each fold's training set is contaminated from its own anomaly pool.
+    `seed` drives the fold split; each fold, contaminated by tau% of its
+    anomaly pool, trains under its own seed (`make_folds`).
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     t0 = time.perf_counter()
-    base_cfg = dataclasses.replace(config, seed=seed)
-    folds = make_folds(dataset, k, seed)
-    args = [(split, base_cfg, tau, dataset.attribute_dim, dataset.n_max)
-            for split in folds]
+    folds = make_folds(dataset, k, seed, tau)
+    run = functools.partial(_run_fold, config=config,
+                            feature_dim=dataset.attribute_dim,
+                            n_max=dataset.n_max)
     if jobs > 1:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fold_worker, args))
+            results = list(pool.map(run, folds))
     else:
-        results = [_run_fold(*a) for a in args]
-    results.sort(key=lambda r: r["fold_index"])
+        results = list(map(run, folds))
+    per_fold, triples, histories = zip(*results)
 
-    per_fold = [r["auc"] for r in results]
-    per_graph = [t for r in results for t in r["scores"]]
-    snapshot = dataclasses.asdict(base_cfg)
+    snapshot = dataclasses.asdict(config)
     snapshot.update({"dataset": dataset.name, "folds": k, "seed": seed,
                      "tau": tau})
     return EvalReport(
@@ -125,13 +118,13 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
         num_node_memory=config.num_node_memory,
         num_graph_memory=config.num_graph_memory,
         tau=tau, folds=k, seed=seed,
-        per_fold_auc=per_fold,
+        per_fold_auc=list(per_fold),
         mean_auc=float(np.mean(per_fold)),
         std_auc=float(np.std(per_fold)),
-        per_graph_scores=per_graph,
+        per_graph_scores=[t for fold in triples for t in fold],
         config=snapshot,
         wall_clock_seconds=time.perf_counter() - t0,
-        fold_histories=[r["history"] for r in results],
+        fold_histories=list(histories),
     )
 
 

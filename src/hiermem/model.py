@@ -428,13 +428,12 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
                 raise CheckpointError(
                     f"{path}: tensor {name!r} has dtype {arr.dtype}, "
                     "expected a float dtype")
-            first = next(iter(loaded.values()), None)
-            if first is not None and arr.dtype != first.data.dtype:
-                raise CheckpointError(
-                    f"{path}: tensor {name!r} has dtype {arr.dtype}, but the "
-                    f"checkpoint's other tensors are {first.data.dtype}")
+            # every tensor loads as float32; a value beyond its range
+            # becomes inf and is refused as non-finite
+            with np.errstate(over="ignore"):
+                arr = np.ascontiguousarray(arr, dtype=np.float32)
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(
                     f"{path}: tensor {name!r} holds a non-finite value")
-            loaded[name] = Tensor(np.ascontiguousarray(arr), requires_grad=True)
+            loaded[name] = Tensor(arr, requires_grad=True)
     return ModelParams(**loaded), cfg

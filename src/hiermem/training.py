@@ -6,7 +6,7 @@ by (node count, graph id), cuts the sorted order into batches of at most
 most MAX_ROWS node rows (a larger graph is a sub-batch of its own). A plan
 holds graph indices; each sub-batch's graphs, in plan order, are handed to
 `model.ragged_batch`, which builds the model's batch from them. Training
-plans once, prepares each sub-batch once and visits the batches in a fresh
+plans once, prepares each sub-batch once and visits the batches in a new
 order every epoch under the training seed; the sub-batches of a batch add up
 their gradients before one Adam step. Scoring plans its whole input as one
 batch. Both `train` and `score_graphs` first make glibc keep freed memory on
@@ -141,7 +141,7 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     """Minimize the mean per-graph training loss with Adam.
 
     The optimizer batches are fixed runs of graphs in size order (`_plan`),
-    prepared once and visited in a fresh order every epoch. Each batch runs
+    prepared once and visited in a new order every epoch. Each batch runs
     forward and backward once per sub-batch of at most MAX_ROWS node rows,
     each sub-batch's loss being its summed per-graph loss over the batch's
     graph count, so the parameter gradients add up to those of the batch's

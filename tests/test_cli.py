@@ -1,10 +1,12 @@
 """End-to-end command-line runs: exit codes, artifacts, config precedence."""
 
 import ast
+import csv
 import ctypes
 import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,9 +17,10 @@ import numpy as np
 import pytest
 
 import hiermem
-from hiermem import blas, cli, training
+from hiermem import blas, cli, evaluation, training
 from hiermem.cli import main, parse_float_list, parse_int_list, parse_str_list
-from hiermem.data import make_er_dataset, write_tudataset
+from hiermem.data import (export_folds_csv, make_er_dataset, make_folds,
+                          parse_tudataset, write_tudataset)
 from hiermem.errors import ConfigurationError
 
 
@@ -301,6 +304,38 @@ def test_cv_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("not-a-flag=1\n")
     assert main(["cv", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_cv_folds_csv_records_what_each_fold_trained_on(disk_dataset, tmp_path,
+                                                        capsys, monkeypatch):
+    trained = []
+
+    def recording(graphs, config, **kwargs):
+        trained.append({g.graph_id for g in graphs})
+        return training.train(graphs, config, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", recording)
+    assert main(run_cv_args(disk_dataset, tmp_path, ["--tau", "50"])) == 0
+    path = tmp_path / "cv-ERS-s0" / "folds.csv"
+    with path.open(newline="") as fh:
+        rows = [(int(r["graph_id"]), int(r["fold"]), r["role"])
+                for r in csv.DictReader(fh)]
+    ds = parse_tudataset(disk_dataset, "ERS")
+    normals = {g.graph_id for g in ds.graphs if g.label == 0}
+    anomalies = {g.graph_id for g in ds.graphs if g.label == 1}
+    assert len(trained) == 2
+    for f, fold_trained in enumerate(trained):
+        role = {r: {g for g, fold, rr in rows if fold == f and rr == r}
+                for r in ("train", "test", "pool")}
+        assert role["train"] == fold_trained
+        assert role["train"] & normals == normals - role["test"]
+        held_out = anomalies - role["test"]      # the pool before contamination
+        mixed_in = role["train"] & anomalies
+        assert len(mixed_in) == math.floor(0.5 * len(held_out)) > 0
+        assert role["pool"] == held_out - mixed_in
+    expected = tmp_path / "expected.csv"
+    export_folds_csv(make_folds(ds, 2, 0, 50.0), expected)
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_cv_replay_from_resolved_cfg(disk_dataset, tmp_path, capsys):

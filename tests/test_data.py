@@ -167,6 +167,13 @@ def test_parse_rejects_attribute_row_count_mismatch(tmp_path):
         dt.parse_tudataset(tmp_path, "TOY")
 
 
+def _assert_degree_features(ds):
+    for g in ds.graphs:
+        want = dt.degree_features(g.adjacency)
+        assert g.attributes.dtype == want.dtype
+        np.testing.assert_array_equal(g.attributes, want)
+
+
 def test_parse_falls_back_to_degree_features(tmp_path):
     d = write_tud_files(tmp_path, "TOY")
     (d / "TOY_node_attributes.txt").unlink()
@@ -174,6 +181,30 @@ def test_parse_falls_back_to_degree_features(tmp_path):
     assert ds.attribute_dim == 1
     np.testing.assert_allclose(ds.graphs[0].attributes, [[2.0], [2.0], [2.0]])
     np.testing.assert_allclose(ds.graphs[2].attributes, [[1.0], [2.0], [1.0]])
+    _assert_degree_features(ds)
+
+    # graph by graph over mixed sizes, a one-node graph and isolated nodes
+    rng = np.random.default_rng(4)
+    graphs = []
+    for gid, n in enumerate([1, 5, 2, 8, 1, 3, 6]):
+        upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+        if n == 5:
+            upper[:, 0] = upper[0, :] = False      # node 0 is isolated
+        graphs.append(dt.Graph(adjacency=(upper | upper.T).astype(float),
+                               attributes=np.zeros((n, 1)), label=int(gid < 2),
+                               node_count=n, graph_id=gid))
+    dt.write_tudataset(dt.GraphDataset(graphs, 1, 8, "SIZES"), tmp_path)
+    (tmp_path / "SIZES" / "SIZES_node_attributes.txt").unlink()
+    parsed = dt.parse_tudataset(tmp_path, "SIZES")
+    assert [g.node_count for g in parsed.graphs] == [1, 5, 2, 8, 1, 3, 6]
+    assert parsed.graphs[1].attributes[0, 0] == 0.0
+    _assert_degree_features(parsed)
+
+    # and with graph ids interleaved in the indicator file
+    (_write_mix(tmp_path) / "MIX_node_attributes.txt").unlink()
+    mix = dt.parse_tudataset(tmp_path, "MIX")
+    np.testing.assert_array_equal(mix.graphs[1].attributes, [[1.0], [1.0], [2.0]])
+    _assert_degree_features(mix)
 
 
 def test_write_then_parse_round_trip(tud_dir, tmp_path):
@@ -615,6 +646,20 @@ def test_contamination_rejects_bad_tau(toy_dataset):
     for tau in (-1.0, 101.0):
         with pytest.raises(ConfigurationError):
             dt.inject_contamination(split, tau, seed=0)
+
+
+def test_make_folds_contaminates_each_fold_under_its_own_seed(toy_dataset):
+    clean = dt.make_folds(toy_dataset, k=3, seed=5)
+    for tau in (0.0, 50.0, 100.0):
+        for split, base in zip(dt.make_folds(toy_dataset, k=3, seed=5, tau=tau),
+                               clean):
+            assert split.seed == base.seed == 5 + split.fold_index
+            want = dt.inject_contamination(base, tau, seed=5 + split.fold_index)
+            for field in ("train_graphs", "test_graphs", "contamination_pool"):
+                assert ([g.graph_id for g in getattr(split, field)]
+                        == [g.graph_id for g in getattr(want, field)])
+    with pytest.raises(ConfigurationError, match="tau"):
+        dt.make_folds(toy_dataset, k=3, seed=5, tau=101.0)
 
 
 def test_export_folds_csv(toy_dataset, tmp_path):

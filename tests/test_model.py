@@ -502,15 +502,26 @@ def _rewrite_checkpoint(path, **dtypes):
         np.savez(fh, **arrays)
 
 
-def test_checkpoint_mixed_float_dtypes_rejected(tmp_path, toy_model_config,
-                                               toy_params):
+def _assert_loads_as_float32(path):
+    """Every tensor of the checkpoint at `path` loads equal to its stored
+    array cast to float32."""
+    with np.load(path, allow_pickle=False) as z:
+        stored = {k: z[k] for k in z.files}
+    loaded, _ = M.load_params(path)
+    for name, t in loaded.named_tensors():
+        assert t.data.dtype == np.float32 and t.requires_grad
+        np.testing.assert_array_equal(t.data, stored[name].astype(np.float32))
+
+
+def test_checkpoint_mixed_float_dtypes_load_as_float32(tmp_path,
+                                                       toy_model_config):
+    params = M.init_params(toy_model_config, np.random.default_rng(1),
+                           dtype=np.float64)
     path = tmp_path / "model.npz"
-    M.save_params(path, toy_params, toy_model_config)
-    _rewrite_checkpoint(path, enc1=np.float32, enc2=np.float32, enc3=np.float32,
-                        dec1=np.float32, dec2=np.float32,
-                        node_memory=np.float32, graph_memory=np.float64)
-    with pytest.raises(CheckpointError, match="graph_memory.*float64.*float32"):
-        M.load_params(path)
+    M.save_params(path, params, toy_model_config)
+    _rewrite_checkpoint(path, enc1=np.float32, enc3=np.float16,
+                        node_memory=np.float32)
+    _assert_loads_as_float32(path)
 
 
 def test_checkpoint_integer_dtype_rejected(tmp_path, toy_model_config,
@@ -561,15 +572,27 @@ def test_checkpoint_tensor_errors_name_the_file(tmp_path, toy_model_config,
         M.load_params(path)
 
 
-def test_checkpoint_uniform_float64_loads(tmp_path, toy_model_config):
+def test_checkpoint_uniform_float64_loads_as_float32(tmp_path,
+                                                     toy_model_config):
     params = M.init_params(toy_model_config, np.random.default_rng(1),
                            dtype=np.float64)
     path = tmp_path / "model.npz"
     M.save_params(path, params, toy_model_config)
-    loaded, _ = M.load_params(path)
-    for (_, t1), (_, t2) in zip(params.named_tensors(), loaded.named_tensors()):
-        assert t2.data.dtype == np.float64
-        np.testing.assert_array_equal(t1.data, t2.data)
+    _assert_loads_as_float32(path)
+
+
+def test_checkpoint_float64_value_beyond_float32_range_rejected(
+        tmp_path, toy_model_config, toy_params):
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["dec2"] = arrays["dec2"].astype(np.float64)
+    arrays["dec2"][0, 1] = -1e39
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(CheckpointError, match="'dec2' holds a non-finite value"):
+        M.load_params(path)
 
 
 def test_checkpoint_scores_identical_after_reload(tmp_path, toy_model_config,

@@ -492,23 +492,22 @@ def test_cv_with_two_jobs_equals_serial_while_scoring_splits(forced_split,
     assert serial.per_graph_scores == parallel.per_graph_scores
 
 
-def test_a_float64_checkpoint_scores_in_float64_through_the_split(
+def test_a_float64_checkpoint_scores_as_its_float32_cast_through_the_split(
         split_setup, forced_split, monkeypatch, tmp_path):
     _, mcfg, graphs = split_setup
-    M.save_params(tmp_path / "model.npz",
-                  init_params(mcfg, np.random.default_rng(2), dtype=np.float64),
-                  mcfg)
+    wide = init_params(mcfg, np.random.default_rng(2), dtype=np.float64)
+    M.save_params(tmp_path / "model.npz", wide, mcfg)
     params, cfg = M.load_params(tmp_path / "model.npz")
+    cast = M.ModelParams(**{name: ad.Tensor(t.data.astype(np.float32))
+                            for name, t in wide.named_tensors()})
     calls, pools = _record_parts(monkeypatch), _record_pools(monkeypatch)
     got = T.score_graphs(params, cfg, graphs)
     assert len(calls) == 5 and pools == [3]
-    assert {c[0].x.dtype for c in calls} == {np.dtype(np.float64)}
+    assert {c[0].x.dtype for c in calls} == {np.dtype(np.float32)}
     np.testing.assert_array_equal(
         got, _scored_alone(params, cfg, graphs, _sub_batches(graphs),
                            pinned=True))
-    monkeypatch.setattr(T, "MAX_ROWS", 10**9)
-    whole = T.score_graphs(params, cfg, graphs)
-    np.testing.assert_allclose(got, whole, rtol=1e-12)
+    np.testing.assert_array_equal(got, T.score_graphs(cast, mcfg, graphs))
 
 
 def test_scoring_memory_does_not_grow_with_the_count_of_large_graphs(
