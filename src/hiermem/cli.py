@@ -3,11 +3,14 @@
 Subcommands: `cv` (cross-validation), `sweep contamination|memory|ablation`
 (experiment protocols), `gradcheck` (gradient verification). Every value is
 resolved as flag > config file > built-in default, and parsed and
-range-checked, each item of a list too, before any data is read. A sweep is
-one list of cells, one per --tau, memory-grid point or --variant, run through
-`run_cv` in one loop. Every run writes a manifest recording the resolved
-configuration with per-field provenance plus a `resolved.cfg` that replays the
-run bit-identically (wall-clock aside) when passed back through --config.
+range-checked, each item of a list too, before any data is read. `cv` and
+every sweep are one list of cells (`cv` one cell, a sweep one per --tau,
+memory-grid point or --variant) run through `run_cv` in one loop, which
+writes each cell's report, training history and folds file; a sweep also
+writes `index.json`. Every run writes a manifest recording the resolved
+configuration with per-field provenance and every output file, plus a
+`resolved.cfg` that replays the run bit-identically (wall-clock aside) when
+passed back through --config.
 
 Human-readable text goes to stdout, diagnostics to stderr, reports only to
 files. Exit codes: 0 success, 1 failed checks or runtime errors, 2 bad
@@ -28,8 +31,8 @@ from .data import (atomic_open, dataset_checksum, export_folds_csv,
                    make_er_dataset, make_folds, parse_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
-from .evaluation import (EvalReport, run_cv, write_history_csv,
-                         write_report_csv, write_report_json)
+from .evaluation import (run_cv, write_history_csv, write_report_csv,
+                         write_report_json)
 from .gradcheck import DEFAULT_TOL, check_suite
 from .model import VARIANTS
 from .training import TrainConfig
@@ -286,99 +289,73 @@ def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
         fh.write("\n")
 
 
-def _report_files(out_dir: Path, stem: str, report: EvalReport) -> list[str]:
-    paths = [out_dir / f"{stem}.json", out_dir / f"{stem}.csv",
-             out_dir / f"history-{stem}.csv"]
-    write_report_json(report, paths[0])
-    write_report_csv(report, paths[1])
-    write_history_csv(report, paths[2])
-    return [p.name for p in paths]
-
-
-def _run_dir(values: dict, command: str) -> Path:
-    d = Path(values["out-dir"]) / f"{command}-{values['dataset']}-s{values['seed']}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def cmd_cv(args: argparse.Namespace) -> int:
-    values, provenance = resolve_fields(args, _COMMON)
-    p = _single(values, "p")
-    q = _single(values, "q")
-    variant = _single(values, "variant")
-    tau = _single(values, "tau")
-    config = build_train_config(values, p, q, variant)
-    dataset, checksum = load_dataset(values)
-    report = run_cv(dataset, config, k=values["folds"], seed=values["seed"],
-                    tau=tau, jobs=values["jobs"])
-    out_dir = _run_dir(values, "cv")
-    outputs = _report_files(out_dir, "report", report)
-    folds_path = out_dir / "folds.csv"
-    export_folds_csv(make_folds(dataset, values["folds"], values["seed"], tau),
-                     folds_path)
-    outputs.append(folds_path.name)
-    write_resolved_cfg(out_dir / "resolved.cfg", values)
-    outputs.append("resolved.cfg")
-    write_manifest(out_dir, "cv", values, provenance, checksum, outputs)
-    print(f"cv {dataset.name}: mean AUC {report.mean_auc:.4f} "
-          f"+/- {report.std_auc:.4f} over {values['folds']} folds")
-    for f, auc in enumerate(report.per_fold_auc):
-        print(f"  fold {f}: auc={auc:.4f}")
-    print(f"outputs: {out_dir}")
-    return 0
-
-
 def sweep_cells(protocol: str, values: dict) -> list[tuple]:
-    """The (tau, config, report stem, printed label, index fields) of each
+    """The (tau, config, file suffix, printed label, index fields) of each
     cell, in order.
 
-    Contamination has one cell per --tau, memory the (p, 1) then (1, q)
-    grid without repeats, ablation one cell per --variant; every other list
-    flag takes a single value. Each config is built, and so checked, here.
+    `cv` is one cell; contamination has one cell per --tau, memory the
+    (p, 1) then (1, q) grid without repeats, ablation one cell per
+    --variant; every other list flag takes a single value. Each config is
+    built, and so checked, here.
     """
     def one(key: str):
         return _single(values, key)
 
-    if protocol == "contamination":
+    if protocol in ("cv", "contamination"):
         config = build_train_config(values, one("p"), one("q"), one("variant"))
-        return [(t, config, f"tau{_fmt(t)}", f"tau={_fmt(t)}%", {"tau": t})
+        if protocol == "cv":
+            return [(one("tau"), config, "", f"cv {values['dataset']}", {})]
+        return [(t, config, f"-tau{_fmt(t)}", f"tau={_fmt(t)}%", {"tau": t})
                 for t in values["tau"]]
     tau = one("tau")
     if protocol == "memory":
         grid = dict.fromkeys([(p, 1) for p in values["p"]]
                              + [(1, q) for q in values["q"]])
         return [(tau, build_train_config(values, p, q, one("variant")),
-                 f"p{p}-q{q}", f"p={p} q={q}", {"p": p, "q": q})
+                 f"-p{p}-q{q}", f"p={p} q={q}", {"p": p, "q": q})
                 for p, q in grid]
-    return [(tau, build_train_config(values, one("p"), one("q"), v), v,
+    return [(tau, build_train_config(values, one("p"), one("q"), v), f"-{v}",
              f"variant={v}", {"variant": v}) for v in values["variant"]]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
+    """`cv` and every `sweep` protocol: run each cell's cross-validation and
+    write its report, history and folds files."""
     values, provenance = resolve_fields(args, _COMMON)
     cells = sweep_cells(args.protocol, values)
     dataset, checksum = load_dataset(values)
-    out_dir = _run_dir(values, f"sweep-{args.protocol}")
+    command = "cv" if args.protocol == "cv" else f"sweep {args.protocol}"
+    out_dir = (Path(values["out-dir"]) / f"{command.replace(' ', '-')}-"
+               f"{values['dataset']}-s{values['seed']}")
+    k, seed = values["folds"], values["seed"]
     outputs: list[str] = []
     index: list[dict] = []
-    for tau, config, stem, label, fields in cells:
-        report = run_cv(dataset, config, values["folds"], values["seed"],
-                        tau=tau, jobs=values["jobs"])
-        outputs += _report_files(out_dir, f"report-{stem}", report)
+    for tau, config, suffix, label, fields in cells:
+        report = run_cv(dataset, config, k, seed, tau=tau, jobs=values["jobs"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        names = [f"report{suffix}.json", f"report{suffix}.csv",
+                 f"history-report{suffix}.csv", f"folds{suffix}.csv"]
+        write_report_json(report, out_dir / names[0])
+        write_report_csv(report, out_dir / names[1])
+        write_history_csv(report, out_dir / names[2])
+        export_folds_csv(make_folds(dataset, k, seed, tau), out_dir / names[3])
+        outputs += names
         index.append({**fields, "mean_auc": report.mean_auc,
-                      "std_auc": report.std_auc, "report": f"report-{stem}.json"})
+                      "std_auc": report.std_auc, "report": names[0]})
         print(f"{label}: mean AUC {report.mean_auc:.4f} "
-              f"+/- {report.std_auc:.4f}")
+              f"+/- {report.std_auc:.4f} over {k} folds")
+        for f, auc in enumerate(report.per_fold_auc):
+            print(f"  fold {f}: auc={auc:.4f}")
 
-    with atomic_open(out_dir / "index.json") as fh:
-        json.dump({"protocol": args.protocol, "cells": index}, fh,
-                  sort_keys=True, indent=2)
-        fh.write("\n")
-    outputs.append("index.json")
+    if args.protocol != "cv":
+        with atomic_open(out_dir / "index.json") as fh:
+            json.dump({"protocol": args.protocol, "cells": index}, fh,
+                      sort_keys=True, indent=2)
+            fh.write("\n")
+        outputs.append("index.json")
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     outputs.append("resolved.cfg")
-    write_manifest(out_dir, f"sweep {args.protocol}", values, provenance,
-                   checksum, outputs)
+    write_manifest(out_dir, command, values, provenance, checksum, outputs)
     print(f"outputs: {out_dir}")
     return 0
 
@@ -423,13 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("cv", help="k-fold cross-validation on one dataset")
     _add_flags(p_cv, _COMMON)
-    p_cv.set_defaults(func=cmd_cv)
+    p_cv.set_defaults(func=cmd_run, protocol="cv")
 
     p_sweep = sub.add_parser("sweep", help="experiment protocols")
     p_sweep.add_argument("protocol",
                          choices=["contamination", "memory", "ablation"])
     _add_flags(p_sweep, _COMMON)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_run)
 
     p_gc = sub.add_parser("gradcheck",
                           help="verify gradients against finite differences")

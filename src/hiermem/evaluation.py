@@ -2,8 +2,9 @@
 
 Every fold owns its seed (`FoldSplit.seed`), parameters, and optimizer
 state, so folds can train in separate processes without changing any result:
-reports are bit-identical for any --jobs value. A sweep protocol is a list of
-cells, each one `run_cv` call (`cli.sweep_cells`).
+reports are bit-identical for any --jobs value at one BLAS thread count.
+`cv` and each sweep protocol are a list of cells, each one `run_cv` call
+(`cli.sweep_cells`).
 """
 
 from __future__ import annotations
@@ -131,16 +132,10 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
 # ---------------------------------------------------------------------------
 # serialization
 
-def report_to_dict(report: EvalReport) -> dict:
-    d = dataclasses.asdict(report)
-    d["per_graph_scores"] = [list(t) for t in report.per_graph_scores]
-    d["schema_version"] = SCHEMA_VERSION
-    return d
-
-
 def write_report_json(report: EvalReport, path) -> None:
     with atomic_open(path) as fh:
-        json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
+        json.dump({**dataclasses.asdict(report), "schema_version": SCHEMA_VERSION},
+                  fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

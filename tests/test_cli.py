@@ -449,6 +449,41 @@ def test_sweep_ablation_checks_every_variant_before_the_first_cv(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cv_is_its_own_one_cell_sweep(disk_dataset, tmp_path, capsys):
+    assert main(run_cv_args(disk_dataset, tmp_path, ["--tau", "50"])) == 0
+    cv_out = capsys.readouterr().out
+    assert main(run_sweep_args(disk_dataset, tmp_path, "contamination",
+                               ["--tau", "50"])) == 0
+    sweep_out = capsys.readouterr().out
+    cv_dir = tmp_path / "cv-ERS-s0"
+    sweep_dir = tmp_path / "sweep-contamination-ERS-s0"
+
+    def report(path):
+        return {k: v for k, v in json.loads(path.read_text()).items()
+                if k != "wall_clock_seconds"}
+
+    assert report(cv_dir / "report.json") == report(
+        sweep_dir / "report-tau50.0.json")
+    for stem in ("report", "history-report", "folds"):
+        assert ((cv_dir / f"{stem}.csv").read_bytes()
+                == (sweep_dir / f"{stem}-tau50.0.csv").read_bytes()), stem
+    expected = tmp_path / "expected.csv"
+    export_folds_csv(make_folds(parse_tudataset(disk_dataset, "ERS"), 2, 0,
+                                50.0), expected)
+    assert (cv_dir / "folds.csv").read_bytes() == expected.read_bytes()
+
+    def cell_lines(out, label):
+        first, *folds, last = out.splitlines()
+        assert first.startswith(f"{label}: mean AUC ")
+        assert last.startswith("outputs: ")
+        return [first[len(label):]] + folds
+
+    lines = cell_lines(cv_out, "cv ERS")
+    assert lines == cell_lines(sweep_out, "tau=50.0%")
+    assert lines[0].endswith("over 2 folds")
+    assert [line.split(":")[0] for line in lines[1:]] == ["  fold 0", "  fold 1"]
+
+
 # ---------------------------------------------------------------------------
 # gradcheck command
 
@@ -487,6 +522,22 @@ def test_gradcheck_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 1
     captured = capsys.readouterr()
     assert "FAILED: relu" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["cv"], ["sweep", "contamination", "--tau", "0,50"],
+    ["sweep", "memory", "--p", "1..2", "--q", "1,3"],
+    ["sweep", "ablation", "--variant", "full,gae_only"],
+    ["gradcheck", "--seeds", "1"]])
+def test_a_manifest_lists_exactly_its_run_directory(disk_dataset, tmp_path,
+                                                    capsys, command):
+    if command[0] != "gradcheck":
+        command = command + ["--dataset", "ERS", "--data-dir",
+                             str(disk_dataset), "--folds", "2", "--epochs", "1"]
+    assert main(command + ["--out-dir", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert set(os.listdir(run_dir)) == set(manifest["outputs"]) | {"manifest.json"}
 
 
 # ---------------------------------------------------------------------------
