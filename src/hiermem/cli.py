@@ -320,7 +320,8 @@ def sweep_cells(protocol: str, values: dict) -> list[tuple]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """`cv` and every `sweep` protocol: run each cell's cross-validation and
-    write its report, history and folds files."""
+    write its report and history files, and the folds file of each distinct
+    tau."""
     values, provenance = resolve_fields(args, _COMMON)
     cells = sweep_cells(args.protocol, values)
     dataset, checksum = load_dataset(values)
@@ -328,20 +329,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = (Path(values["out-dir"]) / f"{command.replace(' ', '-')}-"
                f"{values['dataset']}-s{values['seed']}")
     k, seed = values["folds"], values["seed"]
+    # the folds depend on tau alone, so each distinct tau writes one file
+    taus = dict.fromkeys(cell[0] for cell in cells)
+    folds_file = {t: "folds.csv" if len(taus) == 1 else f"folds-tau{_fmt(t)}.csv"
+                  for t in taus}
     outputs: list[str] = []
     index: list[dict] = []
     for tau, config, suffix, label, fields in cells:
         report = run_cv(dataset, config, k, seed, tau=tau, jobs=values["jobs"])
         out_dir.mkdir(parents=True, exist_ok=True)
         names = [f"report{suffix}.json", f"report{suffix}.csv",
-                 f"history-report{suffix}.csv", f"folds{suffix}.csv"]
+                 f"history-report{suffix}.csv"]
         write_report_json(report, out_dir / names[0])
         write_report_csv(report, out_dir / names[1])
         write_history_csv(report, out_dir / names[2])
-        export_folds_csv(make_folds(dataset, k, seed, tau), out_dir / names[3])
+        if folds_file[tau] not in outputs:
+            export_folds_csv(make_folds(dataset, k, seed, tau),
+                             out_dir / folds_file[tau])
+            names.append(folds_file[tau])
         outputs += names
         index.append({**fields, "mean_auc": report.mean_auc,
-                      "std_auc": report.std_auc, "report": names[0]})
+                      "std_auc": report.std_auc, "report": names[0],
+                      "folds": folds_file[tau]})
         print(f"{label}: mean AUC {report.mean_auc:.4f} "
               f"+/- {report.std_auc:.4f} over {k} folds")
         for f, auc in enumerate(report.per_fold_auc):

@@ -232,29 +232,42 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
                 f"{_at(attrs_path, r)}: non-finite attribute in graph {g + 1}")
         attributes = attributes[by_graph]
 
-    edges = _read_rows(edges_path, np.int64, 2) - 1
+    # each per-edge temporary is dropped as soon as it has been read: the
+    # edge arrays are the largest the parse holds
+    edges = _read_rows(edges_path, np.int64, 2)
+    edges -= 1
     u, v = edges[:, 0], edges[:, 1]
-    outside = (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
-    gu = node_graph[np.where(outside, 0, u)]
-    gv = node_graph[np.where(outside, 0, v)]
-    bad = outside | (gu != gv) | (u == v)
+    bad = (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
+    # an outside id is clipped to a real node; its edge is already bad
+    gu = node_graph.take(u, mode="clip")
+    bad |= gu != node_graph.take(v, mode="clip")
+    bad |= u == v
     if bad.any():
         r = int(np.argmax(bad))
-        at = _at(edges_path, r)
-        if outside[r]:
+        at, a, b = _at(edges_path, r), int(u[r]), int(v[r])
+        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
             raise StructuralError(f"{at}: node id outside 1..{num_nodes}")
-        if gu[r] != gv[r]:
-            raise StructuralError(f"{at}: edge joins graphs {gu[r] + 1} and {gv[r] + 1}")
-        raise StructuralError(f"{at}: self-loop on node {u[r] + 1}")
+        if node_graph[a] != node_graph[b]:
+            raise StructuralError(f"{at}: edge joins graphs {node_graph[a] + 1} "
+                                  f"and {node_graph[b] + 1}")
+        raise StructuralError(f"{at}: self-loop on node {a + 1}")
+    del bad
 
     # every adjacency matrix is a bool view into one flat buffer; setting
     # both directions symmetrises the edges and repeats de-duplicate
     # themselves
     cells = np.concatenate(([0], np.cumsum(counts * counts)))
     flat = np.zeros(cells[-1], dtype=bool)
-    size, lu, lv = counts[gu], local_index[u], local_index[v]
-    flat[cells[gu] + lu * size + lv] = True
-    flat[cells[gu] + lv * size + lu] = True
+    start, size = cells[gu], counts[gu]
+    del gu
+    lu, lv = local_index[u], local_index[v]
+    del edges, u, v
+    for row, col in ((lu, lv), (lv, lu)):
+        cell = row * size
+        cell += col
+        cell += start
+        flat[cell] = True
+    del start, size, lu, lv, row, col, cell
     if attributes is None:
         # every node's degree (`degree_features`) in one pass: node i of a
         # graph of n nodes sums the n cells from i * n into the graph's own

@@ -247,11 +247,13 @@ def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
             f"input dim {params.enc1.data.shape[0]}")
     # (a_norm @ x) @ W1 equals a_norm @ (x @ W1), but x has a few columns
     # where W1 has hundreds: the propagation runs on the narrow side and
-    # records nothing on the tape
+    # records nothing on the tape. Each h @ W is bound to h before it is
+    # propagated, so without a tape the previous layer's rows are freed first
     h = ad.matmul(ad.propagate(a_norm, x), params.enc1, relu=True)
-    h = ad.propagate(a_norm, ad.matmul(h, params.enc2), relu=True)
-    h = ad.propagate(a_norm, ad.matmul(h, params.enc3), relu=True)
-    return h
+    h = ad.matmul(h, params.enc2)
+    h = ad.propagate(a_norm, h, relu=True)
+    h = ad.matmul(h, params.enc3)
+    return ad.propagate(a_norm, h, relu=True)
 
 
 def _attend(h: Tensor, memory: Tensor, runs, lam: float):
@@ -284,9 +286,12 @@ def decode_structure(h_hat: Tensor, runs) -> Tensor:
 
 
 def decode_attributes(params: ModelParams, h_hat: Tensor, a_norm) -> Tensor:
-    """Two GCN layers from node rows back to attribute rows."""
-    t = ad.propagate(a_norm, ad.matmul(h_hat, params.dec1), relu=True)
-    return ad.propagate(a_norm, ad.matmul(t, params.dec2))
+    """Two GCN layers from node rows back to attribute rows; as in `encode`,
+    each t @ W is bound to t before it is propagated."""
+    t = ad.matmul(h_hat, params.dec1)
+    t = ad.propagate(a_norm, t, relu=True)
+    t = ad.matmul(t, params.dec2)
+    return ad.propagate(a_norm, t)
 
 
 def forward_batch(params: ModelParams, cfg: ModelConfig,

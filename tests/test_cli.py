@@ -464,9 +464,12 @@ def test_cv_is_its_own_one_cell_sweep(disk_dataset, tmp_path, capsys):
 
     assert report(cv_dir / "report.json") == report(
         sweep_dir / "report-tau50.0.json")
-    for stem in ("report", "history-report", "folds"):
+    for stem in ("report", "history-report"):
         assert ((cv_dir / f"{stem}.csv").read_bytes()
                 == (sweep_dir / f"{stem}-tau50.0.csv").read_bytes()), stem
+    # one tau, so one folds file under the plain name
+    assert ((cv_dir / "folds.csv").read_bytes()
+            == (sweep_dir / "folds.csv").read_bytes())
     expected = tmp_path / "expected.csv"
     export_folds_csv(make_folds(parse_tudataset(disk_dataset, "ERS"), 2, 0,
                                 50.0), expected)
@@ -531,13 +534,28 @@ def test_gradcheck_failure_exit_code(tmp_path, capsys, monkeypatch):
     ["gradcheck", "--seeds", "1"]])
 def test_a_manifest_lists_exactly_its_run_directory(disk_dataset, tmp_path,
                                                     capsys, command):
+    # each distinct --tau writes one folds file: the memory and ablation
+    # cells share the run's single tau, so they share folds.csv
+    folds_files = ({"folds-tau0.0.csv", "folds-tau50.0.csv"} if "0,50" in command
+                   else set() if command[0] == "gradcheck" else {"folds.csv"})
     if command[0] != "gradcheck":
         command = command + ["--dataset", "ERS", "--data-dir",
                              str(disk_dataset), "--folds", "2", "--epochs", "1"]
     assert main(command + ["--out-dir", str(tmp_path)]) == 0
     (run_dir,) = tmp_path.iterdir()
     manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert len(manifest["outputs"]) == len(set(manifest["outputs"]))
     assert set(os.listdir(run_dir)) == set(manifest["outputs"]) | {"manifest.json"}
+    assert {f for f in os.listdir(run_dir) if f.startswith("folds")} == folds_files
+    if (run_dir / "index.json").is_file():
+        cells = json.loads((run_dir / "index.json").read_text())["cells"]
+        assert {c["folds"] for c in cells} == folds_files
+        for cell in cells:
+            report = json.loads((run_dir / cell["report"]).read_text())
+            expected = tmp_path / "expected.csv"
+            export_folds_csv(make_folds(parse_tudataset(disk_dataset, "ERS"),
+                                        2, 0, report["tau"]), expected)
+            assert (run_dir / cell["folds"]).read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------

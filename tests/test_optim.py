@@ -1,10 +1,12 @@
 """Adam must match its hand-computed update rule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hiermem.autodiff import Tensor
-from hiermem.optim import Adam, AdamState, adam_step
+from hiermem.optim import BLOCK, Adam, AdamState, adam_step
 
 
 def reference_adam(value, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -94,24 +96,88 @@ def out_of_place_adam_step(value, grad, state, lr, beta1=0.9, beta2=0.999,
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_in_place_step_is_bit_equal_to_the_out_of_place_expression(dtype):
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(5, 7)).astype(dtype)
-    grads = [(rng.normal(size=(5, 7)) * 10.0 ** k).astype(dtype)
-             for k in range(-3, 3)]
-    ref_x = x.copy()
-    ref = AdamState(np.zeros_like(x), np.zeros_like(x))
+    # a small parameter, and one that spans three blocks plus a remainder
+    for shape in [(5, 7), (3 * BLOCK // 64 + 1, 64)]:
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=shape).astype(dtype)
+        grads = [(rng.normal(size=shape) * 10.0 ** k).astype(dtype)
+                 for k in range(-3, 3)]
+        ref_x = x.copy()
+        ref = AdamState(np.zeros_like(x), np.zeros_like(x))
+        a = Tensor(x.copy(), requires_grad=True)
+        opt = Adam([a], lr=0.01)
+        state = opt.states[0]
+        m, v = state.m, state.v
+        for g in grads:
+            out_of_place_adam_step(ref_x, g, ref, lr=0.01)
+            a.grad = g.copy()
+            opt.step()
+            assert a.data.tobytes() == ref_x.tobytes()
+            assert state.m.tobytes() == ref.m.tobytes()
+            assert state.v.tobytes() == ref.v.tobytes()
+            assert state.m is m and state.v is v
+            assert a.grad.tobytes() == g.tobytes()  # the gradient is left alone
+        assert a.data.dtype == state.m.dtype == dtype
+        assert state.step == len(grads)
+
+
+def test_adam_step_matches_the_optimizer_across_blocks():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=2 * BLOCK + 3).astype(np.float32)
+    state = AdamState(np.zeros_like(x), np.zeros_like(x))
     a = Tensor(x.copy(), requires_grad=True)
     opt = Adam([a], lr=0.01)
-    state = opt.states[0]
-    m, v = state.m, state.v
-    for g in grads:
-        out_of_place_adam_step(ref_x, g, ref, lr=0.01)
-        a.grad = g.copy()
+    for _ in range(3):
+        g = rng.normal(size=x.shape).astype(np.float32)
+        adam_step(x, g, state, lr=0.01)
+        a.grad = g
         opt.step()
-        assert a.data.tobytes() == ref_x.tobytes()
-        assert state.m.tobytes() == ref.m.tobytes()
-        assert state.v.tobytes() == ref.v.tobytes()
-        assert state.m is m and state.v is v
-        assert a.grad.tobytes() == g.tobytes()      # the gradient is left alone
-    assert a.data.dtype == state.m.dtype == dtype
-    assert state.step == len(grads)
+    assert a.data.tobytes() == x.tobytes()
+    assert opt.states[0].m.tobytes() == state.m.tobytes()
+
+
+def test_adam_step_refuses_a_value_it_cannot_update_in_place():
+    x = np.zeros((4, 3), np.float32).T
+    state = AdamState(np.zeros((3, 4), np.float32), np.zeros((3, 4), np.float32))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(x, np.ones((3, 4), np.float32), state)
+    assert state.step == 0 and not x.any() and not state.m.any()
+
+
+def _first_step_peak(size):
+    a = Tensor(np.ones(size, np.float32), requires_grad=True)
+    opt = Adam([a], lr=0.01)
+    a.grad = np.ones(size, np.float32)
+    tracemalloc.start()
+    try:
+        opt.step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_step_scratch_does_not_grow_with_the_parameter():
+    # the update is built in a fixed-size scratch pair made with the
+    # optimizer, so a 10x larger parameter allocates no more in its step
+    _first_step_peak(1)         # one-off allocations of the first call
+    small, large = _first_step_peak(10 ** 5), _first_step_peak(10 ** 6)
+    assert large <= small, (large, small)
+
+
+def test_parameters_of_two_dtypes_each_update_in_their_own():
+    rng = np.random.default_rng(6)
+    values = [rng.normal(size=(3, 5)).astype(dt)
+              for dt in (np.float32, np.float64)]
+    grads = [rng.normal(size=(3, 5)).astype(v.dtype) for v in values]
+    both = [Tensor(v.copy(), requires_grad=True) for v in values]
+    alone = [Tensor(v.copy(), requires_grad=True) for v in values]
+    opt = Adam(both, lr=0.01)
+    for t, g in zip(both, grads):
+        t.grad = g
+    opt.step()
+    for t, g in zip(alone, grads):
+        t.grad = g
+        Adam([t], lr=0.01).step()
+    for t, u in zip(both, alone):
+        assert t.data.dtype == u.data.dtype
+        assert t.data.tobytes() == u.data.tobytes()
