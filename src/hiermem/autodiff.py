@@ -30,7 +30,9 @@ a `(count, size)` pair: `count` consecutive graphs of `size` nodes. The
 per-graph ops (`propagate`, `gram`, `matrix_cosine`, `block_readout`,
 `graph_mean`) loop over the runs inside one tape node, and `frobenius_sq`
 sums per graph given each graph's length (`segments`). So the tape of a
-batch has the same nodes however many sizes it mixes.
+batch has the same nodes however many sizes it mixes. A graph convolution,
+relu(adj_i @ (h_i @ W)) per graph, is one `matmul` node too (its `adj`):
+the propagation overwrites the product, so the tape keeps no `h @ W`.
 
 Results are deterministic per seed but not bit-identical across versions of
 this library that sum in a different order.
@@ -187,22 +189,33 @@ def mul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # products and sums
 
-def matmul(a, b, relu: bool = False) -> Tensor:
-    """Product of two matrices.
+def matmul(a, b, relu: bool = False, adj=None) -> Tensor:
+    """Product of two matrices, or with `adj` one graph convolution.
 
-    With `relu`, the product is clamped at 0 in place: the same values and
-    gradients as `relu(matmul(a, b))`, with one array and one tape node.
+    `adj` takes the per-run stacks `propagate` takes, and `a` is then the
+    batch's node rows: graph i's rows of the result are adj_i @ (a_i @ b).
+    The propagation overwrites the product in place, in the product's
+    dtype, so the op keeps one array, and its backward reads only `a`,
+    `b`, `adj` and that array.
+    With `relu`, the result is clamped at 0 in place: the same values and
+    gradients as `relu` of the unfused ops, with one tape node.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul needs (m, k) @ (k, n) matrices, got "
                          f"{a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
+    if adj is not None:
+        spans = _run_spans([m.shape[:2] for m in adj], out_data.shape[0])
+        _propagate_runs(adj, spans, out_data)
     if relu:
         _relu_in_place(out_data)
 
     def bw():
         g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
+        if adj is not None:
+            g = _propagate_runs(adj, spans, np.ascontiguousarray(g),
+                                transpose=True)
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
@@ -244,34 +257,50 @@ def _segment_starts(lengths: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths[:-1])))
 
 
-def propagate(adj, h, relu: bool = False) -> Tensor:
+# node rows per np.matmul call of a propagation that overwrites its input:
+# numpy copies an operand that overlaps the output whole, so a slice of
+# graphs at a time bounds that copy
+_IN_PLACE_ROWS = 128
+
+
+def _propagate_runs(adj, spans, src, out=None, transpose: bool = False):
+    """Graph i's rows of `out` set to adj_i @ (graph i's rows of `src`), or
+    adj_i^T @ with `transpose`, one run at a time; returns `out`. Without
+    `out`, `src` is overwritten, at most `_IN_PLACE_ROWS` node rows (or one
+    graph) per product. Both are C-contiguous (sum n, F) arrays."""
+    in_place = out is None
+    if in_place:
+        out = src
+    F = src.shape[1]
+    for m, (_, rows, _, count, size) in zip(adj, spans):
+        if transpose:
+            m = np.swapaxes(m, -1, -2)
+        s = src[rows].reshape(count, size, F)
+        d = out[rows].reshape(count, size, F)
+        step = max(1, _IN_PLACE_ROWS // size) if in_place else count
+        for lo in range(0, count, step):
+            np.matmul(m[lo:lo + step], s[lo:lo + step], out=d[lo:lo + step])
+    return out
+
+
+def propagate(adj, h) -> Tensor:
     """Each graph's constant matrix times its own node rows.
 
     adj: one (count, n, n) array per run of equal node count, in batch
     order; h: (sum n, F) node rows. Graph i's rows of the result are
-    adj_i @ h_i. With `relu`, the result is clamped at 0 in place, as in
-    `matmul`.
+    adj_i @ h_i. A graph convolution's propagation is fused into its
+    product instead (`matmul`'s `adj`).
     """
     h = as_tensor(h)
     spans = _run_spans([a.shape[:2] for a in adj], h.data.shape[0])
-    F = h.data.shape[1]
-
-    def apply(mats, src, dst):
-        for a, (_, rows, _, count, size) in zip(mats, spans):
-            np.matmul(a, src[rows].reshape(count, size, F),
-                      out=dst[rows].reshape(count, size, F))
-        return dst
-
-    out_data = apply(adj, h.data,
-                     np.empty(h.data.shape, np.result_type(h.data, *adj)))
-    if relu:
-        _relu_in_place(out_data)
+    out_data = _propagate_runs(
+        adj, spans, h.data,
+        np.empty(h.data.shape, np.result_type(h.data, *adj)))
 
     def bw():
-        g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
-        gh = apply([np.swapaxes(a, -1, -2) for a in adj], g,
-                   np.empty(h.data.shape, h.data.dtype))
-        _accumulate(h, gh)
+        _accumulate(h, _propagate_runs(adj, spans, out.grad,
+                                       np.empty(h.data.shape, h.data.dtype),
+                                       transpose=True))
 
     out = _make(out_data, (h,), bw)
     return out
@@ -329,7 +358,7 @@ def reduce_mean(a) -> Tensor:
 
 def _relu_in_place(x: np.ndarray) -> np.ndarray:
     """ReLU of an array an op has just made and no one else holds, written
-    over it (the `relu=True` of `matmul` and `propagate`)."""
+    over it (the `relu=True` of `matmul`)."""
     if _relu_kink_log is not None:
         _relu_kink_log.append(float(np.min(np.abs(x))) if x.size else np.inf)
     return np.maximum(x, 0, out=x)  # NaN stays NaN
@@ -343,7 +372,7 @@ def _relu_grad_in_place(g: np.ndarray, out_data: np.ndarray) -> np.ndarray:
 
 def relu(a) -> Tensor:
     """The ReLU op. The model fuses it into the op that feeds it (`relu=` of
-    `matmul` and `propagate`), which gives the same bits."""
+    `matmul`), which gives the same bits."""
     a = as_tensor(a)
     if _relu_kink_log is not None:
         _relu_kink_log.append(float(np.min(np.abs(a.data))) if a.data.size else np.inf)

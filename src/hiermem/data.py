@@ -24,11 +24,13 @@ import numpy as np
 from .errors import ConfigurationError, DatasetParseError, StructuralError
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Graph:
     """One undirected graph: binary adjacency, node attributes, anomaly label.
     Construction checks every invariant; `parse_tudataset` proves them for a
-    whole corpus at once and builds its graphs without these checks."""
+    whole corpus at once and builds its graphs without these checks. Its
+    fields are slots: a corpus of thousands of graphs holds no per-graph
+    dict."""
     adjacency: np.ndarray
     attributes: np.ndarray
     label: int
@@ -152,7 +154,8 @@ def _at(path: Path, row: int) -> str:
 def _proven_graph(**fields) -> Graph:
     """A `Graph` built as pickle builds one, without `__post_init__`."""
     graph = object.__new__(Graph)
-    graph.__dict__.update(fields)
+    for name, value in fields.items():
+        setattr(graph, name, value)
     return graph
 
 

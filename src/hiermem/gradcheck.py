@@ -166,6 +166,9 @@ _PAIR = {"a": (3, 4), "b": (3, 4)}
 # node rows times a layer weight, as in every h @ W of the model
 _LAYER = {"a": (6, 4), "b": (4, 5)}
 _NODES = {"h": (_ROWS, 3)}
+# a graph convolution over the asymmetric `_run_matrices`, so that a missing
+# transpose in its backward fails
+_GCN = {"h": (_ROWS, 3), "w": (3, 2)}
 
 PRIMITIVE_CASES: dict[str, Callable] = {
     "add": _case(_PAIR, lambda a, b: ad.add(a, b)),
@@ -183,9 +186,11 @@ PRIMITIVE_CASES: dict[str, Callable] = {
     "entropy": _case({"a": (3, 4)}, lambda a: ad.entropy(ad.row_softmax(a))),
     "propagate": _case(_NODES, lambda adj, h: ad.propagate(adj, h),
                        consts=_run_matrices),
-    "propagate_relu": _case(_NODES,
-                            lambda adj, h: ad.propagate(adj, h, relu=True),
-                            consts=_run_matrices),
+    "matmul_adj": _case(_GCN, lambda adj, h, w: ad.matmul(h, w, adj=adj),
+                        consts=_run_matrices),
+    "matmul_adj_relu": _case(
+        _GCN, lambda adj, h, w: ad.matmul(h, w, relu=True, adj=adj),
+        consts=_run_matrices),
     "gram": _case(_NODES, lambda h: ad.gram(h, _RUNS)),
     "matrix_cosine": _case({"h": (_ROWS, 2), "m": (3, 4, 2)},
                            lambda h, m: ad.matrix_cosine(h, m, _RUNS),

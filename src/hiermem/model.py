@@ -235,8 +235,10 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
-    """Three GCN layers, ReLU each, over node rows. Each ReLU is fused into
-    the op that makes its input, so a layer keeps one activation array.
+    """Three GCN layers, ReLU each, over node rows. Each layer is one tape
+    node that keeps one activation array: the ReLU is fused into the op
+    that makes its input, and the propagation of enc2 and enc3 overwrites
+    its own h @ W (`autodiff.matmul`'s `adj`), so no product is kept.
 
     a_norm: the normalized adjacency, one (count, n, n) stack per run; x:
     (sum n, d) attribute rows. Returns (sum n, D) node rows.
@@ -247,13 +249,10 @@ def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
             f"input dim {params.enc1.data.shape[0]}")
     # (a_norm @ x) @ W1 equals a_norm @ (x @ W1), but x has a few columns
     # where W1 has hundreds: the propagation runs on the narrow side and
-    # records nothing on the tape. Each h @ W is bound to h before it is
-    # propagated, so without a tape the previous layer's rows are freed first
+    # records nothing on the tape
     h = ad.matmul(ad.propagate(a_norm, x), params.enc1, relu=True)
-    h = ad.matmul(h, params.enc2)
-    h = ad.propagate(a_norm, h, relu=True)
-    h = ad.matmul(h, params.enc3)
-    return ad.propagate(a_norm, h, relu=True)
+    h = ad.matmul(h, params.enc2, relu=True, adj=a_norm)
+    return ad.matmul(h, params.enc3, relu=True, adj=a_norm)
 
 
 def _attend(h: Tensor, memory: Tensor, runs, lam: float):
@@ -286,12 +285,10 @@ def decode_structure(h_hat: Tensor, runs) -> Tensor:
 
 
 def decode_attributes(params: ModelParams, h_hat: Tensor, a_norm) -> Tensor:
-    """Two GCN layers from node rows back to attribute rows; as in `encode`,
-    each t @ W is bound to t before it is propagated."""
-    t = ad.matmul(h_hat, params.dec1)
-    t = ad.propagate(a_norm, t, relu=True)
-    t = ad.matmul(t, params.dec2)
-    return ad.propagate(a_norm, t)
+    """Two GCN layers from node rows back to attribute rows, each one tape
+    node that keeps no product, as in `encode`."""
+    t = ad.matmul(h_hat, params.dec1, relu=True, adj=a_norm)
+    return ad.matmul(t, params.dec2, adj=a_norm)
 
 
 def forward_batch(params: ModelParams, cfg: ModelConfig,

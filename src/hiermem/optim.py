@@ -39,9 +39,20 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 def _update(value: np.ndarray, grad: np.ndarray, state: AdamState,
             lr: float, scratch: np.ndarray) -> None:
-    """One Adam step on `value` and `state`, a `BLOCK`-element slice at a
-    time; `scratch` is a (2, n) array of the moments' dtype, n at least
-    min(BLOCK, value.size)."""
+    """One bias-corrected Adam step on `value` and `state`, in place, a
+    `BLOCK`-element slice at a time; `scratch` is a (2, n) array of the
+    moments' dtype, n at least min(BLOCK, value.size).
+
+    Every operation, its operands and its order are those of the
+    out-of-place expressions
+
+        m = BETA1 * m + (1 - BETA1) * grad
+        v = BETA2 * v + (1 - BETA2) * (grad * grad)
+        value -= (lr * (m / c1) / (sqrt(v / c2) + EPS)).astype(value.dtype)
+
+    with c1 = 1 - BETA1**t and c2 = 1 - BETA2**t, so the result is the
+    same to the bit. `value`, `state.m` and `state.v` must be C-contiguous.
+    """
     x, m, v = _flat(value), _flat(state.m), _flat(state.v)
     g = np.ascontiguousarray(grad).reshape(-1)
     state.step += 1
@@ -64,26 +75,6 @@ def _update(value: np.ndarray, grad: np.ndarray, state: AdamState,
         np.add(den, EPS, out=den)
         np.divide(num, den, out=num)
         xb -= num.astype(xb.dtype, copy=False)
-
-
-def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float = 1e-3) -> None:
-    """Apply one bias-corrected Adam update to `value` in place.
-
-    `state.m` and `state.v` are updated in place. Every operation, its
-    operands and its order are those of the out-of-place expressions
-
-        m = BETA1 * m + (1 - BETA1) * grad
-        v = BETA2 * v + (1 - BETA2) * (grad * grad)
-        value -= (lr * (m / c1) / (sqrt(v / c2) + EPS)).astype(value.dtype)
-
-    with c1 = 1 - BETA1**t and c2 = 1 - BETA2**t, so the result is the
-    same to the bit. `value`, `state.m` and `state.v` must be C-contiguous.
-    Each call allocates its own scratch of up to `BLOCK` elements; `Adam`
-    reuses one.
-    """
-    scratch = np.empty((2, min(BLOCK, value.size)), state.m.dtype)
-    _update(value, grad, state, lr, scratch)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Dataset parsing, labeling, folds, contamination, batching."""
 
+import pickle
 import re
 import tempfile
 import tracemalloc
@@ -110,6 +111,17 @@ def test_parse_interleaved_indicator_keeps_file_order(tmp_path):
     np.testing.assert_allclose(ds.graphs[2].attributes, [[4, 40], [6, 60]])
     np.testing.assert_allclose(ds.graphs[2].adjacency, [[0, 1], [1, 0]])
     assert [g.label for g in ds.graphs] == [0, 0, 1]
+
+
+def test_parsed_graphs_hold_no_dict_and_pickle_whole(tud_dir):
+    # `--jobs` sends graphs to fold workers by pickle
+    for g in dt.parse_tudataset(tud_dir, "TOY").graphs:
+        assert not hasattr(g, "__dict__")
+        copy = pickle.loads(pickle.dumps(g))
+        assert (copy.label, copy.node_count, copy.graph_id) == \
+            (g.label, g.node_count, g.graph_id)
+        assert copy.adjacency.tobytes() == g.adjacency.tobytes()
+        assert copy.attributes.tobytes() == g.attributes.tobytes()
 
 
 def test_parse_accepts_dataset_rooted_directly(tud_dir):

@@ -96,9 +96,22 @@ def test_fault_injection_in_fused_relu_detected(monkeypatch):
 
     monkeypatch.setattr(ad, "_relu_grad_in_place", bad_mask)
     results = gc.check_suite(seeds=[0],
-                             names=["matmul_relu", "propagate_relu", "full_loss"])
+                             names=["matmul_relu", "matmul_adj_relu", "full_loss"])
     assert [r.passed for r in results] == [False, False, False]
     assert all(r.max_rel_err > gc.DEFAULT_TOL for r in results)
+
+
+def test_a_missing_transpose_in_the_graph_convolution_is_detected(monkeypatch):
+    # the cases' matrices are asymmetric, so a backward through adj_i
+    # instead of adj_i^T is wrong
+    propagate_runs = ad._propagate_runs
+
+    def untransposed(*args, transpose=False, **kwargs):
+        return propagate_runs(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_propagate_runs", untransposed)
+    results = gc.check_suite(seeds=[0], names=["matmul_adj", "matmul_adj_relu"])
+    assert [r.passed for r in results] == [False, False]
 
 
 def test_full_loss_forward_logs_one_kink_entry_per_relu(monkeypatch):
@@ -146,7 +159,7 @@ def test_run_case_reports_per_param_errors():
 
 @pytest.mark.parametrize("name", sorted(gc.PRIMITIVE_CASES))
 def test_every_case_looks_up_its_op_when_it_runs(name, monkeypatch):
-    op = name.removesuffix("_relu")
+    op = name.removesuffix("_relu").removesuffix("_adj")
     original = getattr(ad, op)
     calls = []
 

@@ -9,7 +9,7 @@ import pytest
 from hiermem import autodiff as ad
 from hiermem import model as M
 from hiermem.autodiff import Tensor
-from hiermem.data import Graph
+from hiermem.data import Graph, make_er_dataset
 from hiermem.errors import CheckpointError, ConfigurationError, StructuralError
 from hiermem.training import score_graphs
 
@@ -697,3 +697,56 @@ def test_all_zero_attributes_take_the_cosine_eps_path():
     ad.backward(ad.reduce_mean(bl.total))
     for p in params.tensors():
         assert p.grad is not None and np.all(np.isfinite(p.grad))
+
+
+def _tape(out):
+    """Every tensor the tape of `out` holds, `out` included."""
+    seen, stack, nodes = set(), [out], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+def test_the_training_tape_keeps_no_gcn_layer_product():
+    # each GCN layer is one tape node whose propagation overwrites its own
+    # h @ W, so the tape holds each layer's output and no product: of the
+    # (rows, width) arrays, enc1 and enc2 give the two hidden ones; enc3,
+    # the node-memory readout and dec1 the latent ones; the propagated
+    # attributes, x_hat and x the attribute-wide ones
+    cfg = _mixed_config(max_nodes=6)
+    params = M.init_params(cfg, np.random.default_rng(4))
+    batch = ragged(_mixed_graphs([1, 3, 6, 6]))
+    loss = ad.reduce_mean(M.batch_losses(M.forward_batch(params, cfg, batch),
+                                         cfg).total)
+    rows = len(batch.x)
+    shapes = [t.data.shape for t in _tape(loss)]
+    widths = {w: shapes.count((rows, w)) for w in (cfg.hidden_dim,
+                                                   cfg.latent_dim,
+                                                   cfg.feature_dim)}
+    assert widths == {cfg.hidden_dim: 2, cfg.latent_dim: 3, cfg.feature_dim: 3}
+
+
+def test_on_one_non_negative_attribute_column_the_encoder_is_rank_one():
+    # degree features, as in criterion 4's synthetic-er and every TU dataset
+    # without attributes: with no GCN bias, each layer's output is an outer
+    # product p (x) relu(w) whose row factor w all graphs share, so every
+    # pooled graph vector points one way and the graph memory, which reads
+    # by cosine, weighs every graph alike; the weights differ only through
+    # COSINE_EPS. Biases would change every score (see ROADMAP).
+    ds = make_er_dataset(100, 40, seed=0)
+    batch = M.ragged_batch(ds.graphs, np.float64)
+    cfg = M.ModelConfig(feature_dim=1, max_nodes=ds.n_max)
+    for seed in range(3):
+        params = M.init_params(cfg, np.random.default_rng(seed), np.float64)
+        out = M.forward_batch(params.detached(), cfg, batch)
+        s = np.linalg.svd(out.h_nodes.data, compute_uv=False)
+        assert s[1] <= 1e-14 * s[0]
+        g = out.h_graph.data / np.linalg.norm(out.h_graph.data, axis=1,
+                                              keepdims=True)
+        assert (g @ g.T).min() >= 1 - 1e-14
+        w = out.graph_weights.data
+        assert np.abs(w - w[0]).max() <= 1e-8

@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hiermem import data, model, training
+from hiermem import autodiff, data, model, training
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,6 +23,7 @@ BOUND_PARAMETERS = (
     (model.forward_batch, ("params",)),
     (training.train, ("train_graphs", "config")),
     (training.score_graphs, ("params", "cfg", "graphs")),
+    (autodiff.matmul, ("a", "b")),
 )
 
 
