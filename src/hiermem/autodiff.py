@@ -27,12 +27,14 @@ A batch of graphs is ragged, never padded. Node-wise tensors hold the real
 node rows of every graph, concatenated in batch order, so a product with a
 layer weight is one 2-D GEMM. The batch is a sequence of runs, `runs`, each
 a `(count, size)` pair: `count` consecutive graphs of `size` nodes. The
-per-graph ops (`propagate`, `gram`, `matrix_cosine`, `block_readout`,
-`graph_mean`) loop over the runs inside one tape node, and `frobenius_sq`
-sums per graph given each graph's length (`segments`). So the tape of a
-batch has the same nodes however many sizes it mixes. A graph convolution,
-relu(adj_i @ (h_i @ W)) per graph, is one `matmul` node too (its `adj`):
-the propagation overwrites the product, so the tape keeps no `h @ W`.
+per-graph ops (`matmul` with `adj`, `gram`, `matrix_cosine`,
+`block_readout`, `graph_mean`) loop over the runs inside one tape node, and
+`frobenius_sq` sums per graph given each graph's length (`segments`). So
+the tape of a batch has the same nodes however many sizes it mixes. A graph
+convolution, relu(adj_i @ h_i @ W) per graph, is one `matmul` node (its
+`adj`) that propagates the narrower side: the input when it has fewer
+columns than the result, else the product, in place, so the tape keeps no
+`h @ W`.
 
 Results are deterministic per seed but not bit-identical across versions of
 this library that sum in a different order.
@@ -192,37 +194,58 @@ def mul(a, b) -> Tensor:
 def matmul(a, b, relu: bool = False, adj=None) -> Tensor:
     """Product of two matrices, or with `adj` one graph convolution.
 
-    `adj` takes the per-run stacks `propagate` takes, and `a` is then the
-    batch's node rows: graph i's rows of the result are adj_i @ (a_i @ b).
-    The propagation overwrites the product in place, in the product's
-    dtype, so the op keeps one array, and its backward reads only `a`,
-    `b`, `adj` and that array.
+    `adj` holds one (count, n, n) stack per run of equal node count, in
+    batch order, and `a` is then the batch's node rows: graph i's rows of
+    the result are adj_i @ a_i @ b. The propagation runs on the narrower
+    side. When `a` has fewer columns than the result, adj_i @ a_i is taken
+    first, out of place, and kept for the weight gradient; the input
+    gradient goes back through adj_i^T in place on g @ b^T. Otherwise the
+    propagation overwrites the product in place, in its dtype, and the
+    backward propagates the output gradient back in place before both
+    products, so no product waits on the tape.
     With `relu`, the result is clamped at 0 in place: the same values and
-    gradients as `relu` of the unfused ops, with one tape node.
+    gradients as `relu` of the unfused op, with one tape node. A product
+    whose inner dimension is 1 is the exact outer product (`_product`).
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul needs (m, k) @ (k, n) matrices, got "
                          f"{a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    x = a.data
+    pre = adj is not None and x.shape[1] < b.data.shape[1]
+    post = adj is not None and not pre
     if adj is not None:
-        spans = _run_spans([m.shape[:2] for m in adj], out_data.shape[0])
+        spans = _run_spans([m.shape[:2] for m in adj], x.shape[0])
+    if pre:
+        x = _propagate_runs(adj, spans, x,
+                            np.empty(x.shape, np.result_type(x, *adj)))
+    out_data = _product(x, b.data)
+    if post:
         _propagate_runs(adj, spans, out_data)
     if relu:
         _relu_in_place(out_data)
 
     def bw():
         g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
-        if adj is not None:
+        if post:
             g = _propagate_runs(adj, spans, np.ascontiguousarray(g),
                                 transpose=True)
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            ga = _product(g, b.data.T)
+            _accumulate(a, _propagate_runs(adj, spans, ga, transpose=True)
+                        if pre else ga)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, _product(x.T, g))
 
     out = _make(out_data, (a, b), bw)
     return out
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y of two matrices. With an inner dimension of 1 it is the outer
+    product by broadcasting, which OpenBLAS takes several times longer to
+    compute; each element is one rounded product either way."""
+    return np.multiply(x, y) if x.shape[1] == 1 else x @ y
 
 
 def _run_spans(runs, rows: int | None = None) -> list[tuple]:
@@ -280,29 +303,6 @@ def _propagate_runs(adj, spans, src, out=None, transpose: bool = False):
         step = max(1, _IN_PLACE_ROWS // size) if in_place else count
         for lo in range(0, count, step):
             np.matmul(m[lo:lo + step], s[lo:lo + step], out=d[lo:lo + step])
-    return out
-
-
-def propagate(adj, h) -> Tensor:
-    """Each graph's constant matrix times its own node rows.
-
-    adj: one (count, n, n) array per run of equal node count, in batch
-    order; h: (sum n, F) node rows. Graph i's rows of the result are
-    adj_i @ h_i. A graph convolution's propagation is fused into its
-    product instead (`matmul`'s `adj`).
-    """
-    h = as_tensor(h)
-    spans = _run_spans([a.shape[:2] for a in adj], h.data.shape[0])
-    out_data = _propagate_runs(
-        adj, spans, h.data,
-        np.empty(h.data.shape, np.result_type(h.data, *adj)))
-
-    def bw():
-        _accumulate(h, _propagate_runs(adj, spans, out.grad,
-                                       np.empty(h.data.shape, h.data.dtype),
-                                       transpose=True))
-
-    out = _make(out_data, (h,), bw)
     return out
 
 

@@ -132,7 +132,10 @@ FIELDS: dict[str, Field] = {f.name: f for f in [
           "pool moved into its training set", at_least=0, at_most=100),
     Field("variant", parse_str_list, ["full"],
           "model variant(s): " + ", ".join(VARIANTS)),
-    Field("jobs", parse_int, 1, "worker processes for fold-parallel training",
+    Field("jobs", parse_int, 1,
+          "worker processes for fold-parallel training; each inherits the "
+          "BLAS thread count and oversubscribes the cores, so set "
+          "OPENBLAS_NUM_THREADS=1 with it (README 'Reproducibility')",
           at_least=1),
     Field("out-dir", str, "runs", "directory for run outputs"),
     Field("eps", parse_float, 1e-5, "finite-difference step (gradcheck)",

@@ -166,9 +166,11 @@ _PAIR = {"a": (3, 4), "b": (3, 4)}
 # node rows times a layer weight, as in every h @ W of the model
 _LAYER = {"a": (6, 4), "b": (4, 5)}
 _NODES = {"h": (_ROWS, 3)}
-# a graph convolution over the asymmetric `_run_matrices`, so that a missing
-# transpose in its backward fails
+# graph convolutions over the asymmetric `_run_matrices`, so that a missing
+# transpose in a backward fails: one propagates its product, the other its
+# input, which is narrower than the result
 _GCN = {"h": (_ROWS, 3), "w": (3, 2)}
+_GCN_NARROW = {"h": (_ROWS, 2), "w": (2, 3)}
 
 PRIMITIVE_CASES: dict[str, Callable] = {
     "add": _case(_PAIR, lambda a, b: ad.add(a, b)),
@@ -184,12 +186,16 @@ PRIMITIVE_CASES: dict[str, Callable] = {
         {"a": (4, 5)}, lambda a: ad.hard_shrink(ad.row_softmax(a), _SHRINK),
         guard=_shrink_guard),
     "entropy": _case({"a": (3, 4)}, lambda a: ad.entropy(ad.row_softmax(a))),
-    "propagate": _case(_NODES, lambda adj, h: ad.propagate(adj, h),
-                       consts=_run_matrices),
     "matmul_adj": _case(_GCN, lambda adj, h, w: ad.matmul(h, w, adj=adj),
                         consts=_run_matrices),
     "matmul_adj_relu": _case(
         _GCN, lambda adj, h, w: ad.matmul(h, w, relu=True, adj=adj),
+        consts=_run_matrices),
+    "matmul_adj_narrow": _case(
+        _GCN_NARROW, lambda adj, h, w: ad.matmul(h, w, adj=adj),
+        consts=_run_matrices),
+    "matmul_adj_narrow_relu": _case(
+        _GCN_NARROW, lambda adj, h, w: ad.matmul(h, w, relu=True, adj=adj),
         consts=_run_matrices),
     "gram": _case(_NODES, lambda h: ad.gram(h, _RUNS)),
     "matrix_cosine": _case({"h": (_ROWS, 2), "m": (3, 4, 2)},

@@ -236,9 +236,9 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
     """Three GCN layers, ReLU each, over node rows. Each layer is one tape
-    node that keeps one activation array: the ReLU is fused into the op
-    that makes its input, and the propagation of enc2 and enc3 overwrites
-    its own h @ W (`autodiff.matmul`'s `adj`), so no product is kept.
+    node (`autodiff.matmul` with `adj`): the ReLU is fused into it, and it
+    propagates the narrower side, the few attribute columns for enc1 and
+    the product h @ W in place for enc2 and enc3, so no product is kept.
 
     a_norm: the normalized adjacency, one (count, n, n) stack per run; x:
     (sum n, d) attribute rows. Returns (sum n, D) node rows.
@@ -247,10 +247,7 @@ def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
         raise ConfigurationError(
             f"attribute dim {x.shape[-1]} does not match encoder "
             f"input dim {params.enc1.data.shape[0]}")
-    # (a_norm @ x) @ W1 equals a_norm @ (x @ W1), but x has a few columns
-    # where W1 has hundreds: the propagation runs on the narrow side and
-    # records nothing on the tape
-    h = ad.matmul(ad.propagate(a_norm, x), params.enc1, relu=True)
+    h = ad.matmul(x, params.enc1, relu=True, adj=a_norm)
     h = ad.matmul(h, params.enc2, relu=True, adj=a_norm)
     return ad.matmul(h, params.enc3, relu=True, adj=a_norm)
 
@@ -374,10 +371,6 @@ def score_batch(params: ModelParams, cfg: ModelConfig,
 
 _CONFIG_KEY = "__config__"
 
-# config keys of removed options, with the value the model still computes:
-# the padding ablation's losses over real nodes only, and unnormalized terms
-_REMOVED_OPTIONS = {"masked_losses": True, "normalize_losses": False}
-
 
 def save_params(path, params: ModelParams, cfg: ModelConfig) -> None:
     """Write a self-describing npz: little-endian arrays plus the config."""
@@ -400,14 +393,6 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
         if _CONFIG_KEY not in z:
             raise CheckpointError(f"{path} has no embedded config")
         cfg_dict = json.loads(str(z[_CONFIG_KEY]))
-        # older checkpoints carry the flags of removed loss options; each
-        # one's default is what this model computes
-        for key, default in _REMOVED_OPTIONS.items():
-            value = cfg_dict.pop(key, default)
-            if value is not default:
-                raise CheckpointError(
-                    f"{path} was trained with {key}={value!r}, a loss option "
-                    "this version no longer computes")
         try:
             cfg = ModelConfig(**cfg_dict)
         except (TypeError, ConfigurationError) as e:
@@ -418,10 +403,6 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
             if name not in z:
                 raise CheckpointError(f"{path} is missing tensor {name!r}")
             arr = z[name]
-            if len(shape) == 3 and shape[1] == 1 and arr.shape == shape[::2]:
-                # older checkpoints store a bank of one-row blocks (the graph
-                # bank) as (q, latent) rows
-                arr = arr.reshape(shape)
             if arr.shape != shape:
                 raise CheckpointError(
                     f"{path}: tensor {name!r} has shape {arr.shape}, "

@@ -289,28 +289,26 @@ def _fused_and_unfused(op_name, dtype, nan):
     """A product with relu=True and the same product followed by ad.relu,
     on inputs with a row whose output is exactly 0 (and, with `nan`, a NaN):
     (output, gradients, kink-log entries) of each, under the same loss.
-    For "propagate" the fused op is a graph convolution, `matmul` with
-    `adj`, and the unfused one relu(propagate(adj, matmul(h, w)))."""
+    For "propagate" the op is a graph convolution, `matmul` with `adj`, and
+    for "propagate_input" one whose input is narrower than its result."""
     rng = np.random.default_rng(31)
     h = rng.normal(size=(9, 4)).astype(dtype)
     h[2] = 0.0                                    # an output row at the kink
     if nan:
         h[5, 1] = np.nan
-    w = rng.normal(size=(4, 3)).astype(dtype)
-    proj = rng.normal(size=(9, 3)).astype(dtype)
+    width = 6 if op_name == "propagate_input" else 3
+    w = rng.normal(size=(4, width)).astype(dtype)
+    proj = rng.normal(size=(9, width)).astype(dtype)
     # the one-node graph's matrix is 0, so propagate has a row at the kink
-    adj = [np.zeros((1, 1, 1), dtype), rng.normal(size=(2, 4, 4)).astype(dtype)]
+    adj = ([np.zeros((1, 1, 1), dtype), rng.normal(size=(2, 4, 4)).astype(dtype)]
+           if op_name != "matmul" else None)
 
     def run(fused):
         hh, ww = Tensor(h.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
         ad._relu_kink_log = []
         try:
-            if op_name == "matmul":
-                out = (ad.matmul(hh, ww, relu=True) if fused
-                       else ad.relu(ad.matmul(hh, ww)))
-            else:
-                out = (ad.matmul(hh, ww, relu=True, adj=adj) if fused
-                       else ad.relu(ad.propagate(adj, ad.matmul(hh, ww))))
+            out = (ad.matmul(hh, ww, relu=True, adj=adj) if fused
+                   else ad.relu(ad.matmul(hh, ww, adj=adj)))
             kinks = ad._relu_kink_log
         finally:
             ad._relu_kink_log = None
@@ -321,7 +319,7 @@ def _fused_and_unfused(op_name, dtype, nan):
     return run(True), run(False)
 
 
-@pytest.mark.parametrize("op_name", ["matmul", "propagate"])
+@pytest.mark.parametrize("op_name", ["matmul", "propagate", "propagate_input"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("nan", [False, True])
 def test_fused_relu_is_bit_equal_to_relu_on_the_ops_output(op_name, dtype, nan):
@@ -346,30 +344,61 @@ def test_fused_relu_records_one_tape_node():
     assert ad.matmul(a, b, relu=True, adj=adj)._parents == (a, b)
 
 
+def _per_run_product(adj, x, transpose=False):
+    """Each graph's matrix, or its transpose, times the graph's rows of x,
+    one graph at a time."""
+    mats = [m.T if transpose else m for stack in adj for m in stack]
+    starts = np.cumsum([0] + [len(m) for m in mats])
+    return np.concatenate([m @ x[lo:hi] for m, lo, hi
+                           in zip(mats, starts[:-1], starts[1:])])
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_graph_convolution_is_bit_equal_to_propagate_of_the_product(dtype):
     # runs of 1, 4 and 130 nodes: the 4-node run spans several in-place
-    # slices of graphs, and a 130-node graph is a slice of its own
+    # slices of graphs, and a 130-node graph is a slice of its own; 5 input
+    # columns and 3 output ones propagate the product, 8 propagate the input
     rng = np.random.default_rng(32)
     runs = ((3, 1), (70, 4), (2, 130))
     adj = [rng.normal(size=(c, n, n)).astype(dtype) for c, n in runs]
     rows = sum(c * n for c, n in runs)
     h = rng.normal(size=(rows, 5)).astype(dtype)
-    w = rng.normal(size=(5, 3)).astype(dtype)
-    proj = rng.normal(size=(rows, 3)).astype(dtype)
-
-    def run(fused):
+    for width in (3, 8):
+        w = rng.normal(size=(5, width)).astype(dtype)
+        proj = rng.normal(size=(rows, width)).astype(dtype)
         hh, ww = Tensor(h.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
-        out = (ad.matmul(hh, ww, adj=adj) if fused
-               else ad.propagate(adj, ad.matmul(hh, ww)))
-        data = out.data.copy()
+        out = ad.matmul(hh, ww, adj=adj)
+        fused = (out.data.copy(),)
         ad.backward(ad.reduce_sum(ad.mul(out, proj)))
-        return data, hh.grad, ww.grad
+        fused += (hh.grad, ww.grad)
 
-    fused, unfused = run(True), run(False)
-    assert fused[0].dtype == dtype
-    for f, u in zip(fused, unfused):
-        assert f.tobytes() == u.tobytes()
+        if width < h.shape[1]:
+            g = _per_run_product(adj, proj, transpose=True)
+            reference = (_per_run_product(adj, h @ w), g @ w.T, h.T @ g)
+        else:
+            p = _per_run_product(adj, h)
+            reference = (p @ w, _per_run_product(adj, proj @ w.T, transpose=True),
+                         p.T @ proj)
+        assert fused[0].dtype == dtype
+        for f, r in zip(fused, reference):
+            assert f.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [((7, 1), (1, 5)), ((7, 4), (4, 1)),
+                                    ((1, 4), (4, 5))])
+def test_a_one_column_product_equals_the_blas_product(shapes):
+    # inner dimension 1 in the forward, in g @ b^T and in a^T @ g in turn
+    rng = np.random.default_rng(33)
+    a, b = (rng.normal(size=s) for s in shapes)
+    proj = rng.normal(size=(shapes[0][0], shapes[1][1]))
+    for x in (a, b, proj):                  # a zero and a negative in each
+        x.flat[0], x.flat[1] = 0.0, -abs(x.flat[1])
+    ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    out = ad.matmul(ta, tb)
+    ad.backward(ad.reduce_sum(ad.mul(out, proj)))
+    np.testing.assert_array_equal(out.data, a @ b)
+    np.testing.assert_array_equal(ta.grad, proj @ b.T)
+    np.testing.assert_array_equal(tb.grad, a.T @ proj)
 
 
 def test_sigmoid_matches_closed_form_and_saturates_cleanly():
@@ -465,13 +494,17 @@ def _per_graph(rows):
 
 
 def test_propagate_multiplies_each_graph_by_its_own_matrix():
+    # a graph convolution with a narrower input and one with a wider input
     rng = np.random.default_rng(20)
     adj = [rng.normal(size=(c, n, n)) for c, n in RUNS]
     h = rng.normal(size=(sum(SIZES), 4))
-    out = ad.propagate(adj, Tensor(h)).data
     mats = [m for stack in adj for m in stack]
-    expected = np.concatenate([m @ hg for m, hg in zip(mats, _per_graph(h))])
-    np.testing.assert_allclose(out, expected, rtol=1e-12)
+    for width in (2, 6):
+        w = rng.normal(size=(4, width))
+        out = ad.matmul(Tensor(h), Tensor(w), adj=adj).data
+        expected = np.concatenate([m @ hg @ w
+                                   for m, hg in zip(mats, _per_graph(h))])
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
 def test_gram_holds_each_graph_block_flattened():

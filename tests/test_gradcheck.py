@@ -96,8 +96,9 @@ def test_fault_injection_in_fused_relu_detected(monkeypatch):
 
     monkeypatch.setattr(ad, "_relu_grad_in_place", bad_mask)
     results = gc.check_suite(seeds=[0],
-                             names=["matmul_relu", "matmul_adj_relu", "full_loss"])
-    assert [r.passed for r in results] == [False, False, False]
+                             names=["matmul_relu", "matmul_adj_relu",
+                                    "matmul_adj_narrow_relu", "full_loss"])
+    assert [r.passed for r in results] == [False] * 4
     assert all(r.max_rel_err > gc.DEFAULT_TOL for r in results)
 
 
@@ -110,8 +111,10 @@ def test_a_missing_transpose_in_the_graph_convolution_is_detected(monkeypatch):
         return propagate_runs(*args, **kwargs)
 
     monkeypatch.setattr(ad, "_propagate_runs", untransposed)
-    results = gc.check_suite(seeds=[0], names=["matmul_adj", "matmul_adj_relu"])
-    assert [r.passed for r in results] == [False, False]
+    names = ["matmul_adj", "matmul_adj_relu", "matmul_adj_narrow",
+             "matmul_adj_narrow_relu"]
+    results = gc.check_suite(seeds=[0], names=names)
+    assert [r.passed for r in results] == [False] * len(names)
 
 
 def test_full_loss_forward_logs_one_kink_entry_per_relu(monkeypatch):
@@ -159,7 +162,7 @@ def test_run_case_reports_per_param_errors():
 
 @pytest.mark.parametrize("name", sorted(gc.PRIMITIVE_CASES))
 def test_every_case_looks_up_its_op_when_it_runs(name, monkeypatch):
-    op = name.removesuffix("_relu").removesuffix("_adj")
+    op = "matmul" if name.startswith("matmul") else name
     original = getattr(ad, op)
     calls = []
 
