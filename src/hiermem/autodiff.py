@@ -243,9 +243,13 @@ def matmul(a, b, relu: bool = False, adj=None) -> Tensor:
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y of two matrices. With an inner dimension of 1 it is the outer
-    product by broadcasting, which OpenBLAS takes several times longer to
-    compute; each element is one rounded product either way."""
-    return np.multiply(x, y) if x.shape[1] == 1 else x @ y
+    product by `einsum`, which OpenBLAS takes several times longer to
+    compute; each element is one rounded product either way. `einsum`
+    allocates only the result, as a GEMM does, where `np.multiply`'s
+    broadcast also takes a 64 KiB iteration buffer: that scratch on the heap
+    between a training's arrays leaves a later training faulting in pages
+    the first one had already faulted."""
+    return np.einsum("ik,kj->ij", x, y) if x.shape[1] == 1 else x @ y
 
 
 def _run_spans(runs, rows: int | None = None) -> list[tuple]:
