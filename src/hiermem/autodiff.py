@@ -204,8 +204,7 @@ def matmul(a, b, relu: bool = False, adj=None) -> Tensor:
     backward propagates the output gradient back in place before both
     products, so no product waits on the tape.
     With `relu`, the result is clamped at 0 in place: the same values and
-    gradients as `relu` of the unfused op, with one tape node. A product
-    whose inner dimension is 1 is the exact outer product (`_product`).
+    gradients as `relu` of the unfused op, with one tape node.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -219,7 +218,7 @@ def matmul(a, b, relu: bool = False, adj=None) -> Tensor:
     if pre:
         x = _propagate_runs(adj, spans, x,
                             np.empty(x.shape, np.result_type(x, *adj)))
-    out_data = _product(x, b.data)
+    out_data = x @ b.data
     if post:
         _propagate_runs(adj, spans, out_data)
     if relu:
@@ -231,25 +230,14 @@ def matmul(a, b, relu: bool = False, adj=None) -> Tensor:
             g = _propagate_runs(adj, spans, np.ascontiguousarray(g),
                                 transpose=True)
         if a.requires_grad:
-            ga = _product(g, b.data.T)
+            ga = g @ b.data.T
             _accumulate(a, _propagate_runs(adj, spans, ga, transpose=True)
                         if pre else ga)
         if b.requires_grad:
-            _accumulate(b, _product(x.T, g))
+            _accumulate(b, x.T @ g)
 
     out = _make(out_data, (a, b), bw)
     return out
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y of two matrices. With an inner dimension of 1 it is the outer
-    product by `einsum`, which OpenBLAS takes several times longer to
-    compute; each element is one rounded product either way. `einsum`
-    allocates only the result, as a GEMM does, where `np.multiply`'s
-    broadcast also takes a 64 KiB iteration buffer: that scratch on the heap
-    between a training's arrays leaves a later training faulting in pages
-    the first one had already faulted."""
-    return np.einsum("ik,kj->ij", x, y) if x.shape[1] == 1 else x @ y
 
 
 def _run_spans(runs, rows: int | None = None) -> list[tuple]:

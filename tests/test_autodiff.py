@@ -384,23 +384,6 @@ def test_graph_convolution_is_bit_equal_to_propagate_of_the_product(dtype):
             assert f.tobytes() == r.tobytes()
 
 
-@pytest.mark.parametrize("shapes", [((7, 1), (1, 5)), ((7, 4), (4, 1)),
-                                    ((1, 4), (4, 5))])
-def test_a_one_column_product_equals_the_blas_product(shapes):
-    # inner dimension 1 in the forward, in g @ b^T and in a^T @ g in turn
-    rng = np.random.default_rng(33)
-    a, b = (rng.normal(size=s) for s in shapes)
-    proj = rng.normal(size=(shapes[0][0], shapes[1][1]))
-    for x in (a, b, proj):                  # a zero and a negative in each
-        x.flat[0], x.flat[1] = 0.0, -abs(x.flat[1])
-    ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
-    out = ad.matmul(ta, tb)
-    ad.backward(ad.reduce_sum(ad.mul(out, proj)))
-    np.testing.assert_array_equal(out.data, a @ b)
-    np.testing.assert_array_equal(ta.grad, proj @ b.T)
-    np.testing.assert_array_equal(tb.grad, a.T @ proj)
-
-
 def test_sigmoid_matches_closed_form_and_saturates_cleanly():
     x = np.array([-1000.0, -3.0, 0.0, 3.0, 1000.0])
     out = ad.sigmoid(leaf(x))
