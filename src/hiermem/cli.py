@@ -37,7 +37,7 @@ from .gradcheck import DEFAULT_TOL, check_suite
 from .model import VARIANTS
 from .training import TrainConfig
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 
 def parse_int(text: str) -> int:
@@ -278,10 +278,8 @@ def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "command": command,
         "version": __version__,
-        "seed": values.get("seed"),
-        "dataset": values.get("dataset"),
         "dataset_checksum": checksum,
-        "resolved_config": {k: v for k, v in values.items()},
+        "resolved_config": dict(values),
         "provenance": provenance,
         "outputs": sorted(outputs),
         "blas_threads": blas.threads() or "unknown",
@@ -389,12 +387,15 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     payload = {"eps": values["eps"], "seeds": values["seeds"],
                "base_seed": base, "tolerance": DEFAULT_TOL, "cases": cases,
                "all_passed": all(c["passed"] for c in cases.values())}
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    print(text)
     out_dir = Path(values["out-dir"]) / f"gradcheck-s{base}"
     out_dir.mkdir(parents=True, exist_ok=True)
+    with atomic_open(out_dir / "gradcheck.json") as fh:
+        fh.write(text + "\n")
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     write_manifest(out_dir, "gradcheck", values, provenance, "",
-                   ["resolved.cfg"])
+                   ["gradcheck.json", "resolved.cfg"])
     if not payload["all_passed"]:
         offenders = [n for n, c in cases.items() if not c["passed"]]
         print("FAILED: " + ", ".join(sorted(offenders)), file=sys.stderr)

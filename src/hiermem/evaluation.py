@@ -23,25 +23,22 @@ from .errors import ConfigurationError
 from .training import (HISTORY_FIELDS, TrainConfig, make_model_config,
                        score_graphs, train)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
 class EvalReport:
-    dataset: str
-    variant: str
-    num_node_memory: int
-    num_graph_memory: int
-    tau: float
-    folds: int
-    seed: int
+    """One cross-validation: its settings, each stated once in `config` (every
+    `TrainConfig` field plus dataset, folds, seed and tau), and its results.
+    `config["seed"]` is the run seed: fold f trains under seed + f, and
+    `run_cv` does not read `TrainConfig.seed`."""
+    config: dict
     per_fold_auc: list[float]
     mean_auc: float
     std_auc: float
     per_graph_scores: list[tuple[int, float, int]]
-    config: dict
-    wall_clock_seconds: float
     fold_histories: list[list[dict]]
+    wall_clock_seconds: float
 
 
 def evaluate_auc(scores, labels) -> float:
@@ -111,21 +108,15 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
         results = list(map(run, folds))
     per_fold, triples, histories = zip(*results)
 
-    snapshot = dataclasses.asdict(config)
-    snapshot.update({"dataset": dataset.name, "folds": k, "seed": seed,
-                     "tau": tau})
     return EvalReport(
-        dataset=dataset.name, variant=config.variant,
-        num_node_memory=config.num_node_memory,
-        num_graph_memory=config.num_graph_memory,
-        tau=tau, folds=k, seed=seed,
+        config={**dataclasses.asdict(config), "dataset": dataset.name,
+                "folds": k, "seed": seed, "tau": tau},
         per_fold_auc=list(per_fold),
         mean_auc=float(np.mean(per_fold)),
         std_auc=float(np.std(per_fold)),
         per_graph_scores=[t for fold in triples for t in fold],
-        config=snapshot,
-        wall_clock_seconds=time.perf_counter() - t0,
         fold_histories=list(histories),
+        wall_clock_seconds=time.perf_counter() - t0,
     )
 
 
@@ -141,13 +132,13 @@ def write_report_json(report: EvalReport, path) -> None:
 
 def write_report_csv(report: EvalReport, path) -> None:
     """Per-fold summary: dataset, variant, p, q, tau, fold, auc."""
+    setting = [report.config[k] for k in ("dataset", "variant", "num_node_memory",
+                                          "num_graph_memory", "tau")]
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "variant", "p", "q", "tau", "fold", "auc"])
         for f, auc in enumerate(report.per_fold_auc):
-            writer.writerow([report.dataset, report.variant,
-                             report.num_node_memory, report.num_graph_memory,
-                             report.tau, f, repr(auc)])
+            writer.writerow(setting + [f, repr(auc)])
 
 
 def write_history_csv(report: EvalReport, path) -> None:

@@ -255,7 +255,7 @@ def _full_loss_case(rng: np.random.Generator) -> CheckCase:
 
 
 def run_case(name: str, builder: Callable, seed: int,
-             eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL) -> CheckResult:
+             eps: float = DEFAULT_EPS) -> CheckResult:
     """Build a case at `seed`, redrawing past kinks, then finite-difference it."""
     for attempt in range(_MAX_REDRAWS):
         rng = np.random.default_rng(seed + 9973 * attempt)
@@ -273,18 +273,16 @@ def run_case(name: str, builder: Callable, seed: int,
         errs = grad_check(case.fn, case.params, eps=eps)
         per_param = {n_: float(e) for n_, e in zip(case.param_names, errs)}
         worst = float(errs.max()) if errs.size else 0.0
-        return CheckResult(name, seed, worst, worst < tol, per_param)
+        return CheckResult(name, seed, worst, worst < DEFAULT_TOL, per_param)
     raise RuntimeError(f"could not draw smooth inputs for {name} after "
                        f"{_MAX_REDRAWS} attempts")
 
 
 def check_suite(seeds=range(10), eps: float = DEFAULT_EPS,
-                tol: float = DEFAULT_TOL, include_model: bool = True,
                 names: list[str] | None = None) -> list[CheckResult]:
-    """Run every registered case across `seeds`; returns one result per pair."""
-    cases = dict(PRIMITIVE_CASES)
-    if include_model:
-        cases["full_loss"] = _full_loss_case
+    """Run every registered case, or those in `names`, across `seeds`;
+    returns one result per pair."""
+    cases = {**PRIMITIVE_CASES, "full_loss": _full_loss_case}
     if names is not None:
         unknown = set(names) - set(cases)
         if unknown:
@@ -293,5 +291,5 @@ def check_suite(seeds=range(10), eps: float = DEFAULT_EPS,
     results = []
     for name, builder in cases.items():
         for seed in seeds:
-            results.append(run_case(name, builder, int(seed), eps=eps, tol=tol))
+            results.append(run_case(name, builder, int(seed), eps=eps))
     return results

@@ -219,11 +219,17 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     one thread per sub-batch; smaller inputs are scored one sub-batch after
     another with OpenBLAS as it is, which is faster below that size
     (CHANGES.md). `batch_size` is ignored: it is still accepted for callers
-    written against the signature that took it.
+    written against the signature that took it. A graph wider than the node
+    memory is refused, by id, before any sub-batch is scored.
     """
     _keep_heap()
     if not graphs:
         return np.zeros(0)
+    widest = max(graphs, key=lambda g: g.node_count)
+    if cfg.uses_node_memory and widest.node_count > cfg.max_nodes:
+        raise ConfigurationError(
+            f"graph {widest.graph_id} has {widest.node_count} nodes, more than "
+            f"the node memory's max_nodes={cfg.max_nodes}")
     scores = np.zeros(len(graphs))
     dtype = params.enc1.data.dtype
 

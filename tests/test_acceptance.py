@@ -35,8 +35,8 @@ def verdict(num, ok, detail):
 
 def test_criterion_1_gradient_oracle():
     t0 = time.perf_counter()
-    results = gc.check_suite(seeds=range(10), eps=1e-5, tol=1e-4,
-                             include_model=True)
+    assert gc.DEFAULT_TOL == 1e-4
+    results = gc.check_suite(seeds=range(10), eps=1e-5)
     elapsed = time.perf_counter() - t0
     worst = max(r.max_rel_err for r in results)
     names = {r.name for r in results}

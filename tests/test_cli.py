@@ -88,28 +88,76 @@ def test_every_train_config_field_is_set_by_the_command_line():
     assert set(EXEMPT) <= set(fields)
 
 
-def _names_used(path: Path) -> set[str]:
-    """Every name a module reads, imports or reaches as an attribute."""
-    names: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
-    return names
+def _reads(tree: ast.AST) -> set[str]:
+    """Every name a module reads, directly or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and not isinstance(node.ctx, ast.Store)}
+
+
+def _imported(tree: ast.AST) -> set[str]:
+    """Every name a module imports."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def _package_and_benchmark() -> tuple[list[Path], dict[Path, ast.Module]]:
+    """The package's modules, and the parsed trees of those and of the
+    benchmark's modules."""
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src" / "hiermem").glob("*.py"))
+    return sources, {p: ast.parse(p.read_text())
+                     for p in sources + sorted((root / "perfbench").glob("*.py"))}
 
 
 def test_every_exported_name_is_used_by_the_package_or_the_benchmark():
     # no public name should exist just for a test to call
-    root = Path(__file__).resolve().parent.parent
-    users = [p for p in sorted((root / "src" / "hiermem").glob("*.py"))
-             if p.name != "__init__.py"]
-    users += sorted((root / "perfbench").glob("*.py"))
-    used = set().union(*map(_names_used, users))
+    sources, trees = _package_and_benchmark()
+    used = set().union(*(_reads(t) | _imported(t) for p, t in trees.items()
+                         if p.name != "__init__.py"))
     unused = [name for name in hiermem.__all__ if name not in used]
     assert unused == [], f"exported names nothing in src/ or perfbench/ uses: {unused}"
+
+
+def _module_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and assigned names a module defines at its top
+    level, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_module_level_name_and_import_is_read():
+    # a private helper or constant, like a public name, must serve the
+    # package or the benchmark, not only a test
+    sources, trees = _package_and_benchmark()
+    read = set().union(*(_reads(t) | _imported(t) for t in trees.values()))
+    unread = [f"{p.name}: {name}" for p in sources
+              for name in _module_level_names(trees[p]) if name not in read]
+    assert unread == [], f"module-level names nothing reads: {unread}"
+
+    unused = []
+    for p in sources:
+        own = _reads(trees[p])
+        if p.name == "__init__.py":
+            own |= set(hiermem.__all__)     # a re-export counts as read
+        for node in ast.walk(trees[p]):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{p.name}: {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0])
+                           not in own]
+    assert unused == [], f"imports their module never reads: {unused}"
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +278,14 @@ def test_cv_writes_reports_and_manifest(disk_dataset, tmp_path, capsys):
         assert (run_dir / name).is_file(), name
 
     report = json.loads((run_dir / "report.json").read_text())
-    assert report["folds"] == 2
+    assert report["config"]["folds"] == 2
     assert len(report["per_fold_auc"]) == 2
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
 
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["command"] == "cv"
-    assert manifest["dataset"] == "ERS"
+    assert manifest["schema_version"] == 2
+    assert manifest["resolved_config"]["dataset"] == "ERS"
     assert len(manifest["dataset_checksum"]) == 64
     assert manifest["outputs"] == sorted(manifest["outputs"])
     assert manifest["provenance"]["epochs"] == "flag"
@@ -366,7 +415,7 @@ def test_sweep_ablation_index_and_reports(disk_dataset, tmp_path, capsys):
     for cell in index["cells"]:
         assert (run_dir / cell["report"]).is_file()
         report = json.loads((run_dir / cell["report"]).read_text())
-        assert report["variant"] == cell["variant"]
+        assert report["config"]["variant"] == cell["variant"]
 
 
 def run_sweep_args(disk_dataset, out_dir, protocol, extra=()):
@@ -386,8 +435,8 @@ def test_sweep_memory_grid_cells(disk_dataset, tmp_path, capsys):
     for cell in index["cells"]:
         report = json.loads((run_dir / cell["report"]).read_text())
         assert cell["report"] == f"report-p{cell['p']}-q{cell['q']}.json"
-        assert report["num_node_memory"] == cell["p"]
-        assert report["num_graph_memory"] == cell["q"]
+        assert report["config"]["num_node_memory"] == cell["p"]
+        assert report["config"]["num_graph_memory"] == cell["q"]
     assert "p=1 q=3: mean AUC" in capsys.readouterr().out
 
 
@@ -400,7 +449,7 @@ def test_sweep_contamination_rates(disk_dataset, tmp_path, capsys):
     assert [c["tau"] for c in index["cells"]] == [50.0, 0.0]  # as given
     for cell in index["cells"]:
         report = json.loads((run_dir / cell["report"]).read_text())
-        assert report["tau"] == cell["tau"]
+        assert report["config"]["tau"] == cell["tau"]
     out = capsys.readouterr().out
     assert out.index("tau=50.0%") < out.index("tau=0.0%")
 
@@ -436,7 +485,7 @@ def test_sweep_applies_its_tau_to_every_cell(disk_dataset, tmp_path, capsys,
     cells = json.loads((run_dir / "index.json").read_text())["cells"]
     for cell in cells:
         report = json.loads((run_dir / cell["report"]).read_text())
-        assert report["tau"] == 50.0 and report["config"]["tau"] == 50.0
+        assert report["config"]["tau"] == 50.0
 
 
 def test_sweep_ablation_checks_every_variant_before_the_first_cv(tmp_path,
@@ -499,7 +548,9 @@ def test_gradcheck_command_passes_and_reports(tmp_path, capsys):
     assert "full_loss" in payload["cases"]
     assert all(c["max_rel_err"] < payload["tolerance"]
                for c in payload["cases"].values())
-    manifest = json.loads((tmp_path / "gradcheck-s0" / "manifest.json").read_text())
+    run_dir = tmp_path / "gradcheck-s0"
+    assert json.loads((run_dir / "gradcheck.json").read_text()) == payload
+    manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["command"] == "gradcheck"
 
 
@@ -525,6 +576,9 @@ def test_gradcheck_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 1
     captured = capsys.readouterr()
     assert "FAILED: relu" in captured.err
+    kept = json.loads((tmp_path / "gradcheck-s0" / "gradcheck.json").read_text())
+    assert kept == json.loads(captured.out)
+    assert kept["all_passed"] is False
 
 
 @pytest.mark.parametrize("command", [
@@ -554,8 +608,29 @@ def test_a_manifest_lists_exactly_its_run_directory(disk_dataset, tmp_path,
             report = json.loads((run_dir / cell["report"]).read_text())
             expected = tmp_path / "expected.csv"
             export_folds_csv(make_folds(parse_tudataset(disk_dataset, "ERS"),
-                                        2, 0, report["tau"]), expected)
+                                        2, 0, report["config"]["tau"]),
+                             expected)
             assert (run_dir / cell["folds"]).read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["cv"], ["sweep", "contamination", "--tau", "0,50"],
+    ["sweep", "memory", "--p", "1..2", "--q", "1,3"],
+    ["sweep", "ablation", "--variant", "full,gae_only"]])
+def test_a_run_states_each_setting_once(disk_dataset, tmp_path, capsys,
+                                        command):
+    assert main(command + ["--dataset", "ERS", "--data-dir", str(disk_dataset),
+                           "--folds", "2", "--epochs", "1",
+                           "--out-dir", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert not set(manifest) & set(manifest["resolved_config"])
+    reports = [n for n in manifest["outputs"]
+               if n.startswith("report") and n.endswith(".json")]
+    assert reports
+    for name in reports:
+        report = json.loads((run_dir / name).read_text())
+        assert not set(report) & set(report["config"]), name
 
 
 # ---------------------------------------------------------------------------

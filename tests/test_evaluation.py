@@ -100,7 +100,7 @@ def er_dataset():
 def test_run_cv_report_invariants(er_dataset):
     cfg = TrainConfig(seed=0, **SMALL)
     rep = ev.run_cv(er_dataset, cfg, k=3, seed=0)
-    assert rep.folds == 3 and len(rep.per_fold_auc) == 3
+    assert rep.config["folds"] == 3 and len(rep.per_fold_auc) == 3
     assert rep.mean_auc == pytest.approx(np.mean(rep.per_fold_auc), abs=1e-12)
     assert rep.std_auc == pytest.approx(np.std(rep.per_fold_auc), abs=1e-12)
     assert all(0.0 <= a <= 1.0 for a in rep.per_fold_auc)
@@ -108,7 +108,8 @@ def test_run_cv_report_invariants(er_dataset):
     scored = sorted(gid for gid, _, _ in rep.per_graph_scores)
     assert scored == sorted(g.graph_id for g in er_dataset.graphs)
     assert rep.wall_clock_seconds > 0
-    assert rep.config["dataset"] == er_dataset.name
+    assert rep.config == {**dataclasses.asdict(cfg), "dataset": er_dataset.name,
+                          "folds": 3, "seed": 0, "tau": 0.0}
     assert len(rep.fold_histories) == 3
     assert all(len(h) == SMALL["epochs"] for h in rep.fold_histories)
 
@@ -162,7 +163,7 @@ def run_sweep(dataset, protocol, *flags, k):
 
 def test_contamination_sweep_orders_and_validates(er_dataset):
     runs = run_sweep(er_dataset, "contamination", "--tau", "0,50", k=3)
-    assert [r.tau for _, r in runs] == [0.0, 50.0]
+    assert [r.config["tau"] for _, r in runs] == [0.0, 50.0]
     assert [f["tau"] for f, _ in runs] == [0.0, 50.0]
     with pytest.raises(ConfigurationError, match="--tau must be <= 100"):
         sweep_values("contamination", "--tau", "0,120")
@@ -175,8 +176,8 @@ def test_memory_sweep_grid_shape(er_dataset):
     runs = run_sweep(er_dataset, "memory", "--p", "1,2", "--q", "1,3", k=2)
     assert [(f["p"], f["q"]) for f, _ in runs] == [(1, 1), (2, 1), (1, 3)]
     for fields, rep in runs:
-        assert rep.num_node_memory == fields["p"]
-        assert rep.num_graph_memory == fields["q"]
+        assert rep.config["num_node_memory"] == fields["p"]
+        assert rep.config["num_graph_memory"] == fields["q"]
     with pytest.raises(ConfigurationError, match="--p must be >= 1"):
         sweep_values("memory", "--p", "0", "--q", "1")
     with pytest.raises(ConfigurationError, match="--p: empty item"):
@@ -186,7 +187,6 @@ def test_memory_sweep_grid_shape(er_dataset):
 def test_ablation_sets_variant(er_dataset):
     cfg = TrainConfig(seed=0, variant="gae_only", **SMALL)
     rep = ev.run_cv(er_dataset, cfg, k=2, seed=0)
-    assert rep.variant == "gae_only"
     assert rep.config["variant"] == "gae_only"
 
 
@@ -215,7 +215,7 @@ def test_report_csv_exact_aucs(small_report, tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["dataset", "variant", "p", "q", "tau", "fold", "auc"]
-    assert len(rows) == 1 + small_report.folds
+    assert len(rows) == 1 + small_report.config["folds"]
     for i, row in enumerate(rows[1:]):
         assert int(row[5]) == i
         assert float(row[6]) == small_report.per_fold_auc[i]  # repr round-trips
@@ -227,7 +227,7 @@ def test_history_csv_covers_every_epoch(small_report, tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "fold"
-    assert len(rows) == 1 + small_report.folds * SMALL["epochs"]
+    assert len(rows) == 1 + small_report.config["folds"] * SMALL["epochs"]
     total_col = rows[0].index("total")
     recomputed = float(rows[1][total_col])
     assert recomputed == small_report.fold_histories[0][0]["total"]
@@ -254,5 +254,6 @@ def test_failed_write_keeps_the_previous_file(small_report, tmp_path, name):
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
     # and a write that succeeds replaces it, leaving no temporary file
     ev.write_report_json(small_report, tmp_path / "report.json")
-    assert json.loads((tmp_path / "report.json").read_text())["seed"] == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["seed"] == 0
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

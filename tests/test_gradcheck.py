@@ -51,7 +51,7 @@ def test_grad_check_restores_requires_grad_when_fn_raises():
 
 
 def test_primitive_cases_all_pass_single_seed():
-    results = gc.check_suite(seeds=[0], include_model=False)
+    results = gc.check_suite(seeds=[0], names=list(gc.PRIMITIVE_CASES))
     assert all(r.passed for r in results)
     assert {r.name for r in results} == set(gc.PRIMITIVE_CASES)
 
@@ -146,15 +146,14 @@ def test_fault_injection_in_matmul_detected(monkeypatch):
 
 
 def test_check_suite_runs_ten_seeds_quickly():
-    results = gc.check_suite(seeds=range(10), include_model=False,
-                             names=["add", "sigmoid"])
+    results = gc.check_suite(seeds=range(10), names=["add", "sigmoid"])
     assert len(results) == 20
     assert all(r.passed for r in results)
 
 
 def test_run_case_reports_per_param_errors():
     res = gc.run_case("matmul", gc.PRIMITIVE_CASES["matmul"], seed=3,
-                      eps=gc.DEFAULT_EPS, tol=gc.DEFAULT_TOL)
+                      eps=gc.DEFAULT_EPS)
     assert res.per_param
     assert res.max_rel_err == pytest.approx(max(res.per_param.values()))
     assert res.seed == 3

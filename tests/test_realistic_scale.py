@@ -108,7 +108,7 @@ def test_the_manifest_names_the_run_and_its_outputs(aids_like_run):
     dataset, data_dir, run_dir, _ = aids_like_run
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["command"] == "cv"
-    assert manifest["dataset"] == dataset.name
+    assert manifest["resolved_config"]["dataset"] == dataset.name
     assert manifest["dataset_checksum"] == dataset_checksum(data_dir,
                                                             dataset.name)
     assert manifest["outputs"]

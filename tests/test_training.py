@@ -452,13 +452,16 @@ def test_split_pins_openblas_to_one_thread_and_restores_it(split_setup,
         assert _real_blas_threads() == before
         assert len(calls) == 5 and {c[2] for c in calls} == {1}
 
-        # the widest graphs are sub-batches of their own, scored on the pool
+        # a graph wider than the node memory is refused before the pool
+        # scores any sub-batch
         narrow = dataclasses.replace(mcfg, max_nodes=8)
         narrow_params = init_params(narrow, np.random.default_rng(0))
         with pytest.raises(ConfigurationError,
-                           match="batch width 9 exceeds memory width 8"):
+                           match="graph 0 has 9 nodes, more than the node "
+                                 "memory's max_nodes=8"):
             T.score_graphs(narrow_params, narrow, graphs)
         assert _real_blas_threads() == before
+        assert len(calls) == 5
 
 
 def test_no_openblas_means_no_pool_and_no_pin(split_setup, monkeypatch):
@@ -560,7 +563,8 @@ def test_capped_chunks_cover_every_graph_once_within_both_limits(
         mp.setattr(T, "ragged_batch", recording)
         mp.setattr(T, "score_batch",
                    lambda params, cfg, batch: np.zeros(len(batch)))
-        T.score_graphs(*chunk_model, graphs)
+        params, mcfg = chunk_model
+        T.score_graphs(params, dataclasses.replace(mcfg, max_nodes=30), graphs)
 
     # each batch is the next slice of the size order
     assert [[i for sub in batch for i in sub] for batch in plan] == [
@@ -621,7 +625,13 @@ def test_a_graph_wider_than_the_node_memory_raises_the_same_error_capped(
     uncapped = message()
     monkeypatch.setattr(T, "MAX_ROWS", 8)       # the 9-node graph alone
     monkeypatch.setattr(blas, "threads", lambda: 2)
-    assert message() == uncapped == "batch width 9 exceeds memory width 8"
+    assert message() == uncapped == (
+        "graph 1 has 9 nodes, more than the node memory's max_nodes=8")
+    # a model without a node memory has no width to exceed
+    no_node = dataclasses.replace(narrow, variant="no_node")
+    scores = T.score_graphs(init_params(no_node, np.random.default_rng(0)),
+                            no_node, graphs)
+    assert np.all(np.isfinite(scores))
 
 
 # ---------------------------------------------------------------------------
