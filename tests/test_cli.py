@@ -601,6 +601,12 @@ def test_a_manifest_lists_exactly_its_run_directory(disk_dataset, tmp_path,
     assert len(manifest["outputs"]) == len(set(manifest["outputs"]))
     assert set(os.listdir(run_dir)) == set(manifest["outputs"]) | {"manifest.json"}
     assert {f for f in os.listdir(run_dir) if f.startswith("folds")} == folds_files
+    # each setting is stated once: in resolved_config, and in a report's config
+    assert not set(manifest) & set(manifest["resolved_config"])
+    for name in manifest["outputs"]:
+        if name.startswith("report") and name.endswith(".json"):
+            report = json.loads((run_dir / name).read_text())
+            assert not set(report) & set(report["config"]), name
     if (run_dir / "index.json").is_file():
         cells = json.loads((run_dir / "index.json").read_text())["cells"]
         assert {c["folds"] for c in cells} == folds_files
@@ -611,26 +617,6 @@ def test_a_manifest_lists_exactly_its_run_directory(disk_dataset, tmp_path,
                                         2, 0, report["config"]["tau"]),
                              expected)
             assert (run_dir / cell["folds"]).read_bytes() == expected.read_bytes()
-
-
-@pytest.mark.parametrize("command", [
-    ["cv"], ["sweep", "contamination", "--tau", "0,50"],
-    ["sweep", "memory", "--p", "1..2", "--q", "1,3"],
-    ["sweep", "ablation", "--variant", "full,gae_only"]])
-def test_a_run_states_each_setting_once(disk_dataset, tmp_path, capsys,
-                                        command):
-    assert main(command + ["--dataset", "ERS", "--data-dir", str(disk_dataset),
-                           "--folds", "2", "--epochs", "1",
-                           "--out-dir", str(tmp_path)]) == 0
-    (run_dir,) = tmp_path.iterdir()
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert not set(manifest) & set(manifest["resolved_config"])
-    reports = [n for n in manifest["outputs"]
-               if n.startswith("report") and n.endswith(".json")]
-    assert reports
-    for name in reports:
-        report = json.loads((run_dir / name).read_text())
-        assert not set(report) & set(report["config"]), name
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,20 @@ def test_split_pins_openblas_to_one_thread_and_restores_it(split_setup,
         assert _real_blas_threads() == before
         assert len(calls) == 5
 
+        # an error a sub-batch raises on the pool leaves score_graphs, and
+        # OpenBLAS gets its thread count back
+        with pytest.raises(ConfigurationError,
+                           match="attribute dim 3 does not match"):
+            T.score_graphs(params, mcfg, _with_three_attributes(graphs, 9))
+        assert _real_blas_threads() == before
+
+
+def _with_three_attributes(graphs, size):
+    """`graphs`, those of `size` nodes given three attribute columns."""
+    return [Graph(adjacency=g.adjacency, attributes=np.ones((size, 3)),
+                  label=g.label, node_count=size, graph_id=g.graph_id)
+            if g.node_count == size else g for g in graphs]
+
 
 def test_no_openblas_means_no_pool_and_no_pin(split_setup, monkeypatch):
     params, mcfg, graphs = split_setup
@@ -627,6 +641,23 @@ def test_a_graph_wider_than_the_node_memory_raises_the_same_error_capped(
     monkeypatch.setattr(blas, "threads", lambda: 2)
     assert message() == uncapped == (
         "graph 1 has 9 nodes, more than the node memory's max_nodes=8")
+    # a sub-batch that fails, here the 9-node graph alone, raises the same
+    # error from the pool as it does serially
+    wide = T.make_model_config(TrainConfig(**SMALL), 2, 9)
+    wide_params = init_params(wide, np.random.default_rng(0))
+    pools, errors = _record_pools(monkeypatch), []
+    for threads in (1, 2):
+        monkeypatch.setattr(blas, "threads", lambda: threads)
+        with pytest.raises(ConfigurationError) as info:
+            T.score_graphs(wide_params, wide, _with_three_attributes(graphs, 9))
+        errors.append(str(info.value))
+    assert pools == [2]
+    assert errors[0] == errors[1] == (
+        "attribute dim 3 does not match encoder input dim 2")
+    # training reads the node memory directly, so it stops at the batch check
+    with pytest.raises(ConfigurationError,
+                       match="batch width 9 exceeds memory width 8"):
+        T.train(graphs, TrainConfig(**SMALL), max_nodes=8)
     # a model without a node memory has no width to exceed
     no_node = dataclasses.replace(narrow, variant="no_node")
     scores = T.score_graphs(init_params(no_node, np.random.default_rng(0)),
