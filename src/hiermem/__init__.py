@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .data import (FoldSplit, Graph, GraphDataset, degree_features,
-                   inject_contamination, label_anomalies, make_er_dataset,
-                   make_folds, pad_batch, parse_tudataset, write_tudataset)
+                   label_anomalies, make_er_dataset, make_folds, pad_batch,
+                   parse_tudataset, write_tudataset)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
 from .evaluation import EvalReport, evaluate_auc, run_cv
@@ -16,7 +16,7 @@ __all__ = [
     "__version__",
     "Graph", "GraphDataset", "FoldSplit",
     "parse_tudataset", "write_tudataset", "degree_features", "label_anomalies",
-    "make_folds", "inject_contamination", "pad_batch", "make_er_dataset",
+    "make_folds", "pad_batch", "make_er_dataset",
     "ModelConfig", "ModelParams", "init_params", "normalize_adjacency",
     "save_params", "load_params",
     "TrainConfig", "train", "score_graphs",

@@ -91,7 +91,6 @@ def parse_float_list(text: str) -> list[float]:
         raise ConfigurationError(f"bad number list {text!r}") from None
 
 
-
 def _fmt(value) -> str:
     if isinstance(value, list):
         return ",".join(_fmt(v) for v in value)
@@ -115,22 +114,26 @@ FIELDS: dict[str, Field] = {f.name: f for f in [
     Field("data-dir", str, "data", "directory holding dataset directories"),
     Field("folds", parse_int, 5, "number of cross-validation folds",
           at_least=2),
-    Field("seed", parse_int, 0, "run seed; fold f trains under seed+f",
+    Field("seed", parse_int, TrainConfig.seed,
+          "run seed; fold f trains under seed+f", at_least=0),
+    Field("epochs", parse_int, TrainConfig.epochs, "training epochs per fold",
           at_least=0),
-    Field("epochs", parse_int, 100, "training epochs per fold", at_least=0),
-    Field("lr", parse_float, 1e-3, "Adam learning rate", above=0),
-    Field("batch-size", parse_int, 300, "training batch size", at_least=1),
-    Field("alpha", parse_float, 0.01, "entropy term weight in the training loss",
-          at_least=0),
-    Field("shrink-lambda", parse_float, 0.01, "attention hard-shrink threshold",
-          at_least=0, below=1),
-    Field("p", parse_int_list, [3], "node memory block count(s), e.g. 3 or 1..6",
+    Field("lr", parse_float, TrainConfig.learning_rate, "Adam learning rate",
+          above=0),
+    Field("batch-size", parse_int, TrainConfig.batch_size, "training batch size",
           at_least=1),
-    Field("q", parse_int_list, [3], "graph memory block count(s)", at_least=1),
+    Field("alpha", parse_float, TrainConfig.alpha,
+          "entropy term weight in the training loss", at_least=0),
+    Field("shrink-lambda", parse_float, TrainConfig.shrink_lambda,
+          "attention hard-shrink threshold", at_least=0, below=1),
+    Field("p", parse_int_list, [TrainConfig.num_node_memory],
+          "node memory block count(s), e.g. 3 or 1..6", at_least=1),
+    Field("q", parse_int_list, [TrainConfig.num_graph_memory],
+          "graph memory block count(s)", at_least=1),
     Field("tau", parse_float_list, [0.0],
           "contamination rate(s): percent of each fold's held-out anomaly "
           "pool moved into its training set", at_least=0, at_most=100),
-    Field("variant", parse_str_list, ["full"],
+    Field("variant", parse_str_list, [TrainConfig.variant],
           "model variant(s): " + ", ".join(VARIANTS)),
     Field("jobs", parse_int, 1,
           "worker processes for fold-parallel training; each inherits the "
@@ -150,16 +153,14 @@ _COMMON = ["dataset", "data-dir", "folds", "seed", "epochs", "lr",
 _GRADCHECK = ["eps", "seeds", "seed", "out-dir"]
 
 
-def _attr(name: str) -> str:
-    return name.replace("-", "_")
-
-
 def read_config_file(path, allowed: list[str]) -> dict[str, str]:
-    """Flat `key=value` lines; keys mirror flag names; # starts a comment."""
+    """Flat `key=value` lines; keys mirror flag names, each set at most
+    once; # starts a comment."""
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {p}")
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(p.read_text().splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -173,7 +174,10 @@ def read_config_file(path, allowed: list[str]) -> dict[str, str]:
         if key not in allowed:
             raise ConfigurationError(
                 f"{p}:{lineno}: key {key!r} does not apply to this command")
-        values[key] = raw.strip()
+        if key in values:
+            raise ConfigurationError(f"{p}: key {key!r} is set on lines "
+                                     f"{first_line[key]} and {lineno}")
+        values[key], first_line[key] = raw.strip(), lineno
     return values
 
 
@@ -215,7 +219,7 @@ def resolve_fields(args: argparse.Namespace,
     provenance: dict[str, str] = {}
     for name in names:
         field = FIELDS[name]
-        flag_val = getattr(args, _attr(name), None)
+        flag_val = getattr(args, name.replace("-", "_"), None)
         if flag_val is not None:
             values[name] = _parse_field(field, flag_val, f"--{name}")
             provenance[name] = "flag"
@@ -236,14 +240,6 @@ def _add_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
         field = FIELDS[name]
         parser.add_argument(f"--{name}", type=str, default=None,
                             help=field.help + f" (default: {_fmt(field.default)})")
-
-
-def _single(values: dict, key: str):
-    v = values[key]
-    if len(v) != 1:
-        raise ConfigurationError(
-            f"--{key} takes a single value here, got {_fmt(v)}")
-    return v[0]
 
 
 def build_train_config(values: dict, p: int, q: int, variant: str) -> TrainConfig:
@@ -300,7 +296,10 @@ def sweep_cells(protocol: str, values: dict) -> list[tuple]:
     built, and so checked, here.
     """
     def one(key: str):
-        return _single(values, key)
+        if len(values[key]) != 1:
+            raise ConfigurationError(
+                f"--{key} takes a single value here, got {_fmt(values[key])}")
+        return values[key][0]
 
     if protocol in ("cv", "contamination"):
         config = build_train_config(values, one("p"), one("q"), one("variant"))
@@ -329,7 +328,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     command = "cv" if args.protocol == "cv" else f"sweep {args.protocol}"
     out_dir = (Path(values["out-dir"]) / f"{command.replace(' ', '-')}-"
                f"{values['dataset']}-s{values['seed']}")
-    k, seed = values["folds"], values["seed"]
+    k = values["folds"]
     # the folds depend on tau alone, so each distinct tau writes one file
     taus = dict.fromkeys(cell[0] for cell in cells)
     folds_file = {t: "folds.csv" if len(taus) == 1 else f"folds-tau{_fmt(t)}.csv"
@@ -337,7 +336,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     outputs: list[str] = []
     index: list[dict] = []
     for tau, config, suffix, label, fields in cells:
-        report = run_cv(dataset, config, k, seed, tau=tau, jobs=values["jobs"])
+        report = run_cv(dataset, config, k, tau=tau, jobs=values["jobs"])
         out_dir.mkdir(parents=True, exist_ok=True)
         names = [f"report{suffix}.json", f"report{suffix}.csv",
                  f"history-report{suffix}.csv"]
@@ -345,7 +344,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_report_csv(report, out_dir / names[1])
         write_history_csv(report, out_dir / names[2])
         if folds_file[tau] not in outputs:
-            export_folds_csv(make_folds(dataset, k, seed, tau),
+            export_folds_csv(make_folds(dataset, k, config.seed, tau),
                              out_dir / folds_file[tau])
             names.append(folds_file[tau])
         outputs += names
@@ -376,10 +375,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     results = check_suite(seeds=range(base, base + values["seeds"]),
                           eps=values["eps"])
     cases: dict[str, dict] = {}
+    # a case's results come in ascending seed order: a tie keeps the lowest
     for r in results:
         entry = cases.setdefault(r.name, {"max_rel_err": 0.0, "passed": True,
-                                          "per_param": {}})
-        entry["max_rel_err"] = max(entry["max_rel_err"], r.max_rel_err)
+                                          "per_param": {}, "worst_seed": r.seed})
+        if r.max_rel_err > entry["max_rel_err"]:
+            entry["max_rel_err"], entry["worst_seed"] = r.max_rel_err, r.seed
         entry["passed"] = entry["passed"] and r.passed
         for pname, err in r.per_param.items():
             entry["per_param"][pname] = max(entry["per_param"].get(pname, 0.0),

@@ -15,7 +15,7 @@ import os
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -199,6 +199,10 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
     if not indicator.size:
         raise DatasetParseError(f"{indicator_path}: no nodes listed")
     raw_labels = _read_rows(labels_path, np.int64, 1)[:, 0]
+    try:
+        labels = label_anomalies(raw_labels.tolist())
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{labels_path}: {e}") from None
     num_graphs = len(raw_labels)
     cover = f"graph ids must cover 1..{num_graphs} (one label line per graph)"
     stray = (indicator < 1) | (indicator > num_graphs)
@@ -280,7 +284,6 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
 
     # the checks above prove Graph's: nodes in every graph, symmetric (n, n)
     # adjacency without self-loops, n finite attribute rows, 0/1 labels
-    labels = label_anomalies(raw_labels.tolist())
     cells, starts = cells.tolist(), starts.tolist()
     graphs = [_proven_graph(adjacency=flat[cells[g]:cells[g + 1]].reshape(n, n),
                             attributes=attributes[starts[g]:starts[g + 1]],
@@ -346,11 +349,14 @@ def make_folds(dataset: GraphDataset, k: int, seed: int,
     Each class is shuffled and dealt into k contiguous chunks; remainder
     chunks rotate across classes so fold sizes stay balanced. Training sets
     hold the non-test normal graphs; non-test anomalies form the fold's
-    contamination pool. Fold f's seed is seed + f, under which tau% of its
-    pool moves into its training set (`inject_contamination`).
+    contamination pool. Fold f's seed is seed + f, under which floor(tau% of
+    its pool) anomalies, drawn without replacement, move into its training
+    set; the test set is untouched.
     """
     if k < 2:
         raise ConfigurationError(f"need k >= 2 folds, got {k}")
+    if not 0.0 <= tau <= 100.0:
+        raise ConfigurationError(f"tau must be in [0, 100], got {tau}")
     by_class: dict[int, list[Graph]] = {0: [], 1: []}
     for g in dataset.graphs:
         by_class[g.label].append(g)
@@ -379,31 +385,15 @@ def make_folds(dataset: GraphDataset, k: int, seed: int,
         test_ids = {g.graph_id for g in test_sets[f]}
         train = [g for g in by_class[0] if g.graph_id not in test_ids]
         pool = [g for g in by_class[1] if g.graph_id not in test_ids]
-        split = FoldSplit(train_graphs=train, test_graphs=test_sets[f],
-                          contamination_pool=pool, fold_index=f, seed=seed + f)
-        folds.append(inject_contamination(split, tau, split.seed))
+        chosen = np.random.default_rng(seed + f).choice(
+            len(pool), size=math.floor(tau * len(pool) / 100.0), replace=False)
+        picked = {pool[i].graph_id for i in chosen}
+        train += [pool[i] for i in chosen]
+        pool = [g for g in pool if g.graph_id not in picked]
+        folds.append(FoldSplit(train_graphs=train, test_graphs=test_sets[f],
+                               contamination_pool=pool, fold_index=f,
+                               seed=seed + f))
     return folds
-
-
-def inject_contamination(split: FoldSplit, tau_percent: float,
-                         seed: int) -> FoldSplit:
-    """Move floor(tau% of the contamination pool) anomalies into training.
-
-    Sampling is without replacement under `seed`; the test set is untouched.
-    """
-    if not 0.0 <= tau_percent <= 100.0:
-        raise ConfigurationError(f"tau must be in [0, 100], got {tau_percent}")
-    pool = split.contamination_pool
-    count = math.floor(tau_percent * len(pool) / 100.0)
-    if count == 0:
-        return split
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pool), size=count, replace=False)
-    picked = [pool[i] for i in chosen]
-    picked_ids = {g.graph_id for g in picked}
-    return replace(
-        split, train_graphs=list(split.train_graphs) + picked,
-        contamination_pool=[g for g in pool if g.graph_id not in picked_ids])
 
 
 @contextmanager

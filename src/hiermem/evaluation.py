@@ -1,7 +1,8 @@
 """AUC scoring, cross-validation, and the report writers.
 
-Every fold owns its seed (`FoldSplit.seed`), parameters, and optimizer
-state, so folds can train in separate processes without changing any result:
+A run's one seed is its `TrainConfig.seed`: it draws the split, and fold f
+owns seed + f (`FoldSplit.seed`), its parameters and its optimizer state, so
+folds can train in separate processes without changing any result:
 reports are bit-identical for any --jobs value at one BLAS thread count.
 `cv` and each sweep protocol are a list of cells, each one `run_cv` call
 (`cli.sweep_cells`).
@@ -29,9 +30,9 @@ SCHEMA_VERSION = 2
 @dataclass
 class EvalReport:
     """One cross-validation: its settings, each stated once in `config` (every
-    `TrainConfig` field plus dataset, folds, seed and tau), and its results.
-    `config["seed"]` is the run seed: fold f trains under seed + f, and
-    `run_cv` does not read `TrainConfig.seed`."""
+    `TrainConfig` field plus dataset, folds and tau), and its results.
+    `config["seed"]` is the run's `TrainConfig.seed`: it drives the split,
+    and fold f contaminates and trains under seed + f."""
     config: dict
     per_fold_auc: list[float]
     mean_auc: float
@@ -85,17 +86,17 @@ def _run_fold(split: FoldSplit, config: TrainConfig, feature_dim: int,
     return evaluate_auc(scores, labels), triples, history
 
 
-def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
+def run_cv(dataset: GraphDataset, config: TrainConfig, k: int,
            tau: float = 0.0, jobs: int = 1) -> EvalReport:
     """k-fold cross-validation: train on normals, score the mixed test fold.
 
-    `seed` drives the fold split; each fold, contaminated by tau% of its
-    anomaly pool, trains under its own seed (`make_folds`).
+    `config.seed` drives the fold split; each fold, contaminated by tau% of
+    its anomaly pool, trains under its own seed (`make_folds`).
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     t0 = time.perf_counter()
-    folds = make_folds(dataset, k, seed, tau)
+    folds = make_folds(dataset, k, config.seed, tau)
     run = functools.partial(_run_fold, config=config,
                             feature_dim=dataset.attribute_dim,
                             n_max=dataset.n_max)
@@ -110,7 +111,7 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int, seed: int,
 
     return EvalReport(
         config={**dataclasses.asdict(config), "dataset": dataset.name,
-                "folds": k, "seed": seed, "tau": tau},
+                "folds": k, "tau": tau},
         per_fold_auc=list(per_fold),
         mean_auc=float(np.mean(per_fold)),
         std_auc=float(np.std(per_fold)),

@@ -268,10 +268,6 @@ def _attend_graph(h_graph: Tensor, memory: Tensor, lam: float):
 
 
 def _attend_nodes(h_nodes: Tensor, memory: Tensor, runs, lam: float):
-    width = max(size for _, size in runs)
-    if width > memory.data.shape[1]:
-        raise ConfigurationError(
-            f"batch width {width} exceeds memory width {memory.data.shape[1]}")
     # a graph of n nodes reads the first n rows of every block
     return _attend(h_nodes, memory, runs, lam)
 

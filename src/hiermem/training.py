@@ -78,14 +78,14 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 300
     learning_rate: float = 1e-3
-    alpha: float = 0.01
-    shrink_lambda: float = 0.01
-    num_node_memory: int = 3
-    num_graph_memory: int = 3
-    hidden_dim: int = 512
-    latent_dim: int = 256
+    alpha: float = ModelConfig.alpha
+    shrink_lambda: float = ModelConfig.shrink_lambda
+    num_node_memory: int = ModelConfig.num_node_memory
+    num_graph_memory: int = ModelConfig.num_graph_memory
+    hidden_dim: int = ModelConfig.hidden_dim
+    latent_dim: int = ModelConfig.latent_dim
     seed: int = 0
-    variant: str = "full"
+    variant: str = ModelConfig.variant
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -109,6 +109,15 @@ def make_model_config(config: TrainConfig, feature_dim: int,
                        max_nodes=max_nodes,
                        shrink_lambda=config.shrink_lambda, alpha=config.alpha,
                        variant=config.variant)
+
+
+def _check_width(graphs: list[Graph], cfg: ModelConfig) -> None:
+    """Refuse, by id, a graph wider than the node memory."""
+    widest = max(graphs, key=lambda g: g.node_count)
+    if cfg.uses_node_memory and widest.node_count > cfg.max_nodes:
+        raise ConfigurationError(
+            f"graph {widest.graph_id} has {widest.node_count} nodes, more than "
+            f"the node memory's max_nodes={cfg.max_nodes}")
 
 
 def _plan(graphs: list[Graph], batch_size: int) -> list[list[list[int]]]:
@@ -151,7 +160,8 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     Returns the trained parameters and one history row per epoch (mean loss
     components over the epoch's graphs). Fixed seed means bit-identical
     history. max_nodes sizes the node memory bank; pass the dataset-wide
-    maximum when test graphs can be larger than any training graph.
+    maximum when test graphs can be larger than any training graph; a
+    training graph wider than it is refused, by id, before any step.
     """
     _keep_heap()
     if not train_graphs:
@@ -161,6 +171,7 @@ def train(train_graphs: list[Graph], config: TrainConfig,
     if max_nodes is None:
         max_nodes = max(g.node_count for g in train_graphs)
     cfg = make_model_config(config, feature_dim, max_nodes)
+    _check_width(train_graphs, cfg)
 
     rng = np.random.default_rng(config.seed)
     params = init_params(cfg, rng, dtype=np.float32)
@@ -225,11 +236,7 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     _keep_heap()
     if not graphs:
         return np.zeros(0)
-    widest = max(graphs, key=lambda g: g.node_count)
-    if cfg.uses_node_memory and widest.node_count > cfg.max_nodes:
-        raise ConfigurationError(
-            f"graph {widest.graph_id} has {widest.node_count} nodes, more than "
-            f"the node memory's max_nodes={cfg.max_nodes}")
+    _check_width(graphs, cfg)
     scores = np.zeros(len(graphs))
     dtype = params.enc1.data.dtype
 

@@ -106,7 +106,7 @@ def test_criterion_3_memorization():
 def test_criterion_4_synthetic_separation():
     dataset = make_er_dataset(100, 40, seed=0)
     t0 = time.perf_counter()
-    report = ev.run_cv(dataset, TrainConfig(), k=5, seed=0)
+    report = ev.run_cv(dataset, TrainConfig(), k=5)
     elapsed = time.perf_counter() - t0
     ok = report.mean_auc >= 0.90 and elapsed < 300.0
     verdict(4, ok, f"5-fold mean AUC {report.mean_auc:.4f} "
@@ -144,7 +144,7 @@ def _load_benchmark(num, name):
 @pytest.fixture(scope="module")
 def aids_full_cv():
     dataset = _load_benchmark("5/7/8", "AIDS")
-    return dataset, ev.run_cv(dataset, TrainConfig(), k=5, seed=0)
+    return dataset, ev.run_cv(dataset, TrainConfig(), k=5)
 
 
 def test_criterion_5_aids_reproduction(aids_full_cv):
@@ -157,7 +157,7 @@ def test_criterion_5_aids_reproduction(aids_full_cv):
 
 def test_criterion_6_bzr_reproduction():
     dataset = _load_benchmark(6, "BZR")
-    report = ev.run_cv(dataset, TrainConfig(), k=5, seed=0)
+    report = ev.run_cv(dataset, TrainConfig(), k=5)
     verdict(6, report.mean_auc >= 0.60,
             f"BZR 5-fold mean AUC {report.mean_auc:.4f} "
             f"+/- {report.std_auc:.4f} (need >= 0.60), "
@@ -166,7 +166,7 @@ def test_criterion_6_bzr_reproduction():
 
 def test_criterion_7_ablation_ordering(aids_full_cv):
     dataset, full_report = aids_full_cv
-    gae = ev.run_cv(dataset, TrainConfig(variant="gae_only"), k=5, seed=0)
+    gae = ev.run_cv(dataset, TrainConfig(variant="gae_only"), k=5)
     ok = gae.mean_auc >= 0.90 and full_report.mean_auc >= gae.mean_auc - 0.02
     verdict(7, ok, f"AIDS gae_only {gae.mean_auc:.4f} (need >= 0.90), "
             f"full {full_report.mean_auc:.4f} "
@@ -175,7 +175,7 @@ def test_criterion_7_ablation_ordering(aids_full_cv):
 
 def test_criterion_8_contamination_robustness(aids_full_cv):
     dataset, clean = aids_full_cv
-    contaminated = ev.run_cv(dataset, TrainConfig(), k=5, seed=0, tau=8.0)
+    contaminated = ev.run_cv(dataset, TrainConfig(), k=5, tau=8.0)
     gap = abs(clean.mean_auc - contaminated.mean_auc)
     verdict(8, gap <= 0.05,
             f"AIDS mean AUC tau=0: {clean.mean_auc:.4f}, "
@@ -232,9 +232,9 @@ def test_criterion_9_invariant_suite():
 
     # seed reproducibility end to end
     tc = TrainConfig(epochs=2, batch_size=8, hidden_dim=8, latent_dim=5,
-                     num_node_memory=2, num_graph_memory=2, seed=0)
-    r1 = ev.run_cv(dataset, tc, k=2, seed=5)
-    r2 = ev.run_cv(dataset, tc, k=2, seed=5)
+                     num_node_memory=2, num_graph_memory=2, seed=5)
+    r1 = ev.run_cv(dataset, tc, k=2)
+    r2 = ev.run_cv(dataset, tc, k=2)
     checks.append(r1.per_graph_scores == r2.per_graph_scores)
 
     verdict(9, all(checks),

@@ -160,6 +160,39 @@ def test_every_module_level_name_and_import_is_read():
     assert unused == [], f"imports their module never reads: {unused}"
 
 
+# parameters the package accepts and ignores, each with its reason
+IGNORED_PARAMETERS = {
+    # perfbench/test_perfbench.py passes it; a change to the benchmark
+    # deletes both
+    "training.py: score_graphs(batch_size)",
+}
+
+
+def test_every_parameter_is_read_in_its_own_body():
+    # a parameter no body reads is a knob that silently does nothing
+    sources, trees = _package_and_benchmark()
+    ignored = set()
+    for p in sources:
+        for node in ast.walk(trees[p]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if x is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            # names alone: an attribute such as `config.seed` reads no
+            # parameter called seed
+            read = {n.id for b in body for n in ast.walk(b)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            name = getattr(node, "name", f"<lambda at line {node.lineno}>")
+            ignored |= {f"{p.name}: {name}({x})" for x in params if x not in read}
+    assert ignored == IGNORED_PARAMETERS, (
+        f"parameters their function never reads: "
+        f"{sorted(ignored - IGNORED_PARAMETERS)}; listed but now read: "
+        f"{sorted(IGNORED_PARAMETERS - ignored)}")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -249,6 +282,7 @@ def test_a_bad_scalar_flag_is_named_before_the_data_is_read(tmp_path, capsys,
     ("tau=-1", "key 'tau' must be >= 0, got -1.0"),
     ("shrink-lambda=1", "key 'shrink-lambda' must be < 1, got 1.0"),
     ("variant=full,no_node,full", "key 'variant' lists full more than once"),
+    ("epochs=1\nepochs=0", "key 'epochs' is set on lines 2 and 3"),
 ])
 def test_a_bad_scalar_config_key_is_named(tmp_path, capsys, line, named):
     cfg = tmp_path / "run.cfg"
@@ -569,16 +603,24 @@ def test_gradcheck_failure_exit_code(tmp_path, capsys, monkeypatch):
     from hiermem import gradcheck as gc
 
     def fake_suite(seeds, eps):
-        return [gc.CheckResult("relu", 0, 0.5, False, {"a": 0.5})]
+        errs = {"relu": (0.1, 0.5, 0.5), "sigmoid": (0.0, 0.0, 0.0)}
+        return [gc.CheckResult(name, s, err, err < 0.2, {"a": err})
+                for name, per_seed in errs.items()
+                for s, err in zip(seeds, per_seed)]
 
     monkeypatch.setattr(cli, "check_suite", fake_suite)
-    code = main(["gradcheck", "--seeds", "1", "--out-dir", str(tmp_path)])
+    code = main(["gradcheck", "--seed", "4", "--seeds", "3",
+                 "--out-dir", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
     assert "FAILED: relu" in captured.err
-    kept = json.loads((tmp_path / "gradcheck-s0" / "gradcheck.json").read_text())
+    kept = json.loads((tmp_path / "gradcheck-s4" / "gradcheck.json").read_text())
     assert kept == json.loads(captured.out)
     assert kept["all_passed"] is False
+    # the worst seed reruns the failure alone; a tie names the lowest seed
+    assert kept["cases"]["relu"] == {"max_rel_err": 0.5, "passed": False,
+                                     "per_param": {"a": 0.5}, "worst_seed": 5}
+    assert kept["cases"]["sigmoid"]["worst_seed"] == 4
 
 
 @pytest.mark.parametrize("command", [

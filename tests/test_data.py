@@ -1,5 +1,6 @@
 """Dataset parsing, labeling, folds, contamination, batching."""
 
+import math
 import pickle
 import re
 import tempfile
@@ -170,6 +171,16 @@ def test_parse_rejects_gapped_graph_ids(tmp_path):
         "".join(f"{g}\n" for g in (1, 1, 1, 3, 3, 3, 3, 3)))
     with pytest.raises(DatasetParseError, match="cover"):
         dt.parse_tudataset(tmp_path, "TOY")
+
+
+def test_parse_names_the_labels_file_of_a_single_class_corpus(tmp_path):
+    d = write_tud_files(tmp_path, "TOY")
+    labels = d / "TOY_graph_labels.txt"
+    labels.write_text("1\n1\n1\n")
+    with pytest.raises(ConfigurationError) as e:
+        dt.parse_tudataset(tmp_path, "TOY")
+    assert str(e.value) == (f"{labels}: dataset has a single class; anomaly "
+                            "labeling needs at least two")
 
 
 def test_parse_rejects_attribute_row_count_mismatch(tmp_path):
@@ -624,45 +635,44 @@ def test_make_folds_rejects_small_class(toy_dataset):
 # ---------------------------------------------------------------------------
 # contamination
 
-def _fold(toy_dataset):
-    return dt.make_folds(toy_dataset, k=3, seed=0)[0]
+def _ids(graphs):
+    return [g.graph_id for g in graphs]
 
 
 def test_contamination_count_uses_floor(toy_dataset):
-    split = _fold(toy_dataset)
-    pool = split.contamination_pool
-    assert len(pool) == 4
-    out = dt.inject_contamination(split, tau_percent=26.0, seed=0)
+    clean = dt.make_folds(toy_dataset, k=3, seed=0)[0]
+    assert len(clean.contamination_pool) == 4
+    out = dt.make_folds(toy_dataset, k=3, seed=0, tau=26.0)[0]
     # floor(0.26 * 4) = 1
-    assert len(out.train_graphs) == len(split.train_graphs) + 1
+    assert len(out.train_graphs) == len(clean.train_graphs) + 1
     assert len(out.contamination_pool) == 3
 
 
 def test_contamination_zero_and_full(toy_dataset):
-    split = _fold(toy_dataset)
-    pool = split.contamination_pool
-    zero = dt.inject_contamination(split, tau_percent=0.0, seed=0)
-    assert [g.graph_id for g in zero.train_graphs] == \
-        [g.graph_id for g in split.train_graphs]
-    full = dt.inject_contamination(split, tau_percent=100.0, seed=0)
-    assert len(full.train_graphs) == len(split.train_graphs) + len(pool)
-    assert full.contamination_pool == []
+    clean = dt.make_folds(toy_dataset, k=3, seed=0)
+    zero = dt.make_folds(toy_dataset, k=3, seed=0, tau=0.0)
+    full = dt.make_folds(toy_dataset, k=3, seed=0, tau=100.0)
+    for c, z, f in zip(clean, zero, full):
+        for field in ("train_graphs", "test_graphs", "contamination_pool"):
+            assert _ids(getattr(z, field)) == _ids(getattr(c, field))
+        assert (sorted(_ids(f.train_graphs)) ==
+                sorted(_ids(c.train_graphs + c.contamination_pool)))
+        assert f.contamination_pool == []
 
 
 def test_contamination_leaves_test_untouched_and_samples_without_replacement(toy_dataset):
-    split = _fold(toy_dataset)
-    out = dt.inject_contamination(split, 100.0, seed=3)
-    assert [g.graph_id for g in out.test_graphs] == \
-        [g.graph_id for g in split.test_graphs]
-    added = [g.graph_id for g in out.train_graphs[len(split.train_graphs):]]
-    assert len(added) == len(set(added))
+    clean = dt.make_folds(toy_dataset, k=3, seed=3)
+    for c, out in zip(clean, dt.make_folds(toy_dataset, k=3, seed=3, tau=100.0)):
+        assert _ids(out.test_graphs) == _ids(c.test_graphs)
+        assert _ids(out.train_graphs[:len(c.train_graphs)]) == _ids(c.train_graphs)
+        added = _ids(out.train_graphs[len(c.train_graphs):])
+        assert len(added) == len(set(added)) == len(c.contamination_pool)
 
 
 def test_contamination_rejects_bad_tau(toy_dataset):
-    split = _fold(toy_dataset)
     for tau in (-1.0, 101.0):
-        with pytest.raises(ConfigurationError):
-            dt.inject_contamination(split, tau, seed=0)
+        with pytest.raises(ConfigurationError, match="tau must be in"):
+            dt.make_folds(toy_dataset, k=3, seed=0, tau=tau)
 
 
 def test_make_folds_contaminates_each_fold_under_its_own_seed(toy_dataset):
@@ -670,13 +680,17 @@ def test_make_folds_contaminates_each_fold_under_its_own_seed(toy_dataset):
     for tau in (0.0, 50.0, 100.0):
         for split, base in zip(dt.make_folds(toy_dataset, k=3, seed=5, tau=tau),
                                clean):
-            assert split.seed == base.seed == 5 + split.fold_index
-            want = dt.inject_contamination(base, tau, seed=5 + split.fold_index)
-            for field in ("train_graphs", "test_graphs", "contamination_pool"):
-                assert ([g.graph_id for g in getattr(split, field)]
-                        == [g.graph_id for g in getattr(want, field)])
-    with pytest.raises(ConfigurationError, match="tau"):
-        dt.make_folds(toy_dataset, k=3, seed=5, tau=101.0)
+            f = split.fold_index
+            assert split.seed == base.seed == 5 + f
+            pool = base.contamination_pool
+            count = math.floor(tau * len(pool) / 100.0)
+            chosen = (np.random.default_rng(5 + f).choice(
+                len(pool), size=count, replace=False) if count else [])
+            picked = [pool[i] for i in chosen]
+            assert _ids(split.train_graphs) == _ids(base.train_graphs + picked)
+            assert _ids(split.test_graphs) == _ids(base.test_graphs)
+            assert _ids(split.contamination_pool) == [
+                gid for gid in _ids(pool) if gid not in _ids(picked)]
 
 
 def test_export_folds_csv(toy_dataset, tmp_path):

@@ -99,7 +99,7 @@ def er_dataset():
 
 def test_run_cv_report_invariants(er_dataset):
     cfg = TrainConfig(seed=0, **SMALL)
-    rep = ev.run_cv(er_dataset, cfg, k=3, seed=0)
+    rep = ev.run_cv(er_dataset, cfg, k=3)
     assert rep.config["folds"] == 3 and len(rep.per_fold_auc) == 3
     assert rep.mean_auc == pytest.approx(np.mean(rep.per_fold_auc), abs=1e-12)
     assert rep.std_auc == pytest.approx(np.std(rep.per_fold_auc), abs=1e-12)
@@ -109,30 +109,37 @@ def test_run_cv_report_invariants(er_dataset):
     assert scored == sorted(g.graph_id for g in er_dataset.graphs)
     assert rep.wall_clock_seconds > 0
     assert rep.config == {**dataclasses.asdict(cfg), "dataset": er_dataset.name,
-                          "folds": 3, "seed": 0, "tau": 0.0}
+                          "folds": 3, "tau": 0.0}
     assert len(rep.fold_histories) == 3
     assert all(len(h) == SMALL["epochs"] for h in rep.fold_histories)
 
 
+def test_run_cv_splits_and_trains_under_the_config_seed(er_dataset):
+    reports = {s: ev.run_cv(er_dataset, TrainConfig(seed=s, **SMALL), k=3)
+               for s in (0, 5)}
+    assert [r.config["seed"] for r in reports.values()] == [0, 5]
+    assert reports[0].per_graph_scores != reports[5].per_graph_scores
+
+
 def test_run_cv_deterministic(er_dataset):
-    cfg = TrainConfig(seed=0, **SMALL)
-    r1 = ev.run_cv(er_dataset, cfg, k=3, seed=1)
-    r2 = ev.run_cv(er_dataset, cfg, k=3, seed=1)
+    cfg = TrainConfig(seed=1, **SMALL)
+    r1 = ev.run_cv(er_dataset, cfg, k=3)
+    r2 = ev.run_cv(er_dataset, cfg, k=3)
     assert r1.per_fold_auc == r2.per_fold_auc
     assert r1.per_graph_scores == r2.per_graph_scores
 
 
 def test_run_cv_tau_zero_identical_to_no_contamination(er_dataset):
-    cfg = TrainConfig(seed=0, **SMALL)
-    r0 = ev.run_cv(er_dataset, cfg, k=3, seed=2, tau=0.0)
-    r1 = ev.run_cv(er_dataset, cfg, k=3, seed=2)
+    cfg = TrainConfig(seed=2, **SMALL)
+    r0 = ev.run_cv(er_dataset, cfg, k=3, tau=0.0)
+    r1 = ev.run_cv(er_dataset, cfg, k=3)
     assert r0.per_graph_scores == r1.per_graph_scores
 
 
 def test_run_cv_parallel_matches_serial(er_dataset):
-    cfg = TrainConfig(seed=0, **SMALL)
-    serial = ev.run_cv(er_dataset, cfg, k=3, seed=3, jobs=1)
-    parallel = ev.run_cv(er_dataset, cfg, k=3, seed=3, jobs=3)
+    cfg = TrainConfig(seed=3, **SMALL)
+    serial = ev.run_cv(er_dataset, cfg, k=3, jobs=1)
+    parallel = ev.run_cv(er_dataset, cfg, k=3, jobs=3)
     assert serial.per_fold_auc == parallel.per_fold_auc
     assert serial.per_graph_scores == parallel.per_graph_scores
 
@@ -141,7 +148,7 @@ def test_run_cv_parallel_matches_serial(er_dataset):
 def test_run_cv_rejects_a_job_count_below_one(er_dataset, jobs):
     cfg = TrainConfig(seed=0, **SMALL)
     with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
-        ev.run_cv(er_dataset, cfg, k=3, seed=0, jobs=jobs)
+        ev.run_cv(er_dataset, cfg, k=3, jobs=jobs)
 
 
 def sweep_values(protocol, *flags):
@@ -156,7 +163,7 @@ def run_sweep(dataset, protocol, *flags, k):
     small = {key: v for key, v in SMALL.items()
              if key not in ("num_node_memory", "num_graph_memory")}
     return [(fields, ev.run_cv(dataset, dataclasses.replace(config, **small),
-                               k=k, seed=0, tau=tau))
+                               k=k, tau=tau))
             for tau, config, _, _, fields in
             cli.sweep_cells(protocol, sweep_values(protocol, *flags))]
 
@@ -169,7 +176,7 @@ def test_contamination_sweep_orders_and_validates(er_dataset):
         sweep_values("contamination", "--tau", "0,120")
     cfg = TrainConfig(seed=0, **SMALL)
     with pytest.raises(ConfigurationError, match="tau must be in"):
-        ev.run_cv(er_dataset, cfg, k=3, seed=0, tau=120.0)
+        ev.run_cv(er_dataset, cfg, k=3, tau=120.0)
 
 
 def test_memory_sweep_grid_shape(er_dataset):
@@ -186,7 +193,7 @@ def test_memory_sweep_grid_shape(er_dataset):
 
 def test_ablation_sets_variant(er_dataset):
     cfg = TrainConfig(seed=0, variant="gae_only", **SMALL)
-    rep = ev.run_cv(er_dataset, cfg, k=2, seed=0)
+    rep = ev.run_cv(er_dataset, cfg, k=2)
     assert rep.config["variant"] == "gae_only"
 
 
@@ -196,7 +203,7 @@ def test_ablation_sets_variant(er_dataset):
 @pytest.fixture(scope="module")
 def small_report(er_dataset):
     cfg = TrainConfig(seed=0, **SMALL)
-    return ev.run_cv(er_dataset, cfg, k=2, seed=0)
+    return ev.run_cv(er_dataset, cfg, k=2)
 
 
 def test_report_json_round_trip(small_report, tmp_path):

@@ -221,8 +221,11 @@ def test_node_attend_crops_wide_memory_exactly():
 
 
 def test_node_attend_rejects_oversized_batch():
+    # `train` and `score_graphs` refuse such a graph by id first; below them
+    # the cosine op still refuses a batch wider than the memory
     mem = np.zeros((2, 3, 2))
-    with pytest.raises(ConfigurationError, match="width"):
+    with pytest.raises(ValueError,
+                       match="a graph of 5 nodes exceeds memory width 3"):
         _node_attention(np.zeros((5, 2)), mem, lam=0.0)
 
 
