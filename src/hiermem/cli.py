@@ -20,7 +20,6 @@ configuration or unreadable data.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,12 +27,12 @@ from typing import Callable
 
 from . import __version__, blas, training
 from .data import (atomic_open, dataset_checksum, export_folds_csv,
-                   make_er_dataset, make_folds, parse_tudataset)
+                   make_er_dataset, make_folds, parse_tudataset, write_json)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
 from .evaluation import (run_cv, write_history_csv, write_report_csv,
                          write_report_json)
-from .gradcheck import DEFAULT_TOL, check_suite
+from .gradcheck import DEFAULT_TOL, EPS, check_suite
 from .model import VARIANTS
 from .training import TrainConfig
 
@@ -141,8 +140,6 @@ FIELDS: dict[str, Field] = {f.name: f for f in [
           "OPENBLAS_NUM_THREADS=1 with it (README 'Reproducibility')",
           at_least=1),
     Field("out-dir", str, "runs", "directory for run outputs"),
-    Field("eps", parse_float, 1e-5, "finite-difference step (gradcheck)",
-          above=0),
     Field("seeds", parse_int, 10, "number of random seeds (gradcheck)",
           at_least=1),
 ]}
@@ -150,7 +147,7 @@ FIELDS: dict[str, Field] = {f.name: f for f in [
 _COMMON = ["dataset", "data-dir", "folds", "seed", "epochs", "lr",
            "batch-size", "alpha", "shrink-lambda", "p", "q", "tau", "variant",
            "jobs", "out-dir"]
-_GRADCHECK = ["eps", "seeds", "seed", "out-dir"]
+_GRADCHECK = ["seeds", "seed", "out-dir"]
 
 
 def read_config_file(path, allowed: list[str]) -> dict[str, str]:
@@ -281,9 +278,7 @@ def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
         "blas_threads": blas.threads() or "unknown",
         "heap_kept": training._keep_heap(),
     }
-    with atomic_open(out_dir / "manifest.json") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def sweep_cells(protocol: str, values: dict) -> list[tuple]:
@@ -357,10 +352,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"  fold {f}: auc={auc:.4f}")
 
     if args.protocol != "cv":
-        with atomic_open(out_dir / "index.json") as fh:
-            json.dump({"protocol": args.protocol, "cells": index}, fh,
-                      sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(out_dir / "index.json",
+                   {"protocol": args.protocol, "cells": index})
         outputs.append("index.json")
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     outputs.append("resolved.cfg")
@@ -372,33 +365,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     values, provenance = resolve_fields(args, _GRADCHECK)
     base = values["seed"]
-    results = check_suite(seeds=range(base, base + values["seeds"]),
-                          eps=values["eps"])
-    cases: dict[str, dict] = {}
-    # a case's results come in ascending seed order: a tie keeps the lowest
-    for r in results:
-        entry = cases.setdefault(r.name, {"max_rel_err": 0.0, "passed": True,
-                                          "per_param": {}, "worst_seed": r.seed})
-        if r.max_rel_err > entry["max_rel_err"]:
-            entry["max_rel_err"], entry["worst_seed"] = r.max_rel_err, r.seed
-        entry["passed"] = entry["passed"] and r.passed
-        for pname, err in r.per_param.items():
-            entry["per_param"][pname] = max(entry["per_param"].get(pname, 0.0),
-                                            err)
-    payload = {"eps": values["eps"], "seeds": values["seeds"],
+    verdicts = check_suite(range(base, base + values["seeds"]))
+    cases = {v.name: {"max_rel_err": v.max_rel_err, "passed": v.passed,
+                      "per_param": v.per_param, "worst_seed": v.worst_seed}
+             for v in verdicts}
+    payload = {"eps": EPS, "seeds": values["seeds"],
                "base_seed": base, "tolerance": DEFAULT_TOL, "cases": cases,
-               "all_passed": all(c["passed"] for c in cases.values())}
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+               "all_passed": all(v.passed for v in verdicts)}
     out_dir = Path(values["out-dir"]) / f"gradcheck-s{base}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_dir / "gradcheck.json") as fh:
-        fh.write(text + "\n")
+    print(write_json(out_dir / "gradcheck.json", payload))
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     write_manifest(out_dir, "gradcheck", values, provenance, "",
                    ["gradcheck.json", "resolved.cfg"])
     if not payload["all_passed"]:
-        offenders = [n for n, c in cases.items() if not c["passed"]]
+        offenders = [v.name for v in verdicts if not v.passed]
         print("FAILED: " + ", ".join(sorted(offenders)), file=sys.stderr)
         return 1
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import os
 import warnings
@@ -414,6 +415,15 @@ def atomic_open(path, newline: str | None = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> str:
+    """Write `obj` to `path` through `atomic_open` as JSON with sorted keys,
+    indented by two, and a trailing newline; returns the text without it."""
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    with atomic_open(path) as fh:
+        fh.write(text + "\n")
+    return text
 
 
 def export_folds_csv(folds: list[FoldSplit], path) -> None:

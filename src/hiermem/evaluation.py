@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FoldSplit, GraphDataset, atomic_open, make_folds
+from .data import (FoldSplit, GraphDataset, atomic_open, make_folds,
+                   write_json)
 from .errors import ConfigurationError
 from .training import (HISTORY_FIELDS, TrainConfig, make_model_config,
                        score_graphs, train)
@@ -125,10 +125,8 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int,
 # serialization
 
 def write_report_json(report: EvalReport, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump({**dataclasses.asdict(report), "schema_version": SCHEMA_VERSION},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {**dataclasses.asdict(report),
+                      "schema_version": SCHEMA_VERSION})
 
 
 def write_report_csv(report: EvalReport, path) -> None:

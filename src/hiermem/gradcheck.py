@@ -20,7 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-DEFAULT_EPS = 1e-5
+# the finite-difference step every check takes
+EPS = 1e-5
 DEFAULT_TOL = 1e-4
 KINK_MARGIN = 1e-3
 # both-gradients-vanish band: central differences bottom out at rounding
@@ -31,24 +32,26 @@ _MAX_REDRAWS = 16
 
 @dataclass
 class CheckCase:
-    params: list[Tensor]
-    param_names: list[str]
+    params: dict[str, Tensor]
     fn: Callable[[], Tensor]
     guard: Callable[[], bool] | None = None
 
 
 @dataclass
 class CheckResult:
+    """A case's verdict over one or more seeds: its largest error, the
+    lowest seed that gave it, each parameter's largest error, and whether
+    every seed passed."""
     name: str
-    seed: int
+    worst_seed: int
     max_rel_err: float
     passed: bool
     per_param: dict[str, float]
 
 
-def grad_check(fn: Callable[[], Tensor], params: list[Tensor],
-               eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Max relative error per parameter between tape and central differences.
+def grad_check(fn: Callable[[], Tensor], params: list[Tensor]) -> np.ndarray:
+    """Max relative error per parameter between tape and central differences
+    of step EPS.
 
     Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator so
     near-zero gradients compare on absolute terms.
@@ -72,12 +75,12 @@ def grad_check(fn: Callable[[], Tensor], params: list[Tensor],
             an = analytic[k].reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + eps
+                flat[i] = orig + EPS
                 f_hi = float(fn().data)
-                flat[i] = orig - eps
+                flat[i] = orig - EPS
                 f_lo = float(fn().data)
                 flat[i] = orig
-                numeric = (f_hi - f_lo) / (2.0 * eps)
+                numeric = (f_hi - f_lo) / (2.0 * EPS)
                 if max(abs(an[i]), abs(numeric)) < ZERO_BAND:
                     continue
                 denom = max(abs(an[i]), abs(numeric), 1e-8)
@@ -124,11 +127,12 @@ def _case(shapes: dict[str, tuple], op: Callable,
     """
     def build(rng: np.random.Generator) -> CheckCase:
         fixed = [consts(rng)] if consts is not None else []
-        leaves = [_leaf(rng, shape) for shape in shapes.values()]
+        leaves = {name: _leaf(rng, shape) for name, shape in shapes.items()}
         proj = _projector(rng)
         return CheckCase(
-            leaves, list(shapes), lambda: proj(op(*fixed, *leaves)),
-            guard and (lambda: guard(*fixed, *(t.data for t in leaves))))
+            leaves, lambda: proj(op(*fixed, *leaves.values())),
+            guard and (lambda: guard(*fixed,
+                                     *(t.data for t in leaves.values()))))
 
     return build
 
@@ -251,11 +255,10 @@ def _full_loss_case(rng: np.random.Generator) -> CheckCase:
                     _min_graph_norm(out.h_nodes.data, batch.node_counts))
         return min(margins) > KINK_MARGIN and norms > 1e-2
 
-    return CheckCase(params.tensors(), params.tensor_names(), fn, guard)
+    return CheckCase(dict(params.named_tensors()), fn, guard)
 
 
-def run_case(name: str, builder: Callable, seed: int,
-             eps: float = DEFAULT_EPS) -> CheckResult:
+def run_case(name: str, builder: Callable, seed: int) -> CheckResult:
     """Build a case at `seed`, redrawing past kinks, then finite-difference it."""
     for attempt in range(_MAX_REDRAWS):
         rng = np.random.default_rng(seed + 9973 * attempt)
@@ -270,26 +273,29 @@ def run_case(name: str, builder: Callable, seed: int,
             continue
         if case.guard is not None and not case.guard():
             continue
-        errs = grad_check(case.fn, case.params, eps=eps)
-        per_param = {n_: float(e) for n_, e in zip(case.param_names, errs)}
+        errs = grad_check(case.fn, list(case.params.values()))
+        per_param = {n_: float(e) for n_, e in zip(case.params, errs)}
         worst = float(errs.max()) if errs.size else 0.0
         return CheckResult(name, seed, worst, worst < DEFAULT_TOL, per_param)
     raise RuntimeError(f"could not draw smooth inputs for {name} after "
                        f"{_MAX_REDRAWS} attempts")
 
 
-def check_suite(seeds=range(10), eps: float = DEFAULT_EPS,
-                names: list[str] | None = None) -> list[CheckResult]:
-    """Run every registered case, or those in `names`, across `seeds`;
-    returns one result per pair."""
+def check_suite(seeds, names: list[str] | None = None) -> list[CheckResult]:
+    """Run every registered case, or those in `names`, at each of `seeds`;
+    returns one verdict per case, over all its seeds."""
     cases = {**PRIMITIVE_CASES, "full_loss": _full_loss_case}
     if names is not None:
         unknown = set(names) - set(cases)
         if unknown:
             raise ValueError(f"unknown gradcheck cases: {sorted(unknown)}")
         cases = {k: cases[k] for k in names}
-    results = []
+    verdicts = []
     for name, builder in cases.items():
-        for seed in seeds:
-            results.append(run_case(name, builder, int(seed), eps=eps))
-    return results
+        runs = [run_case(name, builder, int(seed)) for seed in seeds]
+        worst = max(runs, key=lambda r: (r.max_rel_err, -r.worst_seed))
+        verdicts.append(CheckResult(
+            name, worst.worst_seed, worst.max_rel_err,
+            all(r.passed for r in runs),
+            {p: max(r.per_param[p] for r in runs) for p in worst.per_param}))
+    return verdicts

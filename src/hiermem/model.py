@@ -100,9 +100,6 @@ class ModelParams:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]
 
-    def tensor_names(self) -> list[str]:
-        return [n for n, _ in self.named_tensors()]
-
     def detached(self) -> "ModelParams":
         """The same arrays as constants: a forward over them records no tape."""
         return dataclasses.replace(
@@ -111,12 +108,13 @@ class ModelParams:
 
 @dataclass
 class BatchLosses:
-    """Per-graph loss terms as tape tensors, each shaped (B,)."""
+    """Per-graph loss terms as tape tensors, each shaped (B,); the total
+    first, as in a training history row."""
+    total: Tensor
     rec_structure: Tensor
     rec_attribute: Tensor
     approximation: Tensor
     entropy: Tensor
-    total: Tensor
 
 
 @dataclass(eq=False)

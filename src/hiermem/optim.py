@@ -81,7 +81,7 @@ def _update(value: np.ndarray, grad: np.ndarray, state: AdamState,
 class Adam:
     """Tracks state for a fixed parameter list; params keep their identity."""
     params: list[Tensor]
-    lr: float = 1e-3
+    lr: float
     states: list[AdamState] = field(init=False)
     scratch: dict = field(init=False, repr=False)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,12 +26,12 @@ from . import autodiff as ad
 from . import blas
 from .data import Graph
 from .errors import ConfigurationError, TrainingDiverged
-from .model import (ModelConfig, ModelParams, batch_losses, forward_batch,
-                    init_params, ragged_batch, score_batch)
+from .model import (BatchLosses, ModelConfig, ModelParams, batch_losses,
+                    forward_batch, init_params, ragged_batch, score_batch)
 from .optim import Adam
 
-HISTORY_FIELDS = ("epoch", "total", "rec_structure", "rec_attribute",
-                  "approximation", "entropy")
+# a history row: the epoch, then each loss term's mean over its graphs
+HISTORY_FIELDS = ("epoch",) + tuple(f.name for f in fields(BatchLosses))
 
 # most node rows a forward pass holds: a training batch runs as sub-batches
 # of at most this many rows whose gradients add up, and scoring cuts its
@@ -101,14 +101,11 @@ class TrainConfig:
 
 def make_model_config(config: TrainConfig, feature_dim: int,
                       max_nodes: int) -> ModelConfig:
-    """The ModelConfig a training run with these knobs operates under."""
-    return ModelConfig(feature_dim=feature_dim, hidden_dim=config.hidden_dim,
-                       latent_dim=config.latent_dim,
-                       num_node_memory=config.num_node_memory,
-                       num_graph_memory=config.num_graph_memory,
-                       max_nodes=max_nodes,
-                       shrink_lambda=config.shrink_lambda, alpha=config.alpha,
-                       variant=config.variant)
+    """The ModelConfig a training run with these knobs operates under: each
+    field `config` shares with it, plus the data's widths."""
+    shared = {f.name: getattr(config, f.name)
+              for f in fields(ModelConfig) if hasattr(config, f.name)}
+    return ModelConfig(feature_dim=feature_dim, max_nodes=max_nodes, **shared)
 
 
 def _check_width(graphs: list[Graph], cfg: ModelConfig) -> None:

@@ -1,17 +1,36 @@
 """Shared fixtures: small graphs, a toy dataset on disk, tiny configs."""
 
+import ctypes
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hiermem import blas
 from hiermem.data import Graph, GraphDataset
 from hiermem.model import ModelConfig, init_params, ragged_batch
 from hiermem.training import TrainConfig
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def pytest_report_header(config):
+    """The BLAS that ran: numpy's build names one kernel, while OpenBLAS
+    picks its own at load time from the CPU and OPENBLAS_CORETYPE."""
+    build = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    core = "unknown"
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            core = lib.scipy_openblas_get_corename64_().decode()
+            break
+    return (f"numpy {np.__version__}, OpenBLAS {build.get('version')} "
+            f"(build: {build.get('openblas configuration', '?')}), "
+            f"runtime core {core}, {blas.threads() or 'unknown'} BLAS threads")
 
 
 def aids_corpus():

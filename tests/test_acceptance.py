@@ -35,15 +35,16 @@ def verdict(num, ok, detail):
 
 def test_criterion_1_gradient_oracle():
     t0 = time.perf_counter()
-    assert gc.DEFAULT_TOL == 1e-4
-    results = gc.check_suite(seeds=range(10), eps=1e-5)
+    assert gc.EPS == 1e-5 and gc.DEFAULT_TOL == 1e-4
+    # one verdict per case, over every one of seeds 0-9
+    verdicts = gc.check_suite(seeds=range(10))
     elapsed = time.perf_counter() - t0
-    worst = max(r.max_rel_err for r in results)
-    names = {r.name for r in results}
+    worst = max(v.max_rel_err for v in verdicts)
+    names = {v.name for v in verdicts}
     assert "full_loss" in names and len(names) == len(gc.PRIMITIVE_CASES) + 1
-    ok = all(r.passed for r in results) and elapsed < 60.0
-    verdict(1, ok, f"{len(results)} checks, worst rel err {worst:.2e} "
-            f"(tol 1e-4), {elapsed:.1f}s")
+    ok = all(v.passed for v in verdicts) and elapsed < 60.0
+    verdict(1, ok, f"{len(verdicts)} cases x 10 seeds, worst rel err "
+            f"{worst:.2e} (tol 1e-4), {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

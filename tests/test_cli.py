@@ -234,7 +234,7 @@ def test_a_bad_config_fails_before_the_data_is_read(tmp_path, capsys):
     (["cv", "--dataset", "synthetic-er", "--jobs", "two"], "--jobs"),
     (["cv", "--dataset", "synthetic-er", "--seed", "-1"], "--seed"),
     (["gradcheck", "--seeds", "x"], "--seeds"),
-    (["gradcheck", "--eps", "0"], "--eps must be > 0"),
+    (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["cv", "--dataset", "X", "--lr", "nan"], "--lr must be > 0"),
     (["cv", "--dataset", "X", "--folds", "0"], "--folds must be >= 2"),
     (["cv", "--dataset", "X", "--folds", "1"], "--folds must be >= 2"),
@@ -387,6 +387,16 @@ def test_cv_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("not-a-flag=1\n")
     assert main(["cv", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_an_old_gradcheck_config_setting_the_step_is_refused(tmp_path, capsys):
+    # the finite-difference step is gradcheck.EPS; a resolved.cfg written
+    # while it was a flag still holds it
+    cfg = tmp_path / "resolved.cfg"
+    cfg.write_text(f"eps=1e-05\nseeds=1\nseed=0\nout-dir={tmp_path}\n")
+    assert main(["gradcheck", "--config", str(cfg)]) == 2
+    assert f"{cfg}:1: unknown key 'eps'" in capsys.readouterr().err
+    assert not (tmp_path / "gradcheck-s0").exists()
 
 
 def test_cv_folds_csv_records_what_each_fold_trained_on(disk_dataset, tmp_path,
@@ -602,22 +612,25 @@ def test_gradcheck_failure_exit_code(tmp_path, capsys, monkeypatch):
 
     from hiermem import gradcheck as gc
 
-    def fake_suite(seeds, eps):
-        errs = {"relu": (0.1, 0.5, 0.5), "sigmoid": (0.0, 0.0, 0.0)}
-        return [gc.CheckResult(name, s, err, err < 0.2, {"a": err})
-                for name, per_seed in errs.items()
-                for s, err in zip(seeds, per_seed)]
+    asked = []
+
+    def fake_suite(seeds):
+        asked.append(list(seeds))
+        return [gc.CheckResult("relu", 5, 0.5, False, {"a": 0.5}),
+                gc.CheckResult("sigmoid", 4, 0.0, True, {"a": 0.0})]
 
     monkeypatch.setattr(cli, "check_suite", fake_suite)
     code = main(["gradcheck", "--seed", "4", "--seeds", "3",
                  "--out-dir", str(tmp_path)])
     assert code == 1
+    assert asked == [[4, 5, 6]]
     captured = capsys.readouterr()
     assert "FAILED: relu" in captured.err
     kept = json.loads((tmp_path / "gradcheck-s4" / "gradcheck.json").read_text())
     assert kept == json.loads(captured.out)
     assert kept["all_passed"] is False
-    # the worst seed reruns the failure alone; a tie names the lowest seed
+    assert kept["eps"] == gc.EPS
+    # each case's verdict is check_suite's, key for key
     assert kept["cases"]["relu"] == {"max_rel_err": 0.5, "passed": False,
                                      "per_param": {"a": 0.5}, "worst_seed": 5}
     assert kept["cases"]["sigmoid"]["worst_seed"] == 4

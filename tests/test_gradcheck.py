@@ -145,18 +145,45 @@ def test_fault_injection_in_matmul_detected(monkeypatch):
     assert not results[0].passed
 
 
-def test_check_suite_runs_ten_seeds_quickly():
-    results = gc.check_suite(seeds=range(10), names=["add", "sigmoid"])
-    assert len(results) == 20
-    assert all(r.passed for r in results)
+def test_check_suite_runs_ten_seeds_quickly(monkeypatch):
+    run_case, ran = gc.run_case, []
+
+    def recording(name, builder, seed):
+        ran.append((name, seed))
+        return run_case(name, builder, seed)
+
+    monkeypatch.setattr(gc, "run_case", recording)
+    verdicts = gc.check_suite(seeds=range(10), names=["add", "sigmoid"])
+    assert ran == [(n, s) for n in ("add", "sigmoid") for s in range(10)]
+    assert [v.name for v in verdicts] == ["add", "sigmoid"]
+    assert all(v.passed for v in verdicts)
 
 
 def test_run_case_reports_per_param_errors():
-    res = gc.run_case("matmul", gc.PRIMITIVE_CASES["matmul"], seed=3,
-                      eps=gc.DEFAULT_EPS)
+    res = gc.run_case("matmul", gc.PRIMITIVE_CASES["matmul"], seed=3)
     assert res.per_param
     assert res.max_rel_err == pytest.approx(max(res.per_param.values()))
-    assert res.seed == 3
+    assert res.worst_seed == 3
+
+
+def test_a_verdict_names_the_worst_seed_and_each_parameters_largest_error(
+        monkeypatch):
+    # per seed: (a's error, b's error); relu's worst, 0.5, comes at seeds 5
+    # and 6, and sigmoid's errors are all zero
+    errs = {"relu": {4: (0.1, 0.05), 5: (0.5, 0.1), 6: (0.2, 0.5)},
+            "sigmoid": {4: (0.0, 0.0), 5: (0.0, 0.0), 6: (0.0, 0.0)}}
+
+    def fake_case(name, builder, seed):
+        a, b = errs[name][seed]
+        return gc.CheckResult(name, seed, max(a, b), max(a, b) < 0.2,
+                              {"a": a, "b": b})
+
+    monkeypatch.setattr(gc, "run_case", fake_case)
+    # the seeds in any order: a tie goes to the lowest
+    relu, sigmoid = gc.check_suite(seeds=[6, 4, 5], names=["relu", "sigmoid"])
+    assert relu == gc.CheckResult("relu", 5, 0.5, False, {"a": 0.5, "b": 0.5})
+    assert sigmoid == gc.CheckResult("sigmoid", 4, 0.0, True,
+                                     {"a": 0.0, "b": 0.0})
 
 
 @pytest.mark.parametrize("name", sorted(gc.PRIMITIVE_CASES))

@@ -434,8 +434,8 @@ def test_every_variant_names_its_tensors_in_param_shapes_order(
     M.save_params(path, params, cfg)
     with np.load(path, allow_pickle=False) as z:
         saved = [k for k in z.files if k != "__config__"]
-    assert params.tensor_names() == names
-    assert M.load_params(path)[0].tensor_names() == names
+    assert [n for n, _ in params.named_tensors()] == names
+    assert [n for n, _ in M.load_params(path)[0].named_tensors()] == names
     assert saved == names
 
 

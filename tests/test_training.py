@@ -209,7 +209,7 @@ def test_float32_step_keeps_loss_tape_gradients_and_moments_float32(toy_dataset)
     nodes = _tape_nodes(loss)
     assert len(nodes) > 30
     assert {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
-    opt = Adam(params.tensors())
+    opt = Adam(params.tensors(), lr=1e-3)
     ad.backward(loss)
     opt.step()
     assert {p.grad.dtype for p in params.tensors()} == {np.dtype(np.float32)}
