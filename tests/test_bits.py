@@ -4,9 +4,13 @@
 trained parameters' bytes, of the per-epoch history rows and of the per-graph
 scores, along with the numpy and OpenBLAS versions that produced them. The
 test recomputes every case in one subprocess under a forced OpenBLAS kernel
-and one BLAS thread, because both change the bits of a GEMM. A change that
-means to keep the numerics leaves the file alone; one that means to change
-them rewrites it and lists the changed cases:
+and one BLAS thread, because both change the bits of a GEMM. Some cases are
+twins that must give equal digests: a corpus written to disk and parsed back
+(bool adjacency; degree columns built by the parser when the attribute file
+is left out) against the corpus as constructed, and a cross-validation run
+with two fold workers against the serial run. A change that means to keep
+the numerics leaves the file alone; one that means to change them rewrites
+it and lists the changed cases:
 
     PYTHONPATH=src python tests/test_bits.py --write
 """
@@ -18,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,12 @@ ROOT = LEDGER.parent.parent
 PINNED_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 # every case trains fold 0 of 5 under seed 0, then scores its test graphs
 EPOCHS, BATCH, FOLDS = 2, 80, 5
+# case -> the case whose digests it must equal
+TWINS = {
+    "aids-like-600-7-parsed/full": "aids-like-600-7/full",
+    "synthetic-er-parsed/full": "synthetic-er/full",
+    "synthetic-er/cv-jobs2": "synthetic-er/cv",
+}
 
 
 def versions() -> dict[str, str]:
@@ -60,6 +71,27 @@ def _case(dataset, variant: str) -> dict[str, str]:
     }
 
 
+def _cv(dataset, jobs: int) -> dict[str, str]:
+    """The per-graph scores of a `full` cross-validation over all folds."""
+    from hiermem.evaluation import run_cv
+    from hiermem.training import TrainConfig
+
+    config = TrainConfig(epochs=EPOCHS, batch_size=BATCH, seed=0)
+    report = run_cv(dataset, config, FOLDS, jobs=jobs)
+    return {"scores": _sha(json.dumps(report.per_graph_scores).encode())}
+
+
+def _reparsed(dataset, root: Path, attributes: bool = True):
+    """`dataset` written in the TUDataset layout and parsed back; without
+    its attribute file the parser builds the degree columns."""
+    from hiermem.data import parse_tudataset, write_tudataset
+
+    write_tudataset(dataset, root)
+    if not attributes:
+        (root / dataset.name / f"{dataset.name}_node_attributes.txt").unlink()
+    return parse_tudataset(root, dataset.name)
+
+
 def compute() -> dict:
     """Every case's digests; run under `PINNED_ENV` (see `recompute`)."""
     sys.path.insert(0, str(ROOT / "tests"))
@@ -68,10 +100,19 @@ def compute() -> dict:
 
     er = make_er_dataset(100, 40, seed=0)
     aids = aids_corpus().make_aids_like(600, 7)
+    with tempfile.TemporaryDirectory() as tmp:
+        aids_parsed = _reparsed(aids, Path(tmp))
+        er_parsed = _reparsed(er, Path(tmp), attributes=False)
     return {**versions(), "cases": {
         "synthetic-er/full": _case(er, "full"),
         "synthetic-er/gae_only": _case(er, "gae_only"),
+        "synthetic-er/no_node": _case(er, "no_node"),
+        "synthetic-er/no_graph": _case(er, "no_graph"),
+        "synthetic-er-parsed/full": _case(er_parsed, "full"),
         "aids-like-600-7/full": _case(aids, "full"),
+        "aids-like-600-7-parsed/full": _case(aids_parsed, "full"),
+        "synthetic-er/cv": _cv(er, jobs=1),
+        "synthetic-er/cv-jobs2": _cv(er, jobs=2),
     }}
 
 
@@ -96,8 +137,10 @@ def test_training_and_scoring_keep_the_ledgers_bits():
         pytest.skip(f"ledger written with numpy {ledger['numpy']} and OpenBLAS "
                     f"{ledger['openblas']}; this is numpy {here['numpy']} and "
                     f"OpenBLAS {here['openblas']}")
-    got = recompute()
-    assert got["cases"] == ledger["cases"]
+    got = recompute()["cases"]
+    for case, twin in TWINS.items():
+        assert got[case] == got[twin], f"{case} differs from {twin}"
+    assert got == ledger["cases"]
 
 
 if __name__ == "__main__":
