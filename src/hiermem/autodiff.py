@@ -446,25 +446,21 @@ def matrix_cosine(h, m, runs) -> Tensor:
         norms.append((nh, nm, den))
 
     def bw():
-        gh = np.empty(h.data.shape, h.data.dtype) if h.requires_grad else None
-        gm = np.zeros_like(m.data) if m.requires_grad else None
+        gh = np.empty(h.data.shape, h.data.dtype)
+        gm = np.zeros_like(m.data)
         for (graphs, rows, _, count, size), (nh, nm, den) in zip(spans, norms):
             hf = h.data[rows].reshape(count, size * D)
             mf = m.data[:, :size].reshape(P, size * D)
             g, cos = out.grad[graphs], out_data[graphs]
             a_coef = g / den
-            if gh is not None:
-                c = (g * cos * nm[None, :] / den).sum(axis=1)
-                ghf = a_coef @ mf - (c / np.where(nh > 0, nh, 1.0))[:, None] * hf
-                gh[rows] = ghf.reshape(count * size, D)
-            if gm is not None:
-                c = (g * cos * nh[:, None] / den).sum(axis=0)
-                gmf = a_coef.T @ hf - (c / np.where(nm > 0, nm, 1.0))[:, None] * mf
-                gm[:, :size] += gmf.reshape(P, size, D)
-        if gh is not None:
-            _accumulate(h, gh)
-        if gm is not None:
-            _accumulate(m, gm)
+            c = (g * cos * nm[None, :] / den).sum(axis=1)
+            ghf = a_coef @ mf - (c / np.where(nh > 0, nh, 1.0))[:, None] * hf
+            gh[rows] = ghf.reshape(count * size, D)
+            c = (g * cos * nh[:, None] / den).sum(axis=0)
+            gmf = a_coef.T @ hf - (c / np.where(nm > 0, nm, 1.0))[:, None] * mf
+            gm[:, :size] += gmf.reshape(P, size, D)
+        _accumulate(h, gh)
+        _accumulate(m, gm)
 
     out = _make(out_data, (h, m), bw)
     return out
@@ -490,18 +486,14 @@ def block_readout(w, m, runs) -> Tensor:
                   out=out_data[rows].reshape(count, size * D))
 
     def bw():
-        gw = np.empty(w.data.shape, w.data.dtype) if w.requires_grad else None
-        gm = np.zeros_like(m.data) if m.requires_grad else None
+        gw = np.empty(w.data.shape, w.data.dtype)
+        gm = np.zeros_like(m.data)
         for graphs, rows, _, count, size in spans:
             g = out.grad[rows].reshape(count, size * D)
-            if gw is not None:
-                gw[graphs] = g @ m.data[:, :size].reshape(P, size * D).T
-            if gm is not None:
-                gm[:, :size] += (w.data[graphs].T @ g).reshape(P, size, D)
-        if gw is not None:
-            _accumulate(w, gw)
-        if gm is not None:
-            _accumulate(m, gm)
+            gw[graphs] = g @ m.data[:, :size].reshape(P, size * D).T
+            gm[:, :size] += (w.data[graphs].T @ g).reshape(P, size, D)
+        _accumulate(w, gw)
+        _accumulate(m, gm)
 
     out = _make(out_data, (w, m), bw)
     return out

@@ -443,22 +443,14 @@ def export_folds_csv(folds: list[FoldSplit], path) -> None:
 # batching
 
 def pad_batch(graphs: list[Graph], n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The graphs' adjacency (B, n_max, n_max) and attribute (B, n_max, d)
-    stacks, zero beyond each graph's own nodes. Batches call it once per
-    node count, at that width."""
+    """The adjacency (B, n_max, n_max) and attribute (B, n_max, d) stacks of
+    a run of graphs of exactly `n_max` nodes, in the graphs' own dtypes."""
     for g in graphs:
-        if g.node_count > n_max:
+        if g.node_count != n_max:
             raise StructuralError(f"graph {g.graph_id}: {g.node_count} nodes "
-                                  f"exceed batch width {n_max}")
-    b = len(graphs)
-    d = graphs[0].attributes.shape[1] if graphs else 0
-    adj = np.zeros((b, n_max, n_max))
-    attr = np.zeros((b, n_max, d))
-    for i, g in enumerate(graphs):
-        n = g.node_count
-        adj[i, :n, :n] = g.adjacency
-        attr[i, :n, :] = g.attributes
-    return adj, attr
+                                  f"in a run of {n_max}")
+    return (np.stack([g.adjacency for g in graphs]),
+            np.stack([g.attributes for g in graphs]))
 
 
 # ---------------------------------------------------------------------------

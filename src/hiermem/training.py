@@ -226,9 +226,9 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     one thread, are scored on a pool of that many threads with OpenBLAS on
     one thread per sub-batch; smaller inputs are scored one sub-batch after
     another with OpenBLAS as it is, which is faster below that size
-    (CHANGES.md). `batch_size` is ignored: it is still accepted for callers
-    written against the signature that took it. A graph wider than the node
-    memory is refused, by id, before any sub-batch is scored.
+    (CHANGES.md). `batch_size` is ignored: perfbench/test_perfbench.py:108
+    still passes it, and ROADMAP item 5a deletes both. A graph wider than
+    the node memory is refused, by id, before any sub-batch is scored.
     """
     _keep_heap()
     if not graphs:

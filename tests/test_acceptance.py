@@ -21,7 +21,7 @@ from hiermem.data import (Graph, make_er_dataset, make_folds, parse_tudataset)
 from hiermem.errors import DatasetParseError
 from hiermem.training import TrainConfig
 
-from conftest import ragged
+from conftest import pairwise_auc, ragged
 
 
 def verdict(num, ok, detail):
@@ -49,15 +49,6 @@ def test_criterion_1_gradient_oracle():
 
 # ---------------------------------------------------------------------------
 # 2. AUC oracle equivalence
-
-def pairwise_auc(scores, labels):
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = 0.0
-    for p in pos:
-        wins += (p > neg).sum() + 0.5 * (p == neg).sum()
-    return wins / (len(pos) * len(neg))
-
 
 def test_criterion_2_auc_oracle_equivalence():
     rng = np.random.default_rng(0)

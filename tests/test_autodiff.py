@@ -21,25 +21,6 @@ def leaf(x):
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
 
 
-def fd_grad(fn, params, eps=1e-6):
-    """Central-difference gradients of a scalar-valued fn, as a test oracle."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(fn().data)
-            flat[i] = orig - eps
-            lo = float(fn().data)
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * eps)
-        grads.append(g)
-    return grads
-
-
 # ---------------------------------------------------------------------------
 # the op set
 
@@ -522,6 +503,27 @@ def test_block_readout_crops_every_block_to_the_graph():
     np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("op", [ad.matrix_cosine, ad.block_readout])
+def test_a_constant_memory_bank_ends_with_no_gradient(op):
+    rng = np.random.default_rng(26)
+    m = rng.normal(size=(4, 5, 2))
+    # node rows in, one cosine per graph and block out; or per-graph weights
+    # in, node rows out
+    if op is ad.matrix_cosine:
+        x, r = rng.normal(size=(sum(SIZES), 2)), rng.normal(size=(len(SIZES), 4))
+    else:
+        x, r = rng.random((len(SIZES), 4)), rng.normal(size=(sum(SIZES), 2))
+    grads = []
+    for bank in (Tensor(m), leaf(m)):
+        a = leaf(x)
+        ad.backward(ad.reduce_sum(ad.mul(op(a, bank, RUNS), r)))
+        grads.append((a.grad, bank.grad))
+    (const_a, const_m), (leaf_a, leaf_m) = grads
+    assert const_m is None and leaf_m is not None
+    # the other operand's gradient does not depend on the bank's
+    np.testing.assert_array_equal(const_a, leaf_a)
+
+
 def test_graph_mean_equals_the_per_graph_mean():
     rng = np.random.default_rng(24)
     h = rng.normal(size=(sum(SIZES), 3))
@@ -597,9 +599,8 @@ def test_hard_shrink_backward_against_finite_differences():
     def f():
         return ad.reduce_sum(ad.mul(ad.hard_shrink(ad.row_softmax(logits), 0.15), r))
 
-    ad.backward(f())
-    (g,) = fd_grad(f, [logits])
-    np.testing.assert_allclose(logits.grad, g, atol=1e-7)
+    (err,) = gradcheck.grad_check(f, [logits])
+    assert err < gradcheck.DEFAULT_TOL
 
 
 def test_entropy_uniform_and_onehot():

@@ -708,19 +708,32 @@ def test_export_folds_csv(toy_dataset, tmp_path):
 # ---------------------------------------------------------------------------
 # batching and the synthetic generator
 
-def test_pad_batch_shapes_and_zero_fill(triangle_graph, path_graph):
-    adjacency, attributes = dt.pad_batch([triangle_graph, path_graph], n_max=5)
-    assert adjacency.shape == (2, 5, 5)
-    assert attributes.shape == (2, 5, 2)
-    np.testing.assert_allclose(adjacency[0, :3, :3], triangle_graph.adjacency)
-    assert np.all(adjacency[0, 3:, :] == 0) and np.all(adjacency[0, :, 3:] == 0)
-    np.testing.assert_allclose(attributes[1, :4], path_graph.attributes)
-    assert np.all(attributes[1, 4:] == 0)
+def test_pad_batch_stacks_a_run_in_the_graphs_dtypes(triangle_graph):
+    other = build_graph([(0, 1)], 3, graph_id=5)
+    adjacency, attributes = dt.pad_batch([triangle_graph, other], n_max=3)
+    assert adjacency.shape == (2, 3, 3) and attributes.shape == (2, 3, 2)
+    np.testing.assert_array_equal(adjacency[0], triangle_graph.adjacency)
+    np.testing.assert_array_equal(attributes[1], other.attributes)
+    assert adjacency.dtype == attributes.dtype == np.float64
+    # a parsed graph's bool adjacency stays bool, and nothing is widened
+    narrow = [dt.Graph(adjacency=g.adjacency.astype(bool),
+                       attributes=g.attributes.astype(np.float32),
+                       label=g.label, node_count=g.node_count,
+                       graph_id=g.graph_id)
+              for g in (triangle_graph, other)]
+    adjacency, attributes = dt.pad_batch(narrow, n_max=3)
+    assert adjacency.dtype == bool and attributes.dtype == np.float32
+    np.testing.assert_array_equal(adjacency[1], other.adjacency)
 
 
-def test_pad_batch_rejects_oversized_graph(path_graph):
-    with pytest.raises(StructuralError, match="exceed"):
-        dt.pad_batch([path_graph], n_max=3)
+@pytest.mark.parametrize("n_max, culprit", [(3, "graph 2: 4 nodes"),
+                                             (4, "graph 1: 3 nodes")],
+                         ids=["more", "fewer"])
+def test_pad_batch_refuses_a_graph_of_another_node_count(
+        triangle_graph, path_graph, n_max, culprit):
+    # a graph with more nodes than the run's count, or with fewer
+    with pytest.raises(StructuralError, match=f"{culprit} in a run of {n_max}"):
+        dt.pad_batch([triangle_graph, path_graph], n_max=n_max)
 
 
 def test_make_er_dataset_contract():

@@ -15,25 +15,11 @@ from hiermem.data import make_er_dataset
 from hiermem.errors import ConfigurationError
 from hiermem.training import TrainConfig
 
+from conftest import pairwise_auc
+
 
 SMALL = dict(hidden_dim=8, latent_dim=5, num_node_memory=2,
              num_graph_memory=2, epochs=3, batch_size=16)
-
-
-def pairwise_auc(scores, labels):
-    """Exhaustive O(n^2) Mann-Whitney count; the independent oracle."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                wins += 1.0
-            elif p == q:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
 
 
 # ---------------------------------------------------------------------------

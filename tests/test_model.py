@@ -9,7 +9,8 @@ import pytest
 from hiermem import autodiff as ad
 from hiermem import model as M
 from hiermem.autodiff import Tensor
-from hiermem.data import Graph, make_er_dataset
+from hiermem.data import (Graph, make_er_dataset, parse_tudataset,
+                          write_tudataset)
 from hiermem.errors import CheckpointError, ConfigurationError, StructuralError
 from hiermem.training import score_graphs
 
@@ -99,6 +100,24 @@ def test_normalize_bool_adjacency_in_float64():
     out = M.normalize_adjacency(adj)
     assert out.dtype == np.float64
     np.testing.assert_array_equal(out, M.normalize_adjacency(adj.astype(float)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_parsed_corpus_batches_to_the_bytes_of_its_float64_copy(tmp_path,
+                                                                  dtype):
+    write_tudataset(make_er_dataset(20, 8, seed=4), tmp_path)
+    parsed = sorted(parse_tudataset(tmp_path, "synthetic-er").graphs,
+                    key=lambda g: g.node_count)
+    assert parsed[0].adjacency.dtype == bool
+    copies = [Graph(adjacency=g.adjacency.astype(np.float64),
+                    attributes=g.attributes.astype(np.float64), label=g.label,
+                    node_count=g.node_count, graph_id=g.graph_id)
+              for g in parsed]
+    got, want = ragged(parsed, dtype), ragged(copies, dtype)
+    assert got.runs == want.runs and len(got.runs) < len(parsed)
+    for a, b in zip(got.a_norm + (got.x, got.target),
+                    want.a_norm + (want.x, want.target)):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
 
 
 def test_normalize_batched_matches_single():
