@@ -4,7 +4,9 @@
 trained parameters' bytes, of the per-epoch history rows and of the per-graph
 scores, along with the numpy and OpenBLAS versions that produced them. The
 test recomputes every case in one subprocess under a forced OpenBLAS kernel
-and one BLAS thread, because both change the bits of a GEMM. Some cases are
+and one BLAS thread, because both change the bits of a GEMM, and a second
+test recomputes two of them in their own subprocess at two threads, which
+split some GEMMs differently (it skips where OpenBLAS runs fewer). Some cases are
 twins that must give equal digests: a corpus written to disk and parsed back
 (bool adjacency; degree columns built by the parser when the attribute file
 is left out) against the corpus as constructed, and a cross-validation run
@@ -31,6 +33,8 @@ import pytest
 LEDGER = Path(__file__).resolve().with_name("bits.json")
 ROOT = LEDGER.parent.parent
 PINNED_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+# the ledger's 2-thread column: these cases again at two BLAS threads
+TWO_THREADS = ("synthetic-er/full", "aids-like-600-7/full")
 # every case trains fold 0 of 5 under seed 0, then scores its test graphs
 EPOCHS, BATCH, FOLDS = 2, 80, 5
 # case -> the case whose digests it must equal
@@ -81,54 +85,59 @@ def _cv(dataset, jobs: int) -> dict[str, str]:
     return {"scores": _sha(json.dumps(report.per_graph_scores).encode())}
 
 
-def _reparsed(dataset, root: Path, attributes: bool = True):
+def _reparsed(dataset, attributes: bool = True):
     """`dataset` written in the TUDataset layout and parsed back; without
     its attribute file the parser builds the degree columns."""
     from hiermem.data import parse_tudataset, write_tudataset
 
-    write_tudataset(dataset, root)
-    if not attributes:
-        (root / dataset.name / f"{dataset.name}_node_attributes.txt").unlink()
-    return parse_tudataset(root, dataset.name)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_tudataset(dataset, root)
+        if not attributes:
+            (root / dataset.name / f"{dataset.name}_node_attributes.txt").unlink()
+        return parse_tudataset(root, dataset.name)
 
 
-def compute() -> dict:
-    """Every case's digests; run under `PINNED_ENV` (see `recompute`)."""
+def compute(names=None) -> dict:
+    """The digests of the cases in `names` (all by default) and the BLAS
+    thread count they ran at; run under a pinned environment (`recompute`)."""
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import aids_corpus
+    from hiermem import blas
     from hiermem.data import make_er_dataset
 
     er = make_er_dataset(100, 40, seed=0)
     aids = aids_corpus().make_aids_like(600, 7)
-    with tempfile.TemporaryDirectory() as tmp:
-        aids_parsed = _reparsed(aids, Path(tmp))
-        er_parsed = _reparsed(er, Path(tmp), attributes=False)
-    return {**versions(), "cases": {
-        "synthetic-er/full": _case(er, "full"),
-        "synthetic-er/gae_only": _case(er, "gae_only"),
-        "synthetic-er/no_node": _case(er, "no_node"),
-        "synthetic-er/no_graph": _case(er, "no_graph"),
-        "synthetic-er-parsed/full": _case(er_parsed, "full"),
-        "aids-like-600-7/full": _case(aids, "full"),
-        "aids-like-600-7-parsed/full": _case(aids_parsed, "full"),
-        "synthetic-er/cv": _cv(er, jobs=1),
-        "synthetic-er/cv-jobs2": _cv(er, jobs=2),
-    }}
+    cases = {
+        "synthetic-er/full": lambda: _case(er, "full"),
+        "synthetic-er/gae_only": lambda: _case(er, "gae_only"),
+        "synthetic-er/no_node": lambda: _case(er, "no_node"),
+        "synthetic-er/no_graph": lambda: _case(er, "no_graph"),
+        "synthetic-er-parsed/full":
+            lambda: _case(_reparsed(er, attributes=False), "full"),
+        "aids-like-600-7/full": lambda: _case(aids, "full"),
+        "aids-like-600-7-parsed/full": lambda: _case(_reparsed(aids), "full"),
+        "synthetic-er/cv": lambda: _cv(er, jobs=1),
+        "synthetic-er/cv-jobs2": lambda: _cv(er, jobs=2),
+    }
+    return {**versions(), "threads": blas.threads(),
+            "cases": {name: cases[name]() for name in names or cases}}
 
 
-def recompute() -> dict:
-    """`compute()` in a fresh interpreter under the pinned kernel and thread
-    count, which OpenBLAS reads only when it loads."""
-    env = {**os.environ, **PINNED_ENV}
+def recompute(threads: int = 1, names: tuple[str, ...] = ()) -> dict:
+    """`compute(names)` in a fresh interpreter under the pinned kernel and
+    `threads` BLAS threads, which OpenBLAS reads only when it loads."""
+    env = {**os.environ, **PINNED_ENV, "OPENBLAS_NUM_THREADS": str(threads)}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, __file__, "--compute"], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, __file__, "--compute", *names],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-3000:]
     return json.loads(done.stdout)
 
 
-def test_training_and_scoring_keep_the_ledgers_bits():
+def _ledger() -> dict:
+    """The ledger, or a skip where its kernel or versions cannot run."""
     if "avx2" not in Path("/proc/cpuinfo").read_text():
         pytest.skip("the ledger's pinned Haswell kernel needs AVX2")
     ledger = json.loads(LEDGER.read_text())
@@ -137,17 +146,34 @@ def test_training_and_scoring_keep_the_ledgers_bits():
         pytest.skip(f"ledger written with numpy {ledger['numpy']} and OpenBLAS "
                     f"{ledger['openblas']}; this is numpy {here['numpy']} and "
                     f"OpenBLAS {here['openblas']}")
+    return ledger
+
+
+def test_training_and_scoring_keep_the_ledgers_bits():
+    ledger = _ledger()
     got = recompute()["cases"]
     for case, twin in TWINS.items():
         assert got[case] == got[twin], f"{case} differs from {twin}"
     assert got == ledger["cases"]
 
 
+def test_two_blas_threads_keep_the_ledgers_bits():
+    ledger = _ledger()
+    got = recompute(2, TWO_THREADS)
+    if (got["threads"] or 0) < 2:
+        pytest.skip(f"OpenBLAS runs {got['threads']} thread(s) here, not 2")
+    assert got["cases"] == ledger["cases_2_threads"]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--compute"]:
-        print(json.dumps(compute()))
+    if sys.argv[1:2] == ["--compute"]:
+        print(json.dumps(compute(sys.argv[2:])))
     elif sys.argv[1:] == ["--write"]:
-        LEDGER.write_text(json.dumps(recompute(), sort_keys=True, indent=2)
-                          + "\n")
+        two = recompute(2, TWO_THREADS)
+        if (two["threads"] or 0) < 2:
+            sys.exit(f"OpenBLAS runs {two['threads']} thread(s) here, not 2")
+        ledger = {**versions(), "cases": recompute()["cases"],
+                  "cases_2_threads": two["cases"]}
+        LEDGER.write_text(json.dumps(ledger, sort_keys=True, indent=2) + "\n")
     else:
         sys.exit(f"usage: {sys.argv[0]} --write")
