@@ -363,18 +363,15 @@ def _relu_grad_in_place(g: np.ndarray, out_data: np.ndarray) -> np.ndarray:
 
 
 def relu(a) -> Tensor:
-    """The ReLU op. The model fuses it into the op that feeds it (`relu=` of
-    `matmul`), which gives the same bits."""
+    """The ReLU op: the fused kernels over a copy of its input. The model
+    fuses it into the op that feeds it (`relu=` of `matmul`), which gives
+    the same bits; this is the reference that path is tested against."""
     a = as_tensor(a)
-    if _relu_kink_log is not None:
-        _relu_kink_log.append(float(np.min(np.abs(a.data))) if a.data.size else np.inf)
-    out_data = np.maximum(a.data, 0)  # NaN stays NaN
+    out_data = _relu_in_place(a.data.copy())
 
     def bw():
-        # out.grad is this node's own array, dropped once bw returns, so it
-        # is masked in place and handed on (subgradient 0 at the kink)
-        g = np.multiply(out.grad, out_data > 0, out=out.grad)
-        _accumulate(a, g)
+        # out.grad is this node's own array, dropped once bw returns
+        _accumulate(a, _relu_grad_in_place(out.grad, out_data))
 
     out = _make(out_data, (a,), bw)
     return out

@@ -166,6 +166,16 @@ def degree_features(adjacency: np.ndarray) -> np.ndarray:
     return adjacency.sum(axis=0, dtype=float)[:, None]
 
 
+def _tu_paths(root_dir, name: str) -> list[Path]:
+    """The four TU files the parser reads, in `dataset_checksum`'s order
+    (edges, graph indicator, graph labels, node attributes), from
+    `root_dir/name/` if it is a directory and else from `root_dir`."""
+    root = Path(root_dir)
+    base = root / name if (root / name).is_dir() else root
+    return [base / f"{name}_{kind}.txt" for kind in
+            ("A", "graph_indicator", "graph_labels", "node_attributes")]
+
+
 def label_anomalies(raw_labels: list[int]) -> list[int]:
     """Map raw class labels to {0 normal, 1 anomalous} by strict minority.
 
@@ -184,17 +194,12 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
 
     Node ids in the files are global and 1-indexed; each graph gets local
     0-indexed nodes in file order. Edges are symmetrized and de-duplicated.
-    Without a node-attribute file, node degree becomes the sole attribute.
+    Without a node-attribute file, each graph gets its `degree_features`.
 
     Each file is checked once, in whole-array passes, for every invariant
     `Graph` checks; the parsed graphs skip those per-graph checks.
     """
-    root = Path(root_dir)
-    base = root / name if (root / name).is_dir() else root
-    indicator_path = base / f"{name}_graph_indicator.txt"
-    edges_path = base / f"{name}_A.txt"
-    labels_path = base / f"{name}_graph_labels.txt"
-    attrs_path = base / f"{name}_node_attributes.txt"
+    edges_path, indicator_path, labels_path, attrs_path = _tu_paths(root_dir, name)
 
     indicator = _read_rows(indicator_path, np.int64, 1)[:, 0]
     if not indicator.size:
@@ -276,18 +281,13 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
         cell += start
         flat[cell] = True
     del start, size, lu, lv, row, col, cell
-    if attributes is None:
-        # every node's degree (`degree_features`) in one pass: node i of a
-        # graph of n nodes sums the n cells from i * n into the graph's own
-        rows = (np.repeat(cells[:-1], counts)
-                + local_index[by_graph] * np.repeat(counts, counts))
-        attributes = np.add.reduceat(flat, rows, dtype=float)[:, None]
 
     # the checks above prove Graph's: nodes in every graph, symmetric (n, n)
     # adjacency without self-loops, n finite attribute rows, 0/1 labels
     cells, starts = cells.tolist(), starts.tolist()
-    graphs = [_proven_graph(adjacency=flat[cells[g]:cells[g + 1]].reshape(n, n),
-                            attributes=attributes[starts[g]:starts[g + 1]],
+    graphs = [_proven_graph(adjacency=(a := flat[cells[g]:cells[g + 1]].reshape(n, n)),
+                            attributes=degree_features(a) if attributes is None
+                            else attributes[starts[g]:starts[g + 1]],
                             label=labels[g], node_count=n, graph_id=g)
               for g, n in enumerate(counts.tolist())]
 
@@ -303,9 +303,7 @@ def write_tudataset(dataset: GraphDataset, root_dir) -> None:
     strict minority (the tie-break rule would otherwise relabel a balanced
     collection).
     """
-    base = Path(root_dir) / dataset.name
-    base.mkdir(parents=True, exist_ok=True)
-    name = dataset.name
+    (Path(root_dir) / dataset.name).mkdir(parents=True, exist_ok=True)
     edge_lines = []
     indicator_lines = []
     label_lines = []
@@ -320,20 +318,15 @@ def write_tudataset(dataset: GraphDataset, root_dir) -> None:
         for row in g.attributes:
             attr_lines.append(", ".join(repr(float(v)) for v in row))
         offset += g.node_count
-    (base / f"{name}_A.txt").write_text("\n".join(edge_lines) + "\n")
-    (base / f"{name}_graph_indicator.txt").write_text("\n".join(indicator_lines) + "\n")
-    (base / f"{name}_graph_labels.txt").write_text("\n".join(label_lines) + "\n")
-    (base / f"{name}_node_attributes.txt").write_text("\n".join(attr_lines) + "\n")
+    for path, lines in zip(_tu_paths(root_dir, dataset.name), (
+            edge_lines, indicator_lines, label_lines, attr_lines)):
+        path.write_text("\n".join(lines) + "\n")
 
 
 def dataset_checksum(root_dir, name: str) -> str:
-    """SHA-256 over the dataset files, in a fixed order."""
-    root = Path(root_dir)
-    base = root / name if (root / name).is_dir() else root
+    """SHA-256 over the name and bytes of each TU file the parser reads."""
     h = hashlib.sha256()
-    for suffix in ("_A.txt", "_graph_indicator.txt", "_graph_labels.txt",
-                   "_node_attributes.txt"):
-        p = base / f"{name}{suffix}"
+    for p in _tu_paths(root_dir, name):
         if p.is_file():
             h.update(p.name.encode())
             h.update(p.read_bytes())
