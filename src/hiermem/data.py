@@ -46,6 +46,8 @@ class Graph:
         if a.shape != (n, n):
             raise StructuralError(f"graph {self.graph_id}: adjacency shape "
                                   f"{a.shape} for {n} nodes")
+        if not ((a == 0) | (a == 1)).all():
+            raise StructuralError(f"graph {self.graph_id}: adjacency entry not 0 or 1")
         if not (a == a.T).all():
             raise StructuralError(f"graph {self.graph_id}: adjacency not symmetric")
         if a.diagonal().any():
@@ -133,6 +135,8 @@ def _read_rows_by_line(path: Path, kind: type,
             raise DatasetParseError(
                 f"{path}:{i}: expected {width} values, got {len(parts)}")
         try:
+            if "_" in line or not line.isascii():  # Python's int/float allow them
+                raise ValueError
             rows.append([kind(p) for p in parts])
         except (ValueError, OverflowError):
             raise DatasetParseError(

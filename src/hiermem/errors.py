@@ -14,7 +14,7 @@ class ConfigurationError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """The training loss left the finite range."""
+    """The training loss, or a graph's score, left the finite range."""
 
 
 class CheckpointError(ValueError):

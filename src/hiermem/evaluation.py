@@ -58,8 +58,9 @@ def evaluate_auc(scores, labels) -> float:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ConfigurationError("AUC needs both classes present")
-    _, group, counts = np.unique(scores, return_inverse=True,
-                                 return_counts=True, equal_nan=False)
+    if not np.isfinite(scores).all():
+        raise ConfigurationError("AUC needs finite scores")
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
     # a group of equal scores shares the mean of its first and last 1-based rank
     last = np.cumsum(counts)
     first = last - counts + 1

@@ -67,8 +67,8 @@ class ModelConfig:
         if not 0.0 <= self.shrink_lambda < 1.0:
             raise ConfigurationError(
                 f"shrink_lambda must be in [0, 1), got {self.shrink_lambda}")
-        if self.alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:
+            raise ConfigurationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if min(self.feature_dim, self.hidden_dim, self.latent_dim) < 1:
             raise ConfigurationError("layer widths must be positive")
 

@@ -92,8 +92,8 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError("learning_rate must be positive and finite")
         # the model's own checks (variant, memory sizes, shrink_lambda,
         # alpha, widths), before any data is read
         make_model_config(self, 1, 1)
@@ -228,7 +228,8 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     another with OpenBLAS as it is, which is faster below that size
     (CHANGES.md). `batch_size` is ignored: perfbench/test_perfbench.py:108
     still passes it, and ROADMAP item 5a deletes both. A graph wider than
-    the node memory is refused, by id, before any sub-batch is scored.
+    the node memory is refused, by id, before any sub-batch is scored, and
+    a non-finite score raises `TrainingDiverged` naming its graph.
     """
     _keep_heap()
     if not graphs:
@@ -246,10 +247,14 @@ def score_graphs(params: ModelParams, cfg: ModelConfig, graphs: list[Graph],
     if threads < 2 or sum(g.node_count for g in graphs) < 2 * MAX_ROWS:
         for idx in subs:
             score(idx)
-        return scores
-    # pinned once for the call, not per sub-batch: OpenBLAS workers keep
-    # spinning for a while after a GEMM and would compete with the pool
-    with blas.pinned(1), ThreadPoolExecutor(threads) as pool:
-        for future in [pool.submit(score, idx) for idx in subs]:
-            future.result()
+    else:
+        # pinned once for the call, not per sub-batch: OpenBLAS workers keep
+        # spinning for a while after a GEMM and would compete with the pool
+        with blas.pinned(1), ThreadPoolExecutor(threads) as pool:
+            for future in [pool.submit(score, idx) for idx in subs]:
+                future.result()
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        raise TrainingDiverged(f"graph {graphs[int(np.argmax(bad))].graph_id}: "
+                               "non-finite score")
     return scores

@@ -213,6 +213,16 @@ def test_bad_flag_value_is_usage_error(disk_dataset, tmp_path, capsys):
     assert code == 2
 
 
+def test_a_run_whose_last_step_diverges_exits_1_naming_a_graph(
+        disk_dataset, tmp_path, capsys):
+    # one step per epoch, and the loss is checked before each step: only
+    # the scores see what the last step did
+    with np.errstate(all="ignore"):
+        code = main(run_cv_args(disk_dataset, tmp_path, ["--lr", "1e30"]))
+    assert code == 1
+    assert re.search(r"graph \d+: non-finite score", capsys.readouterr().err)
+
+
 def test_multivalue_flag_rejected_for_cv(disk_dataset, tmp_path, capsys):
     code = main(run_cv_args(disk_dataset, tmp_path, ["--tau", "0,8"]))
     assert code == 2
@@ -263,6 +273,8 @@ def test_a_bad_config_fails_before_the_data_is_read(tmp_path, capsys):
      "--tau lists 8.0 more than once"),
     (["sweep", "memory", "--dataset", "X", "--p", "1..3,2"],
      "--p lists 2 more than once"),
+    (["cv", "--dataset", "X", "--lr", "inf"],
+     "learning_rate must be positive and finite"),
 ])
 def test_a_bad_scalar_flag_is_named_before_the_data_is_read(tmp_path, capsys,
                                                             argv, named):

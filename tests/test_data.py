@@ -29,6 +29,16 @@ def test_graph_rejects_asymmetric_adjacency():
                  node_count=2, graph_id=1)
 
 
+@pytest.mark.parametrize("entry", [2.0, -1.0, 0.5, np.nan])
+def test_graph_rejects_an_adjacency_entry_other_than_0_or_1(entry):
+    # a 2 would be normalised as an edge weight and put in the structure
+    # target; NaN is named as what it is, not as an asymmetry
+    adj = np.array([[0.0, entry], [entry, 0.0]])
+    with pytest.raises(StructuralError, match="graph 4: adjacency entry not 0 or 1"):
+        dt.Graph(adjacency=adj, attributes=np.zeros((2, 1)), label=0,
+                 node_count=2, graph_id=4)
+
+
 def test_graph_rejects_self_loop():
     adj = np.eye(2)
     with pytest.raises(StructuralError, match="self-loop"):
@@ -294,6 +304,11 @@ def test_parse_skips_blank_lines_and_reads_crlf(tud_dir, tmp_path):
     ("graph_indicator.txt", "1\n\n1\n1, 2\n", DatasetParseError, 4,
      "expected 1 values, got 2"),
     ("graph_labels.txt", "0\n\n\n1.5\n", DatasetParseError, 4, "non-numeric"),
+    # numpy refuses these, and Python's float would read 10.5 and 1.0
+    ("node_attributes.txt", "1.0, 2.0\n\n1_0.5, 4.0\n", DatasetParseError, 3,
+     "non-numeric"),
+    ("node_attributes.txt", "1.0, 2.0\n\u0661, 4.0\n", DatasetParseError, 2,
+     "non-numeric"),
     ("A.txt", "1, 2\n\n2, 99999999999999999999\n", DatasetParseError, 3,
      "non-numeric or out-of-range token"),
     ("graph_indicator.txt", "1\n1\n\n1\n2\n2\n4\n3\n3\n", DatasetParseError, 7,
@@ -549,6 +564,26 @@ def test_checksum_stable_and_sensitive(tud_dir):
     assert c1 == c2 and len(c1) == 64
     (tud_dir / "TOY" / "TOY_graph_labels.txt").write_text("0\n0\n1\n")
     assert dt.dataset_checksum(tud_dir, "TOY") != c1
+
+
+def test_checksum_hashes_exactly_the_files_the_parser_reads(tmp_path):
+    dt.write_tudataset(dt.make_er_dataset(4, 2, seed=1, n_range=(3, 5),
+                                          name="PIN"), tmp_path)
+    base = tmp_path / "PIN"
+    # the value of every earlier version: which files are hashed, and in
+    # what order, must not move
+    pinned = "f12bcb0eb36fe3ecfc28b28f33654266ca2cb9c8e9cace444774275b9be5ea15"
+    assert dt.dataset_checksum(tmp_path, "PIN") == pinned
+    assert dt.dataset_checksum(base, "PIN") == pinned
+    # the parser ignores node labels (test_parse_ignores_node_labels), so
+    # the checksum does too
+    (base / "PIN_node_labels.txt").write_text("0\n" * 24)
+    assert dt.dataset_checksum(tmp_path, "PIN") == pinned
+    attrs = base / "PIN_node_attributes.txt"
+    attrs.write_text("9.0\n" + attrs.read_text().split("\n", 1)[1])
+    changed = dt.dataset_checksum(tmp_path, "PIN")
+    attrs.unlink()
+    assert len({pinned, changed, dt.dataset_checksum(tmp_path, "PIN")}) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,13 @@ def test_auc_rejects_single_class_and_bad_shapes():
         ev.evaluate_auc([1.0, 2.0], [0, 1, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_refuses_a_non_finite_score(bad):
+    # NaN would be ranked as if it were a number
+    with pytest.raises(ConfigurationError, match="finite scores"):
+        ev.evaluate_auc([0.1, bad, 0.3, 0.4], [0, 1, 0, 1])
+
+
 @given(st.lists(st.integers(-5, 5), min_size=2, max_size=25))
 @settings(max_examples=100, deadline=None)
 def test_auc_pairwise_equivalence_property(xs):

@@ -2,6 +2,7 @@
 behavior."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ def test_config_rejects_bad_values():
         M.ModelConfig(feature_dim=2, variant="bogus")
     with pytest.raises(ConfigurationError):
         M.ModelConfig(feature_dim=2, alpha=-0.5)
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            M.ModelConfig(feature_dim=2, alpha=alpha)
 
 
 def test_variant_memory_flags():
@@ -571,6 +575,20 @@ def test_checkpoint_with_an_out_of_range_config_names_its_file(
         np.savez(fh, **arrays)
     with pytest.raises(CheckpointError,
                        match=rf"bad config in .*model\.npz: shrink_lambda"):
+        M.load_params(path)
+
+
+def test_checkpoint_with_a_nan_alpha_is_refused(tmp_path, toy_model_config,
+                                                toy_params):
+    path = tmp_path / "model.npz"
+    M.save_params(path, toy_params, toy_model_config)
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    cfg = json.loads(str(arrays["__config__"]))
+    arrays["__config__"] = np.array(json.dumps(dict(cfg, alpha=float("nan"))))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(CheckpointError, match="alpha must be finite"):
         M.load_params(path)
 
 

@@ -42,6 +42,13 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "alpha"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_refuses_a_non_finite_rate_or_weight(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be"):
+        TrainConfig(**{field: value})
+
+
 def test_empty_training_set_rejected():
     with pytest.raises(ConfigurationError, match="empty"):
         T.train([], TrainConfig(**SMALL))
@@ -166,6 +173,18 @@ def test_score_graphs_aligned_to_input_order(toy_dataset):
     got = T.score_graphs(params, mcfg, graphs)
     expected = single_scores(params, mcfg, graphs)
     np.testing.assert_allclose(got, expected, rtol=1e-4)
+
+
+def test_score_graphs_names_the_first_graph_whose_score_is_not_finite(
+        toy_model_config, toy_params):
+    # attributes that fit float32 but whose squared error overflows it
+    huge = [build_graph([(0, 1)], 2, graph_id=gid) for gid in (7, 8)]
+    for g in huge:
+        g.attributes[:] = 1e30
+    graphs = [build_graph([(0, 1), (1, 2)], 3, graph_id=5)] + huge
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match="^graph 7: non-finite score$"):
+        T.score_graphs(toy_params, toy_model_config, graphs)
 
 
 def test_score_graphs_empty_list(toy_model_config, toy_params):
