@@ -4,9 +4,9 @@
 trained parameters' bytes, of the per-epoch history rows and of the per-graph
 scores, along with the numpy and OpenBLAS versions that produced them. The
 test recomputes every case in one subprocess under a forced OpenBLAS kernel
-and one BLAS thread, because both change the bits of a GEMM, and a second
-test recomputes two of them in their own subprocess at two threads, which
-split some GEMMs differently (it skips where OpenBLAS runs fewer). Some cases are
+and one BLAS thread, because both change the bits of a GEMM; a second test
+recomputes two of them in their own subprocess at two threads, which split
+some GEMMs differently (it skips where OpenBLAS runs fewer). Some cases are
 twins that must give equal digests: a corpus written to disk and parsed back
 (bool adjacency; degree columns built by the parser when the attribute file
 is left out) against the corpus as constructed, and a cross-validation run

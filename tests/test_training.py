@@ -40,13 +40,10 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(learning_rate=0.0)
-
-
-@pytest.mark.parametrize("field", ["learning_rate", "alpha"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_config_refuses_a_non_finite_rate_or_weight(field, value):
-    with pytest.raises(ConfigurationError, match=f"{field} must be"):
-        TrainConfig(**{field: value})
+    for field in ("learning_rate", "alpha"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match=f"{field} must be"):
+                TrainConfig(**{field: value})
 
 
 def test_empty_training_set_rejected():
