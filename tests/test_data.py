@@ -570,8 +570,8 @@ def test_checksum_hashes_exactly_the_files_the_parser_reads(tmp_path):
     dt.write_tudataset(dt.make_er_dataset(4, 2, seed=1, n_range=(3, 5),
                                           name="PIN"), tmp_path)
     base = tmp_path / "PIN"
-    # the value of every earlier version: which files are hashed, and in
-    # what order, must not move
+    # which files are hashed, and in what order, must not move: manifests
+    # already written record this value
     pinned = "f12bcb0eb36fe3ecfc28b28f33654266ca2cb9c8e9cace444774275b9be5ea15"
     assert dt.dataset_checksum(tmp_path, "PIN") == pinned
     assert dt.dataset_checksum(base, "PIN") == pinned
