@@ -32,9 +32,7 @@ per-graph ops (`matmul` with `adj`, `gram`, `matrix_cosine`,
 `frobenius_sq` sums per graph given each graph's length (`segments`). So
 the tape of a batch has the same nodes however many sizes it mixes. A graph
 convolution, relu(adj_i @ h_i @ W) per graph, is one `matmul` node (its
-`adj`) that propagates the narrower side: the input when it has fewer
-columns than the result, else the product, in place, so the tape keeps no
-`h @ W`.
+`adj`) that propagates the product in place, so the tape keeps no `h @ W`.
 
 Results are deterministic per seed but not bit-identical across versions of
 this library that sum in a different order.
@@ -196,13 +194,9 @@ def matmul(a, b, relu: bool = False, adj=None) -> Tensor:
 
     `adj` holds one (count, n, n) stack per run of equal node count, in
     batch order, and `a` is then the batch's node rows: graph i's rows of
-    the result are adj_i @ a_i @ b. The propagation runs on the narrower
-    side. When `a` has fewer columns than the result, adj_i @ a_i is taken
-    first, out of place, and kept for the weight gradient; the input
-    gradient goes back through adj_i^T in place on g @ b^T. Otherwise the
-    propagation overwrites the product in place, in its dtype, and the
-    backward propagates the output gradient back in place before both
-    products, so no product waits on the tape.
+    the result are adj_i @ a_i @ b. The propagation overwrites the product
+    in place, in its dtype, and the backward propagates the output gradient
+    back in place before both products, so no product waits on the tape.
     With `relu`, the result is clamped at 0 in place: the same values and
     gradients as `relu` of the unfused op, with one tape node.
     """
@@ -210,31 +204,22 @@ def matmul(a, b, relu: bool = False, adj=None) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul needs (m, k) @ (k, n) matrices, got "
                          f"{a.data.shape} @ {b.data.shape}")
-    x = a.data
-    pre = adj is not None and x.shape[1] < b.data.shape[1]
-    post = adj is not None and not pre
+    out_data = a.data @ b.data
     if adj is not None:
-        spans = _run_spans([m.shape[:2] for m in adj], x.shape[0])
-    if pre:
-        x = _propagate_runs(adj, spans, x,
-                            np.empty(x.shape, np.result_type(x, *adj)))
-    out_data = x @ b.data
-    if post:
+        spans = _run_spans([m.shape[:2] for m in adj], a.data.shape[0])
         _propagate_runs(adj, spans, out_data)
     if relu:
         _relu_in_place(out_data)
 
     def bw():
         g = _relu_grad_in_place(out.grad, out_data) if relu else out.grad
-        if post:
+        if adj is not None:
             g = _propagate_runs(adj, spans, np.ascontiguousarray(g),
                                 transpose=True)
         if a.requires_grad:
-            ga = g @ b.data.T
-            _accumulate(a, _propagate_runs(adj, spans, ga, transpose=True)
-                        if pre else ga)
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, x.T @ g)
+            _accumulate(b, a.data.T @ g)
 
     out = _make(out_data, (a, b), bw)
     return out
@@ -278,24 +263,20 @@ def _segment_starts(lengths: np.ndarray, rows: int) -> np.ndarray:
 _IN_PLACE_ROWS = 128
 
 
-def _propagate_runs(adj, spans, src, out=None, transpose: bool = False):
-    """Graph i's rows of `out` set to adj_i @ (graph i's rows of `src`), or
-    adj_i^T @ with `transpose`, one run at a time; returns `out`. Without
-    `out`, `src` is overwritten, at most `_IN_PLACE_ROWS` node rows (or one
-    graph) per product. Both are C-contiguous (sum n, F) arrays."""
-    in_place = out is None
-    if in_place:
-        out = src
-    F = src.shape[1]
+def _propagate_runs(adj, spans, h, transpose: bool = False):
+    """Overwrite graph i's rows of `h` with adj_i @ those rows, or adj_i^T @
+    with `transpose`, one run at a time and at most `_IN_PLACE_ROWS` node
+    rows (or one graph) per product; returns `h`, a C-contiguous (sum n, F)
+    array."""
+    F = h.shape[1]
     for m, (_, rows, _, count, size) in zip(adj, spans):
         if transpose:
             m = np.swapaxes(m, -1, -2)
-        s = src[rows].reshape(count, size, F)
-        d = out[rows].reshape(count, size, F)
-        step = max(1, _IN_PLACE_ROWS // size) if in_place else count
+        s = h[rows].reshape(count, size, F)
+        step = max(1, _IN_PLACE_ROWS // size)
         for lo in range(0, count, step):
-            np.matmul(m[lo:lo + step], s[lo:lo + step], out=d[lo:lo + step])
-    return out
+            np.matmul(m[lo:lo + step], s[lo:lo + step], out=s[lo:lo + step])
+    return h
 
 
 def gram(h, runs) -> Tensor:

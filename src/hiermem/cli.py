@@ -20,7 +20,9 @@ configuration or unreadable data.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -313,6 +315,16 @@ def sweep_cells(protocol: str, values: dict) -> list[tuple]:
              f"variant={v}", {"variant": v}) for v in values["variant"]]
 
 
+def _make_run_dir(path: Path) -> None:
+    """Create the run directory before any fold trains or any case runs, so
+    a bad --out-dir is found before the work rather than after it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(
+            f"cannot create the run directory {path}: {e}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """`cv` and every `sweep` protocol: run each cell's cross-validation and
     write its report and history files, and the folds file of each distinct
@@ -323,6 +335,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     command = "cv" if args.protocol == "cv" else f"sweep {args.protocol}"
     out_dir = (Path(values["out-dir"]) / f"{command.replace(' ', '-')}-"
                f"{values['dataset']}-s{values['seed']}")
+    _make_run_dir(out_dir)
     k = values["folds"]
     # the folds depend on tau alone, so each distinct tau writes one file
     taus = dict.fromkeys(cell[0] for cell in cells)
@@ -332,7 +345,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     index: list[dict] = []
     for tau, config, suffix, label, fields in cells:
         report = run_cv(dataset, config, k, tau=tau, jobs=values["jobs"])
-        out_dir.mkdir(parents=True, exist_ok=True)
         names = [f"report{suffix}.json", f"report{suffix}.csv",
                  f"history-report{suffix}.csv"]
         write_report_json(report, out_dir / names[0])
@@ -365,6 +377,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     values, provenance = resolve_fields(args, _GRADCHECK)
     base = values["seed"]
+    out_dir = Path(values["out-dir"]) / f"gradcheck-s{base}"
+    _make_run_dir(out_dir)
     verdicts = check_suite(range(base, base + values["seeds"]))
     cases = {v.name: {"max_rel_err": v.max_rel_err, "passed": v.passed,
                       "per_param": v.per_param, "worst_seed": v.worst_seed}
@@ -372,8 +386,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     payload = {"eps": EPS, "seeds": values["seeds"],
                "base_seed": base, "tolerance": DEFAULT_TOL, "cases": cases,
                "all_passed": all(v.passed for v in verdicts)}
-    out_dir = Path(values["out-dir"]) / f"gradcheck-s{base}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     print(write_json(out_dir / "gradcheck.json", payload))
     write_resolved_cfg(out_dir / "resolved.cfg", values)
     write_manifest(out_dir, "gradcheck", values, provenance, "",
@@ -414,14 +426,30 @@ def main(argv: list[str] | None = None) -> int:
     training._keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning passes the filters when it is raised, but this process shows
+    # it after the command, so a diverged run's error line comes first; a
+    # forked --jobs worker shows its own at once
+    deferred, pid, show = [], os.getpid(), warnings.showwarning
+
+    def defer(*shown):
+        if os.getpid() == pid:
+            deferred.append(shown)
+        else:
+            show(*shown)
+
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = defer
+            return args.func(args)
     except (ConfigurationError, DatasetParseError, StructuralError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingDiverged, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        for shown in deferred:
+            show(*shown)
 
 
 if __name__ == "__main__":

@@ -127,7 +127,9 @@ def _read_rows(path: Path, kind: type, width: int | None = None) -> np.ndarray:
 def _read_rows_by_line(path: Path, kind: type,
                        width: int | None) -> np.ndarray:
     rows = []
-    for i, line in _numbered_lines(path.read_text()):
+    # a byte that is not UTF-8 reads as U+FFFD, which the ASCII check below
+    # refuses at its line
+    for i, line in _numbered_lines(path.read_text(errors="replace")):
         parts = line.split(",")
         if width is None:
             width = len(parts)
@@ -153,7 +155,8 @@ def _numbered_lines(text: str):
 
 def _at(path: Path, row: int) -> str:
     """`path:line` of row `row` of `_read_rows(path, ...)`, for an error."""
-    return f"{path}:{next(islice(_numbered_lines(path.read_text()), row, None))[0]}"
+    lines = _numbered_lines(path.read_text(errors="replace"))
+    return f"{path}:{next(islice(lines, row, None))[0]}"
 
 
 def _proven_graph(**fields) -> Graph:

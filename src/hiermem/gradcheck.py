@@ -171,10 +171,8 @@ _PAIR = {"a": (3, 4), "b": (3, 4)}
 _LAYER = {"a": (6, 4), "b": (4, 5)}
 _NODES = {"h": (_ROWS, 3)}
 # graph convolutions over the asymmetric `_run_matrices`, so that a missing
-# transpose in a backward fails: one propagates its product, the other its
-# input, which is narrower than the result
+# transpose in a backward fails
 _GCN = {"h": (_ROWS, 3), "w": (3, 2)}
-_GCN_NARROW = {"h": (_ROWS, 2), "w": (2, 3)}
 
 PRIMITIVE_CASES: dict[str, Callable] = {
     "add": _case(_PAIR, lambda a, b: ad.add(a, b)),
@@ -194,12 +192,6 @@ PRIMITIVE_CASES: dict[str, Callable] = {
                         consts=_run_matrices),
     "matmul_adj_relu": _case(
         _GCN, lambda adj, h, w: ad.matmul(h, w, relu=True, adj=adj),
-        consts=_run_matrices),
-    "matmul_adj_narrow": _case(
-        _GCN_NARROW, lambda adj, h, w: ad.matmul(h, w, adj=adj),
-        consts=_run_matrices),
-    "matmul_adj_narrow_relu": _case(
-        _GCN_NARROW, lambda adj, h, w: ad.matmul(h, w, relu=True, adj=adj),
         consts=_run_matrices),
     "gram": _case(_NODES, lambda h: ad.gram(h, _RUNS)),
     "matrix_cosine": _case({"h": (_ROWS, 2), "m": (3, 4, 2)},

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -123,13 +124,15 @@ class RaggedBatch:
 
     runs: one (count, size) pair per run, in batch order. a_norm: one
     normalized adjacency stack (count, size, size) per run. x: (sum n, d)
-    attribute rows, each graph's rows contiguous. target: (sum n^2,) the
-    structure target, each graph's adjacency plus self-loops flattened.
-    node_counts: (B,) nodes per graph.
+    attribute rows, each graph's rows contiguous. ax: x propagated once,
+    a_norm_i @ x_i per graph in x's layout, the input of the first encoder
+    layer. target: (sum n^2,) the structure target, each graph's adjacency
+    plus self-loops flattened. node_counts: (B,) nodes per graph.
     """
     runs: tuple[tuple[int, int], ...]
     a_norm: tuple[np.ndarray, ...]
     x: np.ndarray
+    ax: np.ndarray
     target: np.ndarray
     node_counts: np.ndarray
 
@@ -142,18 +145,21 @@ def ragged_batch(graphs: Sequence[Graph], dtype) -> RaggedBatch:
     Everything the forward pass and the losses read but never change is
     built here, once, in `dtype`.
     """
-    shapes, a_norm, xs, targets = [], [], [], []
+    shapes, a_norm, xs, axs, targets = [], [], [], [], []
     for size, run in itertools.groupby(graphs, key=lambda g: g.node_count):
         adj, x = pad_batch(list(run), size)
         count = len(adj)
         shapes.append((count, size))
         a_norm.append(normalize_adjacency(adj).astype(dtype, copy=False))
-        xs.append(np.asarray(x, dtype=dtype).reshape(count * size, -1))
+        x = np.asarray(x, dtype=dtype)
+        xs.append(x.reshape(count * size, -1))
+        axs.append(np.matmul(a_norm[-1], x).reshape(count * size, -1))
         # the inner-product decoder scores each node against itself, so the
         # structure target carries self-loops
         targets.append((adj + np.eye(size)).astype(dtype).reshape(-1))
     return RaggedBatch(runs=tuple(shapes), a_norm=tuple(a_norm),
-                       x=np.concatenate(xs), target=np.concatenate(targets),
+                       x=np.concatenate(xs), ax=np.concatenate(axs),
+                       target=np.concatenate(targets),
                        node_counts=np.repeat([n for _, n in shapes],
                                              [c for c, _ in shapes]))
 
@@ -232,20 +238,22 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return dinv[..., :, None] * tilde * dinv[..., None, :]
 
 
-def encode(params: ModelParams, a_norm, x: np.ndarray) -> Tensor:
+def encode(params: ModelParams, a_norm, ax: np.ndarray) -> Tensor:
     """Three GCN layers, ReLU each, over node rows. Each layer is one tape
-    node (`autodiff.matmul` with `adj`): the ReLU is fused into it, and it
-    propagates the narrower side, the few attribute columns for enc1 and
-    the product h @ W in place for enc2 and enc3, so no product is kept.
+    node with the ReLU fused into it. enc1 reads the attributes already
+    propagated (`RaggedBatch.ax`), so it is a plain product; enc2 and enc3
+    are `autodiff.matmul` with `adj`, which propagates the product h @ W in
+    place, so no product is kept.
 
-    a_norm: the normalized adjacency, one (count, n, n) stack per run; x:
-    (sum n, d) attribute rows. Returns (sum n, D) node rows.
+    a_norm: the normalized adjacency, one (count, n, n) stack per run; ax:
+    (sum n, d) propagated attribute rows, a_norm_i @ x_i per graph. Returns
+    (sum n, D) node rows.
     """
-    if x.shape[-1] != params.enc1.data.shape[0]:
+    if ax.shape[-1] != params.enc1.data.shape[0]:
         raise ConfigurationError(
-            f"attribute dim {x.shape[-1]} does not match encoder "
+            f"attribute dim {ax.shape[-1]} does not match encoder "
             f"input dim {params.enc1.data.shape[0]}")
-    h = ad.matmul(x, params.enc1, relu=True, adj=a_norm)
+    h = ad.matmul(ax, params.enc1, relu=True)
     h = ad.matmul(h, params.enc2, relu=True, adj=a_norm)
     return ad.matmul(h, params.enc3, relu=True, adj=a_norm)
 
@@ -285,7 +293,7 @@ def decode_attributes(params: ModelParams, h_hat: Tensor, a_norm) -> Tensor:
 def forward_batch(params: ModelParams, cfg: ModelConfig,
                   batch: RaggedBatch) -> ModelOutputs:
     """Run the full network on one prepared batch (`ragged_batch`)."""
-    h = encode(params, batch.a_norm, batch.x)
+    h = encode(params, batch.a_norm, batch.ax)
 
     h_graph = None
     h_graph_hat = None
@@ -383,34 +391,44 @@ def load_params(path) -> tuple[ModelParams, ModelConfig]:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as z:
-        if _CONFIG_KEY not in z:
-            raise CheckpointError(f"{path} has no embedded config")
-        cfg_dict = json.loads(str(z[_CONFIG_KEY]))
-        try:
-            cfg = ModelConfig(**cfg_dict)
-        except (TypeError, ConfigurationError) as e:
-            raise CheckpointError(f"bad config in {path}: {e}") from None
-        expected = param_shapes(cfg)
-        loaded = {}
-        for name, shape in expected.items():
-            if name not in z:
-                raise CheckpointError(f"{path} is missing tensor {name!r}")
-            arr = z[name]
-            if arr.shape != shape:
-                raise CheckpointError(
-                    f"{path}: tensor {name!r} has shape {arr.shape}, "
-                    f"expected {shape}")
-            if not np.issubdtype(arr.dtype, np.floating):
-                raise CheckpointError(
-                    f"{path}: tensor {name!r} has dtype {arr.dtype}, "
-                    "expected a float dtype")
-            # every tensor loads as float32; a value beyond its range
-            # becomes inf and is refused as non-finite
-            with np.errstate(over="ignore"):
-                arr = np.ascontiguousarray(arr, dtype=np.float32)
-            if not np.all(np.isfinite(arr)):
-                raise CheckpointError(
-                    f"{path}: tensor {name!r} holds a non-finite value")
-            loaded[name] = Tensor(arr, requires_grad=True)
+    try:
+        # opened here, so a file numpy cannot read is still closed
+        with open(path, "rb") as fh:
+            z = np.load(fh, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with z:
+                arrays = dict(z)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
+        raise CheckpointError(f"{path} is not a readable checkpoint: {e}") from None
+    if _CONFIG_KEY not in arrays:
+        raise CheckpointError(f"{path} has no embedded config")
+    try:
+        cfg = ModelConfig(**json.loads(str(arrays[_CONFIG_KEY])))
+    # text that is not JSON, a JSON value that is not an object of the
+    # config's fields, or a field out of range (ConfigurationError)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"bad config in {path}: {e}") from None
+    expected = param_shapes(cfg)
+    loaded = {}
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise CheckpointError(f"{path} is missing tensor {name!r}")
+        arr = arrays[name]
+        if arr.shape != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {arr.shape}, "
+                f"expected {shape}")
+        if not np.issubdtype(arr.dtype, np.floating):
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has dtype {arr.dtype}, "
+                "expected a float dtype")
+        # every tensor loads as float32; a value beyond its range becomes
+        # inf and is refused as non-finite
+        with np.errstate(over="ignore"):
+            arr = np.ascontiguousarray(arr, dtype=np.float32)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(
+                f"{path}: tensor {name!r} holds a non-finite value")
+        loaded[name] = Tensor(arr, requires_grad=True)
     return ModelParams(**loaded), cfg

@@ -205,12 +205,12 @@ def test_criterion_9_invariant_suite():
     rng = np.random.default_rng(2)
     perm = rng.permutation(g.node_count)
     pmat = np.eye(g.node_count)[perm]
-    a1 = M.normalize_adjacency(g.adjacency[None])
-    a2 = M.normalize_adjacency((pmat @ g.adjacency @ pmat.T)[None])
-    h1 = M.encode(params, (a1.astype(np.float32),),
-                  g.attributes.astype(np.float32)).data.reshape(1, g.node_count, -1)
-    h2 = M.encode(params, (a2.astype(np.float32),),
-                  (pmat @ g.attributes).astype(np.float32)).data.reshape(1, g.node_count, -1)
+    a1 = M.normalize_adjacency(g.adjacency[None]).astype(np.float32)
+    a2 = M.normalize_adjacency((pmat @ g.adjacency @ pmat.T)[None]).astype(np.float32)
+    h1 = M.encode(params, (a1,), a1[0] @ g.attributes.astype(np.float32)
+                  ).data.reshape(1, g.node_count, -1)
+    h2 = M.encode(params, (a2,), a2[0] @ (pmat @ g.attributes).astype(np.float32)
+                  ).data.reshape(1, g.node_count, -1)
     checks.append(bool(np.allclose(h2[0], pmat @ h1[0], atol=1e-5)))
 
     # fold partition and coverage

@@ -270,16 +270,14 @@ def _fused_and_unfused(op_name, dtype, nan):
     """A product with relu=True and the same product followed by ad.relu,
     on inputs with a row whose output is exactly 0 (and, with `nan`, a NaN):
     (output, gradients, kink-log entries) of each, under the same loss.
-    For "propagate" the op is a graph convolution, `matmul` with `adj`, and
-    for "propagate_input" one whose input is narrower than its result."""
+    For "propagate" the op is a graph convolution, `matmul` with `adj`."""
     rng = np.random.default_rng(31)
     h = rng.normal(size=(9, 4)).astype(dtype)
     h[2] = 0.0                                    # an output row at the kink
     if nan:
         h[5, 1] = np.nan
-    width = 6 if op_name == "propagate_input" else 3
-    w = rng.normal(size=(4, width)).astype(dtype)
-    proj = rng.normal(size=(9, width)).astype(dtype)
+    w = rng.normal(size=(4, 3)).astype(dtype)
+    proj = rng.normal(size=(9, 3)).astype(dtype)
     # the one-node graph's matrix is 0, so propagate has a row at the kink
     adj = ([np.zeros((1, 1, 1), dtype), rng.normal(size=(2, 4, 4)).astype(dtype)]
            if op_name != "matmul" else None)
@@ -300,7 +298,7 @@ def _fused_and_unfused(op_name, dtype, nan):
     return run(True), run(False)
 
 
-@pytest.mark.parametrize("op_name", ["matmul", "propagate", "propagate_input"])
+@pytest.mark.parametrize("op_name", ["matmul", "propagate"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("nan", [False, True])
 def test_fused_relu_is_bit_equal_to_relu_on_the_ops_output(op_name, dtype, nan):
@@ -337,8 +335,9 @@ def _per_run_product(adj, x, transpose=False):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_graph_convolution_is_bit_equal_to_propagate_of_the_product(dtype):
     # runs of 1, 4 and 130 nodes: the 4-node run spans several in-place
-    # slices of graphs, and a 130-node graph is a slice of its own; 5 input
-    # columns and 3 output ones propagate the product, 8 propagate the input
+    # slices of graphs, and a 130-node graph is a slice of its own; the
+    # product is propagated whether it is narrower (3) or wider (8) than the
+    # input's 5 columns
     rng = np.random.default_rng(32)
     runs = ((3, 1), (70, 4), (2, 130))
     adj = [rng.normal(size=(c, n, n)).astype(dtype) for c, n in runs]
@@ -353,13 +352,8 @@ def test_graph_convolution_is_bit_equal_to_propagate_of_the_product(dtype):
         ad.backward(ad.reduce_sum(ad.mul(out, proj)))
         fused += (hh.grad, ww.grad)
 
-        if width < h.shape[1]:
-            g = _per_run_product(adj, proj, transpose=True)
-            reference = (_per_run_product(adj, h @ w), g @ w.T, h.T @ g)
-        else:
-            p = _per_run_product(adj, h)
-            reference = (p @ w, _per_run_product(adj, proj @ w.T, transpose=True),
-                         p.T @ proj)
+        g = _per_run_product(adj, proj, transpose=True)
+        reference = (_per_run_product(adj, h @ w), g @ w.T, h.T @ g)
         assert fused[0].dtype == dtype
         for f, r in zip(fused, reference):
             assert f.tobytes() == r.tobytes()
@@ -458,7 +452,7 @@ def _per_graph(rows):
 
 
 def test_propagate_multiplies_each_graph_by_its_own_matrix():
-    # a graph convolution with a narrower input and one with a wider input
+    # a graph convolution with a result narrower and one wider than its input
     rng = np.random.default_rng(20)
     adj = [rng.normal(size=(c, n, n)) for c, n in RUNS]
     h = rng.normal(size=(sum(SIZES), 4))

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,65 @@ def test_a_run_whose_last_step_diverges_exits_1_naming_a_graph(
         code = main(run_cv_args(disk_dataset, tmp_path, ["--lr", "1e30"]))
     assert code == 1
     assert re.search(r"graph \d+: non-finite score", capsys.readouterr().err)
+
+
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_a_diverged_runs_error_line_comes_before_numpys_warnings(
+        disk_dataset, tmp_path):
+    # numpy's overflow warnings are still shown, after the one line a user
+    # needs; in a fresh interpreter, whose warnings filters show them
+    done = subprocess.run(
+        [sys.executable, "-m", "hiermem.cli",
+         *run_cv_args(disk_dataset, tmp_path, ["--lr", "1e30"])],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert re.match(r"error: graph \d+: non-finite score$", lines[0])
+    assert any("RuntimeWarning" in line for line in lines[1:])
+
+
+def test_a_warning_of_a_run_that_does_not_diverge_reaches_the_filters(
+        tmp_path, capsys, monkeypatch):
+    from hiermem import gradcheck as gc
+
+    def warning_suite(seeds):
+        warnings.warn("planted", RuntimeWarning)
+        return [gc.CheckResult("relu", 0, 0.0, True, {"a": 0.0})]
+
+    monkeypatch.setattr(cli, "check_suite", warning_suite)
+    argv = ["gradcheck", "--seeds", "1", "--out-dir", str(tmp_path)]
+    with pytest.warns(RuntimeWarning, match="planted"):
+        assert main(argv) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="planted"):
+            main(argv)
+
+
+@pytest.mark.parametrize("command", [["cv", "--dataset", "synthetic-er"],
+                                     ["gradcheck", "--seeds", "1"]])
+def test_a_run_directory_that_cannot_be_made_is_refused_before_the_work(
+        tmp_path, capsys, monkeypatch, command):
+    def work(*args, **kwargs):
+        pytest.fail("the work started before the run directory was made")
+
+    monkeypatch.setattr(cli, "run_cv", work)
+    monkeypatch.setattr(cli, "check_suite", work)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code = main([*command, "--out-dir", str(blocker / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create the run directory "
+                          f"{blocker / 'sub'}")
 
 
 def test_multivalue_flag_rejected_for_cv(disk_dataset, tmp_path, capsys):
@@ -717,11 +777,7 @@ def _has_mallopt() -> bool:
 def _faults_of_two_runs(script: str) -> tuple[int, int]:
     """Run `script` in a fresh interpreter; it prints the minor page faults
     of two runs of the same work."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     first, second = map(int, done.stdout.split())

@@ -313,12 +313,18 @@ def test_parse_skips_blank_lines_and_reads_crlf(tud_dir, tmp_path):
      "non-numeric or out-of-range token"),
     ("graph_indicator.txt", "1\n1\n\n1\n2\n2\n4\n3\n3\n", DatasetParseError, 7,
      "graph id 4 outside 1..3; graph ids must cover 1..3"),
+    # bytes that are not UTF-8 (a UTF-16 byte-order mark)
+    ("node_attributes.txt", b"\xff\xfe1.0, 2.0\n3.0, 4.0\n", DatasetParseError, 1,
+     "non-numeric"),
 ])
 def test_parse_errors_name_the_exact_line(tmp_path, suffix, text, error, line,
                                           message):
     d = write_tud_files(tmp_path, "TOY")
     path = d / f"TOY_{suffix}"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     with pytest.raises(error, match=re.escape(f"{path}:{line}: {message}")):
         dt.parse_tudataset(tmp_path, "TOY")
 

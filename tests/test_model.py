@@ -3,6 +3,7 @@ behavior."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,9 +120,24 @@ def test_a_parsed_corpus_batches_to_the_bytes_of_its_float64_copy(tmp_path,
               for g in parsed]
     got, want = ragged(parsed, dtype), ragged(copies, dtype)
     assert got.runs == want.runs and len(got.runs) < len(parsed)
-    for a, b in zip(got.a_norm + (got.x, got.target),
-                    want.a_norm + (want.x, want.target)):
+    for a, b in zip(got.a_norm + (got.x, got.ax, got.target),
+                    want.a_norm + (want.x, want.ax, want.target)):
         assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_batch_propagates_each_graphs_attributes_once(dtype):
+    # runs of several graphs and a lone one: each graph's rows of ax are the
+    # bits of its own a_norm_i @ x_i
+    batch = ragged(_mixed_graphs([2, 2, 2, 5, 9, 9], attr_dim=3), dtype)
+    assert batch.ax.dtype == dtype and batch.ax.shape == batch.x.shape
+    r0 = 0
+    for (_, size), a_norm in zip(batch.runs, batch.a_norm):
+        for a in a_norm:
+            rows = slice(r0, r0 + size)
+            assert batch.ax[rows].tobytes() == (a @ batch.x[rows]).tobytes()
+            r0 += size
+    assert r0 == len(batch.ax)
 
 
 def test_normalize_batched_matches_single():
@@ -148,14 +164,16 @@ def test_normalize_rejects_asymmetric():
 
 def test_encode_zero_features_give_zero_output(toy_params):
     a_norm = M.normalize_adjacency(np.zeros((1, 3, 3)))
-    h = M.encode(toy_params, (a_norm,), np.zeros((3, 2), dtype=np.float32))
+    h = M.encode(toy_params, (a_norm,),
+                 a_norm[0] @ np.zeros((3, 2), dtype=np.float32))
     np.testing.assert_allclose(h.data, np.zeros((3, 5)))
 
 
 def test_encode_rejects_wrong_feature_dim(toy_params):
     a_norm = np.eye(3, dtype=np.float32)[None]
     with pytest.raises(ConfigurationError, match="attribute dim"):
-        M.encode(toy_params, (a_norm,), np.zeros((3, 7), dtype=np.float32))
+        M.encode(toy_params, (a_norm,),
+                 a_norm[0] @ np.zeros((3, 7), dtype=np.float32))
 
 
 def test_encode_permutation_equivariant(toy_params, toy_model_config):
@@ -168,10 +186,10 @@ def test_encode_permutation_equivariant(toy_params, toy_model_config):
     adj_p = pmat @ adj @ pmat.T
     x_p = pmat @ x
 
-    a1 = M.normalize_adjacency(adj[None])
-    a2 = M.normalize_adjacency(adj_p[None])
-    h1 = M.encode(toy_params, (a1.astype(np.float32),), x.astype(np.float32))
-    h2 = M.encode(toy_params, (a2.astype(np.float32),), x_p.astype(np.float32))
+    a1 = M.normalize_adjacency(adj[None]).astype(np.float32)
+    a2 = M.normalize_adjacency(adj_p[None]).astype(np.float32)
+    h1 = M.encode(toy_params, (a1,), a1[0] @ x.astype(np.float32))
+    h2 = M.encode(toy_params, (a2,), a2[0] @ x_p.astype(np.float32))
     np.testing.assert_allclose(h2.data, pmat @ h1.data, atol=1e-5)
 
 
@@ -482,6 +500,35 @@ def test_checkpoint_missing_file(tmp_path):
         M.load_params(tmp_path / "nope.npz")
 
 
+def _malformed_checkpoint(kind, path, real):
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    elif kind == "config":
+        with np.load(real, allow_pickle=False) as z:
+            arrays = {k: z[k] for k in z.files}
+        with open(path, "wb") as fh:
+            np.savez(fh, **{**arrays, "__config__": np.array("{not json")})
+    else:
+        data = real.read_bytes()
+        path.write_bytes({"empty": b"", "text": b"enc1 = 1.0\n",
+                          "truncated": data[:len(data) // 2]}[kind])
+
+
+@pytest.mark.parametrize("kind", ["empty", "text", "truncated", "npy",
+                                  "directory", "config"])
+def test_a_malformed_checkpoint_is_refused_naming_its_path(
+        tmp_path, toy_model_config, toy_params, kind):
+    real = tmp_path / "real.npz"
+    M.save_params(real, toy_params, toy_model_config)
+    path = tmp_path / "model.npz"
+    _malformed_checkpoint(kind, path, real)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        M.load_params(path)
+
+
 def test_checkpoint_shape_mismatch_rejected(tmp_path, toy_model_config,
                                             toy_params):
     path = tmp_path / "model.npz"
@@ -736,11 +783,11 @@ def _tape(out):
 
 
 def test_the_training_tape_keeps_no_gcn_layer_product():
-    # each GCN layer is one tape node that propagates its narrower side,
-    # enc1 its input and the others their own h @ W in place, so the tape
-    # holds each layer's output and no product: of the (rows, width)
+    # each GCN layer is one tape node: enc1 reads the batch's propagated
+    # attributes, and the others propagate their own h @ W in place, so the
+    # tape holds each layer's output and no product: of the (rows, width)
     # arrays, enc1 and enc2 give the two hidden ones; enc3, the node-memory
-    # readout and dec1 the latent ones; x as enc1's input and as the loss's
+    # readout and dec1 the latent ones; ax as enc1's input, x as the loss's
     # target, and x_hat, the attribute-wide ones
     cfg = _mixed_config(max_nodes=6)
     params = M.init_params(cfg, np.random.default_rng(4))
