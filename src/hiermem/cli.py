@@ -20,7 +20,6 @@ configuration or unreadable data.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -68,28 +67,17 @@ def parse_int_list(text: str) -> list[int]:
     """Comma-separated integers, each token optionally a 'lo..hi' range."""
     out: list[int] = []
     for token in parse_str_list(text):
-        if ".." in token:
-            lo_s, hi_s = token.split("..", 1)
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise ConfigurationError(f"bad range {token!r}") from None
-            if hi < lo:
-                raise ConfigurationError(f"empty range {token!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise ConfigurationError(f"bad integer {token!r}") from None
+        lo_text, dots, hi_text = token.partition("..")
+        lo = parse_int(lo_text)
+        hi = parse_int(hi_text) if dots else lo
+        if hi < lo:
+            raise ConfigurationError(f"empty range {token!r}")
+        out.extend(range(lo, hi + 1))
     return out
 
 
 def parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(t) for t in parse_str_list(text)]
-    except ValueError:
-        raise ConfigurationError(f"bad number list {text!r}") from None
+    return [parse_float(t) for t in parse_str_list(text)]
 
 
 def _fmt(value) -> str:
@@ -158,9 +146,15 @@ def read_config_file(path, allowed: list[str]) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {p}")
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as e:
+        line = e.object[:e.start].count(b"\n") + 1
+        raise ConfigurationError(
+            f"{p}:{line}: not {e.encoding} text ({e.reason})") from None
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -426,20 +420,13 @@ def main(argv: list[str] | None = None) -> int:
     training._keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a warning passes the filters when it is raised, but this process shows
-    # it after the command, so a diverged run's error line comes first; a
-    # forked --jobs worker shows its own at once
-    deferred, pid, show = [], os.getpid(), warnings.showwarning
-
-    def defer(*shown):
-        if os.getpid() == pid:
-            deferred.append(shown)
-        else:
-            show(*shown)
-
+    # a warning passes the filters when it is raised (a --jobs worker's, in
+    # the worker), but is shown after the command, so a diverged run's error
+    # line comes first
+    deferred, show = [], warnings.showwarning
     try:
         with warnings.catch_warnings():
-            warnings.showwarning = defer
+            warnings.showwarning = lambda *shown: deferred.append(shown)
             return args.func(args)
     except (ConfigurationError, DatasetParseError, StructuralError) as e:
         print(f"error: {e}", file=sys.stderr)

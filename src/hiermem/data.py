@@ -52,9 +52,9 @@ class Graph:
             raise StructuralError(f"graph {self.graph_id}: adjacency not symmetric")
         if a.diagonal().any():
             raise StructuralError(f"graph {self.graph_id}: self-loop present")
-        if self.attributes.shape[0] != n:
-            raise StructuralError(f"graph {self.graph_id}: {self.attributes.shape[0]} "
-                                  f"attribute rows for {n} nodes")
+        if self.attributes.ndim != 2 or len(self.attributes) != n:
+            raise StructuralError(f"graph {self.graph_id}: attribute shape "
+                                  f"{self.attributes.shape} for {n} nodes")
         if not np.isfinite(self.attributes).all():
             raise StructuralError(f"graph {self.graph_id}: non-finite attribute")
         if self.label not in (0, 1):

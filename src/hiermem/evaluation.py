@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import functools
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +88,35 @@ def _run_fold(split: FoldSplit, config: TrainConfig, feature_dim: int,
     return evaluate_auc(scores, labels), triples, history
 
 
+def _recorded(run, split: FoldSplit) -> tuple:
+    """`run(split)` and the warnings it raised that passed the filters,
+    recorded instead of shown; an exception carries those raised before it
+    as its `warnings`."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return run(split), caught
+        except Exception as e:
+            e.warnings = caught
+            raise
+
+
+def _reissue(caught, registries: dict) -> None:
+    """Issue again, through this process's filters, warnings a worker
+    recorded; a repeat within one file shows once, as each module's own
+    registry would have it."""
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               registry=registries.setdefault(w.filename, {}))
+
+
 def run_cv(dataset: GraphDataset, config: TrainConfig, k: int,
            tau: float = 0.0, jobs: int = 1) -> EvalReport:
     """k-fold cross-validation: train on normals, score the mixed test fold.
 
     `config.seed` drives the fold split; each fold, contaminated by tau% of
-    its anomaly pool, trains under its own seed (`make_folds`).
+    its anomaly pool, trains under its own seed (`make_folds`). With
+    `jobs` > 1 the folds train in worker processes, and each fold's warnings
+    are issued again here, in fold order, as the fold comes back.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -104,8 +128,16 @@ def run_cv(dataset: GraphDataset, config: TrainConfig, k: int,
     if jobs > 1:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
+        results, registries = [], {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, folds))
+            try:
+                for result, caught in pool.map(
+                        functools.partial(_recorded, run), folds):
+                    _reissue(caught, registries)
+                    results.append(result)
+            except Exception as e:
+                _reissue(getattr(e, "warnings", ()), registries)
+                raise
     else:
         results = list(map(run, folds))
     per_fold, triples, histories = zip(*results)

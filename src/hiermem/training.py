@@ -94,6 +94,8 @@ class TrainConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigurationError("learning_rate must be positive and finite")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         # the model's own checks (variant, memory sizes, shrink_lambda,
         # alpha, widths), before any data is read
         make_model_config(self, 1, 1)

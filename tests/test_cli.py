@@ -89,6 +89,19 @@ def test_every_train_config_field_is_set_by_the_command_line():
     assert set(EXEMPT) <= set(fields)
 
 
+def test_the_command_lines_defaults_are_train_configs():
+    # README "Python API": a run without flags trains under TrainConfig()
+    defaults = {name: field.default for name, field in cli.FIELDS.items()}
+    p, q, variant = (defaults[key] for key in ("p", "q", "variant"))
+    assert len(p) == len(q) == len(variant) == 1
+    config = cli.build_train_config(defaults, p[0], q[0], variant[0])
+    assert config == training.TrainConfig()
+    for name, field in cli.FIELDS.items():
+        if field.default is not None:
+            assert cli._parse_field(field, cli._fmt(field.default),
+                                    f"--{name}") == field.default
+
+
 def _reads(tree: ast.AST) -> set[str]:
     """Every name a module reads, directly or as an attribute."""
     return {node.id if isinstance(node, ast.Name) else node.attr
@@ -233,18 +246,32 @@ def _fresh_env() -> dict:
     return env
 
 
-def test_a_diverged_runs_error_line_comes_before_numpys_warnings(
-        disk_dataset, tmp_path):
-    # numpy's overflow warnings are still shown, after the one line a user
-    # needs; in a fresh interpreter, whose warnings filters show them
+def _diverged_run_stderr(disk_dataset, out_dir, jobs: str) -> str:
+    """The stderr of a diverged cv run, which must lead with its error line
+    and show numpy's overflow warnings after it; in a fresh interpreter,
+    whose warnings filters show them."""
     done = subprocess.run(
         [sys.executable, "-m", "hiermem.cli",
-         *run_cv_args(disk_dataset, tmp_path, ["--lr", "1e30"])],
+         *run_cv_args(disk_dataset, out_dir, ["--lr", "1e30", "--jobs", jobs])],
         env=_fresh_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert re.match(r"error: graph \d+: non-finite score$", lines[0])
     assert any("RuntimeWarning" in line for line in lines[1:])
+    return done.stderr
+
+
+def test_a_diverged_runs_error_line_comes_before_numpys_warnings(
+        disk_dataset, tmp_path):
+    _diverged_run_stderr(disk_dataset, tmp_path, "1")
+
+
+def test_a_diverged_jobs_run_shows_its_workers_warnings_after_the_error(
+        disk_dataset, tmp_path):
+    # each worker records its fold's warnings and the parent issues them
+    # again in fold order, so the stderr is the serial run's
+    assert (_diverged_run_stderr(disk_dataset, tmp_path / "jobs", "2")
+            == _diverged_run_stderr(disk_dataset, tmp_path / "serial", "1"))
 
 
 def test_a_warning_of_a_run_that_does_not_diverge_reaches_the_filters(
@@ -335,6 +362,11 @@ def test_a_bad_config_fails_before_the_data_is_read(tmp_path, capsys):
      "--p lists 2 more than once"),
     (["cv", "--dataset", "X", "--lr", "inf"],
      "learning_rate must be positive and finite"),
+    # a list item is named the way a scalar is
+    (["sweep", "memory", "--dataset", "X", "--p", "1..y"],
+     "--p: expected an integer, got 'y'"),
+    (["sweep", "contamination", "--dataset", "X", "--tau", "0,a"],
+     "--tau: expected a number, got 'a'"),
 ])
 def test_a_bad_scalar_flag_is_named_before_the_data_is_read(tmp_path, capsys,
                                                             argv, named):
@@ -362,6 +394,26 @@ def test_a_bad_scalar_config_key_is_named(tmp_path, capsys, line, named):
     assert main(["cv", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "runs")]) == 2
     assert f"{cfg}: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    (None, "config file not found: {cfg}"),
+    (b"dataset=synthetic-er\nepochs=\xff\xfe1\n",
+     "{cfg}:2: not utf-8 text (invalid start byte)"),
+    (b"dataset=synthetic-er\nepochs\n", "{cfg}:2: expected key=value"),
+    (b"seeds=3\n", "{cfg}:1: key 'seeds' does not apply to this command"),
+])
+def test_a_config_file_that_cannot_be_read_is_refused_naming_it(
+        tmp_path, capsys, monkeypatch, text, named):
+    monkeypatch.setattr(cli, "load_dataset", lambda values: pytest.fail(
+        "the data was read before the config file was refused"))
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_bytes(text)
+    assert main(["cv", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named.format(cfg=cfg)}\n"
 
 
 def test_version_flag():

@@ -52,6 +52,29 @@ def test_graph_rejects_nonfinite_attributes():
                  label=0, node_count=1, graph_id=1)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(adjacency=np.zeros((0, 0)), attributes=np.zeros((0, 1)), node_count=0),
+     "graph 7: empty graph"),
+    (dict(adjacency=np.zeros((3, 3))), "graph 7: adjacency shape (3, 3) for 2 nodes"),
+    (dict(attributes=np.zeros((3, 1))), "graph 7: attribute shape (3, 1) for 2 nodes"),
+    # a vector of one value per node, not a matrix with one column
+    (dict(attributes=np.ones(2)), "graph 7: attribute shape (2,) for 2 nodes"),
+    (dict(label=2), "graph 7: label 2 not in {0, 1}"),
+])
+def test_graph_refuses_a_broken_invariant_naming_the_graph(fields, message):
+    valid = dict(adjacency=np.zeros((2, 2)), attributes=np.zeros((2, 1)),
+                 label=0, node_count=2, graph_id=7)
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        dt.Graph(**{**valid, **fields})
+
+
+def test_dataset_rejects_a_graph_wider_than_n_max(triangle_graph):
+    with pytest.raises(StructuralError, match=re.escape(
+            f"graph {triangle_graph.graph_id}: 3 nodes exceeds n_max 2")):
+        dt.GraphDataset(graphs=[triangle_graph], attribute_dim=2, n_max=2,
+                        name="narrow")
+
+
 def test_dataset_rejects_mixed_attribute_dims(triangle_graph):
     other = build_graph([(0, 1)], 2, graph_id=9, attr_dim=3)
     with pytest.raises(StructuralError, match="attribute dim"):
@@ -311,6 +334,9 @@ def test_parse_skips_blank_lines_and_reads_crlf(tud_dir, tmp_path):
      "non-numeric"),
     ("A.txt", "1, 2\n\n2, 99999999999999999999\n", DatasetParseError, 3,
      "non-numeric or out-of-range token"),
+    # numpy reads a file whose every line is too wide; the width check
+    # sends it to the line walk, which names the first line
+    ("A.txt", "1, 2, 3\n2, 3, 1\n", DatasetParseError, 1, "expected 2 values, got 3"),
     ("graph_indicator.txt", "1\n1\n\n1\n2\n2\n4\n3\n3\n", DatasetParseError, 7,
      "graph id 4 outside 1..3; graph ids must cover 1..3"),
     # bytes that are not UTF-8 (a UTF-16 byte-order mark)
@@ -345,6 +371,9 @@ def test_parse_names_a_graph_without_nodes(tmp_path):
     path.write_text("1\n1\n1\n3\n3\n3\n3\n3\n")
     with pytest.raises(DatasetParseError, match=re.escape(
             f"{path}: graph 2 has no node line; graph ids must cover 1..3")):
+        dt.parse_tudataset(tmp_path, "TOY")
+    path.write_text("")
+    with pytest.raises(DatasetParseError, match=re.escape(f"{path}: no nodes listed")):
         dt.parse_tudataset(tmp_path, "TOY")
 
 

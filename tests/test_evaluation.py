@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,48 @@ def test_run_cv_parallel_matches_serial(er_dataset):
     parallel = ev.run_cv(er_dataset, cfg, k=3, jobs=3)
     assert serial.per_fold_auc == parallel.per_fold_auc
     assert serial.per_graph_scores == parallel.per_graph_scores
+
+
+_run_fold = ev._run_fold
+
+
+def _warning_fold(split, **kwargs):
+    # module level, so a worker can unpickle it by name
+    warnings.warn("planted in every fold", RuntimeWarning)
+    warnings.warn(f"planted in the fold of seed {split.seed}", RuntimeWarning)
+    return _run_fold(split, **kwargs)
+
+
+def test_a_workers_warnings_reach_the_parent_as_a_serial_run_shows_them(
+        er_dataset, monkeypatch):
+    # each fold warns twice; the parent issues a worker's warnings again in
+    # fold order, and the repeated one shows once, as it does in one process
+    monkeypatch.setattr(ev, "_run_fold", _warning_fold)
+    cfg = TrainConfig(seed=0, **SMALL)
+
+    def shown(jobs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            ev.run_cv(er_dataset, cfg, k=3, jobs=jobs)
+        return [(w.category, str(w.message), w.filename, w.lineno)
+                for w in caught]
+
+    serial = shown(1)
+    assert [m for _, m, _, _ in serial] == [
+        "planted in every fold", "planted in the fold of seed 0",
+        "planted in the fold of seed 1", "planted in the fold of seed 2"]
+    assert shown(3) == serial
+
+
+def test_a_workers_warning_meets_the_filters_when_it_is_raised(er_dataset):
+    # a diverging run warns inside hiermem, and an error filter for the
+    # package raises in the worker, as it would in a serial run
+    cfg = TrainConfig(seed=0, learning_rate=1e30, **{**SMALL, "epochs": 1})
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", category=RuntimeWarning,
+                                module="hiermem")
+        with pytest.raises(RuntimeWarning):
+            ev.run_cv(er_dataset, cfg, k=3, jobs=3)
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

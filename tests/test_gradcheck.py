@@ -156,6 +156,11 @@ def test_check_suite_runs_ten_seeds_quickly(monkeypatch):
     assert ran == [(n, s) for n in ("add", "sigmoid") for s in range(10)]
     assert [v.name for v in verdicts] == ["add", "sigmoid"]
     assert all(v.passed for v in verdicts)
+    # an unknown name is refused before any case runs
+    ran.clear()
+    with pytest.raises(ValueError, match=r"unknown gradcheck cases: \['nope'\]"):
+        gc.check_suite(seeds=[0], names=["add", "nope"])
+    assert ran == []
 
 
 def test_run_case_reports_per_param_errors():

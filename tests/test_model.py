@@ -34,6 +34,10 @@ def test_config_rejects_bad_values():
     for alpha in (np.nan, np.inf):
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
             M.ModelConfig(feature_dim=2, alpha=alpha)
+    with pytest.raises(ConfigurationError, match="memory bank sizes must be >= 1"):
+        M.ModelConfig(feature_dim=2, num_node_memory=0)
+    with pytest.raises(ConfigurationError, match="max_nodes must be set"):
+        M.init_params(M.ModelConfig(feature_dim=2), np.random.default_rng(0))
 
 
 def test_variant_memory_flags():
@@ -506,11 +510,15 @@ def _malformed_checkpoint(kind, path, real):
     elif kind == "npy":
         with open(path, "wb") as fh:
             np.save(fh, np.zeros(3))
-    elif kind == "config":
+    elif kind in ("config", "no-config"):
         with np.load(real, allow_pickle=False) as z:
             arrays = {k: z[k] for k in z.files}
+        if kind == "config":
+            arrays["__config__"] = np.array("{not json")
+        else:
+            del arrays["__config__"]
         with open(path, "wb") as fh:
-            np.savez(fh, **{**arrays, "__config__": np.array("{not json")})
+            np.savez(fh, **arrays)
     else:
         data = real.read_bytes()
         path.write_bytes({"empty": b"", "text": b"enc1 = 1.0\n",
@@ -518,7 +526,7 @@ def _malformed_checkpoint(kind, path, real):
 
 
 @pytest.mark.parametrize("kind", ["empty", "text", "truncated", "npy",
-                                  "directory", "config"])
+                                  "directory", "config", "no-config"])
 def test_a_malformed_checkpoint_is_refused_naming_its_path(
         tmp_path, toy_model_config, toy_params, kind):
     real = tmp_path / "real.npz"

@@ -40,6 +40,9 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(learning_rate=0.0)
+    # numpy's generators would refuse it later with a bare ValueError
+    with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
     for field in ("learning_rate", "alpha"):
         for value in (np.nan, np.inf):
             with pytest.raises(ConfigurationError, match=f"{field} must be"):
