@@ -2,17 +2,19 @@
 
 `tests/bits.json` holds, for a few fixed training runs, the sha256 of the
 trained parameters' bytes, of the per-epoch history rows and of the per-graph
-scores, along with the numpy and OpenBLAS versions that produced them. The
-test recomputes every case in one subprocess under a forced OpenBLAS kernel
-and one BLAS thread, because both change the bits of a GEMM; a second test
-recomputes two of them in their own subprocess at two threads, which split
-some GEMMs differently (it skips where OpenBLAS runs fewer). Some cases are
-twins that must give equal digests: a corpus written to disk and parsed back
-(bool adjacency; degree columns built by the parser when the attribute file
-is left out) against the corpus as constructed, and a cross-validation run
-with two fold workers against the serial run. A change that means to keep
-the numerics leaves the file alone; one that means to change them rewrites
-it and lists the changed cases:
+scores, along with the numpy and OpenBLAS versions that produced them, and
+the sha256 of the gradient checker's verdicts over seeds 0-9, so a change to
+which draws that oracle compares shows here too. The test recomputes every
+case in one subprocess under a forced OpenBLAS kernel and one BLAS thread,
+because both change the bits of a GEMM; a second test recomputes two of them
+in their own subprocess at two threads, which split some GEMMs differently
+(it skips where OpenBLAS runs fewer). Some cases are twins that must give
+equal digests: a corpus written to disk and parsed back (bool adjacency;
+degree columns built by the parser when the attribute file is left out)
+against the corpus as constructed, and a cross-validation run with two fold
+workers against the serial run. A change that means to keep the numerics
+leaves the file alone; one that means to change them rewrites it and lists
+the changed cases:
 
     PYTHONPATH=src python tests/test_bits.py --write
 """
@@ -85,6 +87,16 @@ def _cv(dataset, jobs: int) -> dict[str, str]:
     return {"scores": _sha(json.dumps(report.per_graph_scores).encode())}
 
 
+def _gradcheck() -> dict[str, str]:
+    """Each case's verdict of `check_suite(range(10))`: its name, worst
+    seed, largest error (as `repr`), pass flag and per-parameter errors."""
+    from hiermem.gradcheck import check_suite
+
+    verdicts = [[v.name, v.worst_seed, repr(v.max_rel_err), v.passed,
+                 v.per_param] for v in check_suite(range(10))]
+    return {"verdicts": _sha(json.dumps(verdicts).encode())}
+
+
 def _reparsed(dataset, attributes: bool = True):
     """`dataset` written in the TUDataset layout and parsed back; without
     its attribute file the parser builds the degree columns."""
@@ -119,6 +131,7 @@ def compute(names=None) -> dict:
         "aids-like-600-7-parsed/full": lambda: _case(_reparsed(aids), "full"),
         "synthetic-er/cv": lambda: _cv(er, jobs=1),
         "synthetic-er/cv-jobs2": lambda: _cv(er, jobs=2),
+        "gradcheck": _gradcheck,
     }
     return {**versions(), "threads": blas.threads(),
             "cases": {name: cases[name]() for name in names or cases}}
