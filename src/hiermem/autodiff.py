@@ -34,6 +34,13 @@ the tape of a batch has the same nodes however many sizes it mixes. A graph
 convolution, relu(adj_i @ h_i @ W) per graph, is one `matmul` node (its
 `adj`) that propagates the product in place, so the tape keeps no `h @ W`.
 
+Three ops are not differentiable everywhere: `relu` (plain or fused) at 0,
+`hard_shrink` where a weight equals its threshold, and `matrix_cosine` where
+a norm it divides by is 0. While `_kink_log` is a list, each appends
+`(op, distance)` entries: min|x| of its input, min|w - lam| of its input,
+and, once per run, the smallest graph or cropped-block norm it divides by.
+The gradient checker redraws inputs that come within its margin of a kink.
+
 Results are deterministic per seed but not bit-identical across versions of
 this library that sum in a different order.
 """
@@ -44,10 +51,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Populated by the gradient checker to detect ReLU kink proximity; when it is
-# a list, every ReLU, `relu()` or one fused into an op, appends min|x| of its
-# input.
-_relu_kink_log: list | None = None
+# None, or the list of (op, distance) entries of the smoothness rule above
+_kink_log: list | None = None
 
 
 class Tensor:
@@ -332,8 +337,8 @@ def reduce_mean(a) -> Tensor:
 def _relu_in_place(x: np.ndarray) -> np.ndarray:
     """ReLU of an array an op has just made and no one else holds, written
     over it (the `relu=True` of `matmul`)."""
-    if _relu_kink_log is not None:
-        _relu_kink_log.append(float(np.min(np.abs(x))) if x.size else np.inf)
+    if _kink_log is not None:
+        _kink_log.append(("relu", float(np.min(np.abs(x), initial=np.inf))))
     return np.maximum(x, 0, out=x)  # NaN stays NaN
 
 
@@ -422,6 +427,11 @@ def matrix_cosine(h, m, runs) -> Tensor:
         den = nh[:, None] * nm[None, :] + COSINE_EPS
         out_data[graphs] = (hf @ mf.T) / den
         norms.append((nh, nm, den))
+    if _kink_log is not None:
+        _kink_log.extend(
+            ("matrix_cosine", float(min(nh.min(initial=np.inf),
+                                        nm.min(initial=np.inf))))
+            for nh, nm, _ in norms)
 
     def bw():
         gh = np.empty(h.data.shape, h.data.dtype)
@@ -486,6 +496,9 @@ def hard_shrink(w, lam: float) -> Tensor:
     w = as_tensor(w)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"shrink threshold must be in [0, 1), got {lam}")
+    if _kink_log is not None:
+        _kink_log.append(("hard_shrink",
+                          float(np.min(np.abs(w.data - lam), initial=np.inf))))
     keep = w.data >= lam
     kept = np.where(keep, w.data, 0)
     s = kept.sum(axis=-1, keepdims=True)

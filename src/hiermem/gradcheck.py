@@ -1,13 +1,14 @@
 """Finite-difference verification of every backward rule.
 
 Each primitive case is one row of `PRIMITIVE_CASES`: the leaf shapes, the op
-and, where needed, a smoothness guard and constant inputs, so adding an op
-means adding one row. A case builds random float64 inputs, runs the tape once
-for analytic gradients, then compares them against central differences of the
-scalar output. Inputs that land too close to a nondifferentiable point (ReLU
-kinks, shrink thresholds, near-zero norms) are rejected and redrawn from a
-shifted seed, so the comparison is only ever made where the function is
-smooth.
+and, where needed, constant inputs, so adding an op means adding one row;
+`CASES` adds the whole-model loss. A case builds random float64 inputs, runs
+the tape once for analytic gradients, then compares them against central
+differences of the scalar output. The comparison is only ever made where the
+function is smooth: the ops that are not differentiable everywhere log how
+far their inputs are from such a point (`autodiff._kink_log`), and a draw
+where any distance is at or below its op's `KINK_MARGIN` is redrawn from a
+shifted seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from .autodiff import Tensor
 # the finite-difference step every check takes
 EPS = 1e-5
 DEFAULT_TOL = 1e-4
-KINK_MARGIN = 1e-3
+# per op that logs its kinks (`autodiff._kink_log`), the distance at or below
+# which a draw is redrawn: wide of EPS, since one step moves an op's input by
+# more than EPS, and for a cosine's norms well above its COSINE_EPS floor
+KINK_MARGIN = {"relu": 1e-3, "hard_shrink": 1e-3, "matrix_cosine": 1e-2}
 # both-gradients-vanish band: central differences bottom out at rounding
 # noise (~1e-12 for O(1) outputs), so below this the check is absolute
 ZERO_BAND = 1e-10
@@ -34,7 +38,6 @@ _MAX_REDRAWS = 16
 class CheckCase:
     params: dict[str, Tensor]
     fn: Callable[[], Tensor]
-    guard: Callable[[], bool] | None = None
 
 
 @dataclass
@@ -115,32 +118,21 @@ def _projector(rng: np.random.Generator):
 # --- cases -----------------------------------------------------------------
 
 def _case(shapes: dict[str, tuple], op: Callable,
-          guard: Callable[..., bool] | None = None,
           consts: Callable | None = None) -> Callable:
     """A builder of one case from an rng.
 
     It draws `consts(rng)` if given, then one leaf per entry of `shapes` in
     order, then the projector, and checks `op` applied to the constants, if
     any, and the leaves. `op` looks its primitive up on `ad` when it runs, so
-    a patched op is the one checked. `guard`, if given, sees the same
-    arguments, with the leaves as arrays.
+    a patched op is the one checked.
     """
     def build(rng: np.random.Generator) -> CheckCase:
         fixed = [consts(rng)] if consts is not None else []
         leaves = {name: _leaf(rng, shape) for name, shape in shapes.items()}
         proj = _projector(rng)
-        return CheckCase(
-            leaves, lambda: proj(op(*fixed, *leaves.values())),
-            guard and (lambda: guard(*fixed,
-                                     *(t.data for t in leaves.values()))))
+        return CheckCase(leaves, lambda: proj(op(*fixed, *leaves.values())))
 
     return build
-
-
-def _min_graph_norm(h: np.ndarray, node_counts) -> float:
-    """The smallest Frobenius norm of one graph's rows in the stack `h`."""
-    starts = np.concatenate(([0], np.cumsum(node_counts)[:-1]))
-    return float(np.sqrt(np.add.reduceat((h ** 2).sum(axis=1), starts).min()))
 
 
 # a ragged batch of five graphs: one of 1 node, two of 3, two of 2
@@ -154,17 +146,6 @@ def _run_matrices(rng):
 
 
 _SHRINK = 0.15
-
-
-def _shrink_guard(a):
-    return float(np.min(np.abs(ad.row_softmax(a).data - _SHRINK))) > KINK_MARGIN
-
-
-def _cosine_guard(h, m):
-    # the memory's blocks are compared, cropped to one row, with the 1-node graph
-    nm = np.linalg.norm(m[:, :1].reshape(len(m), -1), axis=1).min()
-    return min(_min_graph_norm(h, _NODE_COUNTS), nm) > 1e-2
-
 
 _PAIR = {"a": (3, 4), "b": (3, 4)}
 # node rows times a layer weight, as in every h @ W of the model
@@ -185,8 +166,7 @@ PRIMITIVE_CASES: dict[str, Callable] = {
     "sigmoid": _case({"a": (4, 5)}, lambda a: ad.sigmoid(a)),
     "row_softmax": _case({"a": (3, 5)}, lambda a: ad.row_softmax(a)),
     "hard_shrink": _case(
-        {"a": (4, 5)}, lambda a: ad.hard_shrink(ad.row_softmax(a), _SHRINK),
-        guard=_shrink_guard),
+        {"a": (4, 5)}, lambda a: ad.hard_shrink(ad.row_softmax(a), _SHRINK)),
     "entropy": _case({"a": (3, 4)}, lambda a: ad.entropy(ad.row_softmax(a))),
     "matmul_adj": _case(_GCN, lambda adj, h, w: ad.matmul(h, w, adj=adj),
                         consts=_run_matrices),
@@ -195,8 +175,7 @@ PRIMITIVE_CASES: dict[str, Callable] = {
         consts=_run_matrices),
     "gram": _case(_NODES, lambda h: ad.gram(h, _RUNS)),
     "matrix_cosine": _case({"h": (_ROWS, 2), "m": (3, 4, 2)},
-                           lambda h, m: ad.matrix_cosine(h, m, _RUNS),
-                           guard=_cosine_guard),
+                           lambda h, m: ad.matrix_cosine(h, m, _RUNS)),
     "block_readout": _case({"w": (len(_NODE_COUNTS), 3), "m": (3, 4, 2)},
                            lambda w, m: ad.block_readout(w, m, _RUNS)),
     "graph_mean": _case(_NODES, lambda h: ad.graph_mean(h, _RUNS)),
@@ -229,25 +208,13 @@ def _full_loss_case(rng: np.random.Generator) -> CheckCase:
                             attributes=rng.normal(size=(n, cfg.feature_dim)),
                             label=0, node_count=n, graph_id=gid))
     batch = M.ragged_batch(graphs, np.float64)
-    batch_cell: dict = {}
+    return CheckCase(
+        dict(params.named_tensors()),
+        lambda: ad.reduce_mean(M.batch_losses(
+            M.forward_batch(params, cfg, batch), cfg).total))
 
-    def fn():
-        out = M.forward_batch(params, cfg, batch)
-        batch_cell["out"] = out
-        return ad.reduce_mean(M.batch_losses(out, cfg).total)
 
-    def guard():
-        out = batch_cell["out"]
-        margins = [1.0]
-        for raw in (out.node_weights_raw, out.graph_weights_raw):
-            if raw is not None:
-                margins.append(float(np.min(np.abs(raw.data - cfg.shrink_lambda))))
-        # cosine denominators must sit well away from the eps floor
-        norms = min(float(np.linalg.norm(out.h_graph.data, axis=-1).min()),
-                    _min_graph_norm(out.h_nodes.data, batch.node_counts))
-        return min(margins) > KINK_MARGIN and norms > 1e-2
-
-    return CheckCase(dict(params.named_tensors()), fn, guard)
+CASES: dict[str, Callable] = {**PRIMITIVE_CASES, "full_loss": _full_loss_case}
 
 
 def run_case(name: str, builder: Callable, seed: int) -> CheckResult:
@@ -255,35 +222,30 @@ def run_case(name: str, builder: Callable, seed: int) -> CheckResult:
     for attempt in range(_MAX_REDRAWS):
         rng = np.random.default_rng(seed + 9973 * attempt)
         case = builder(rng)
-        ad._relu_kink_log = []
+        ad._kink_log = []
         try:
             case.fn()
-            kinks = ad._relu_kink_log
+            kinks = ad._kink_log
         finally:
-            ad._relu_kink_log = None
-        if kinks and min(kinks) <= KINK_MARGIN:
-            continue
-        if case.guard is not None and not case.guard():
+            ad._kink_log = None
+        near = [(op, d) for op, d in kinks if d <= KINK_MARGIN[op]]
+        if near:
             continue
         errs = grad_check(case.fn, list(case.params.values()))
         per_param = {n_: float(e) for n_, e in zip(case.params, errs)}
         worst = float(errs.max()) if errs.size else 0.0
         return CheckResult(name, seed, worst, worst < DEFAULT_TOL, per_param)
+    op, d = near[0]
     raise RuntimeError(f"could not draw smooth inputs for {name} after "
-                       f"{_MAX_REDRAWS} attempts")
+                       f"{_MAX_REDRAWS} attempts: the last draw put a {op} "
+                       f"input {d:.3g} from its kink (margin {KINK_MARGIN[op]:g})")
 
 
-def check_suite(seeds, names: list[str] | None = None) -> list[CheckResult]:
-    """Run every registered case, or those in `names`, at each of `seeds`;
-    returns one verdict per case, over all its seeds."""
-    cases = {**PRIMITIVE_CASES, "full_loss": _full_loss_case}
-    if names is not None:
-        unknown = set(names) - set(cases)
-        if unknown:
-            raise ValueError(f"unknown gradcheck cases: {sorted(unknown)}")
-        cases = {k: cases[k] for k in names}
+def check_suite(seeds) -> list[CheckResult]:
+    """Run every case of `CASES` at each of `seeds`; returns one verdict per
+    case, over all its seeds."""
     verdicts = []
-    for name, builder in cases.items():
+    for name, builder in CASES.items():
         runs = [run_case(name, builder, int(seed)) for seed in seeds]
         worst = max(runs, key=lambda r: (r.max_rel_err, -r.worst_seed))
         verdicts.append(CheckResult(

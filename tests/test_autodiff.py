@@ -284,13 +284,13 @@ def _fused_and_unfused(op_name, dtype, nan):
 
     def run(fused):
         hh, ww = Tensor(h.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
-        ad._relu_kink_log = []
+        ad._kink_log = []
         try:
             out = (ad.matmul(hh, ww, relu=True, adj=adj) if fused
                    else ad.relu(ad.matmul(hh, ww, adj=adj)))
-            kinks = ad._relu_kink_log
+            kinks = ad._kink_log
         finally:
-            ad._relu_kink_log = None
+            ad._kink_log = None
         data = out.data.copy()
         ad.backward(ad.reduce_sum(ad.mul(out, proj)))
         return data, (hh.grad, ww.grad), kinks, out
@@ -312,7 +312,38 @@ def test_fused_relu_is_bit_equal_to_relu_on_the_ops_output(op_name, dtype, nan):
         assert fg.tobytes() == ug.tobytes()
     assert np.isnan(f_grads[1]).any() == nan      # NaN reaches the weight
     np.testing.assert_array_equal(f_kinks, u_kinks)
-    assert len(f_kinks) == 1 and (nan or f_kinks[0] == 0.0)
+    assert len(f_kinks) == 1 and f_kinks[0][0] == "relu"
+    assert nan or f_kinks[0][1] == 0.0
+
+
+def _logged(fn):
+    """The kink log's entries while `fn()` runs."""
+    ad._kink_log = []
+    try:
+        fn()
+        return ad._kink_log
+    finally:
+        ad._kink_log = None
+
+
+def test_each_non_smooth_op_logs_its_distance_from_its_kink():
+    x = np.array([[0.3, -0.02, 1.5], [-2.0, 0.7, 0.05]])
+    assert _logged(lambda: ad.relu(leaf(x))) == [("relu", 0.02)]
+    # the fused relu logs the product it clamps, not its inputs
+    b = np.array([[1.0, 0.5], [0.25, -1.0], [2.0, 0.125]])
+    assert _logged(lambda: ad.matmul(leaf(x), leaf(b), relu=True)) == [
+        ("relu", float(np.abs(x @ b).min()))]
+    w = np.array([[0.5, 0.3, 0.2], [0.16, 0.44, 0.4]])
+    assert _logged(lambda: ad.hard_shrink(leaf(w), 0.15)) == [
+        ("hard_shrink", float(np.abs(w - 0.15).min()))]
+    # one entry per run: the smallest norm of its graphs, or of the blocks
+    # cropped to its node count
+    h = np.array([[3.0, 4.0], [0.1, 0.0], [0.0, 0.2], [6.0, 8.0], [0.0, 5.0]])
+    m = np.array([[[0.6, 0.8], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
+    runs = ((1, 1), (2, 2))
+    assert _logged(lambda: ad.matrix_cosine(leaf(h), leaf(m), runs)) == [
+        ("matrix_cosine", 1.0),
+        ("matrix_cosine", float(np.linalg.norm(h[1:3])))]
 
 
 def test_fused_relu_records_one_tape_node():

@@ -50,17 +50,20 @@ def test_grad_check_restores_requires_grad_when_fn_raises():
     assert p.requires_grad
 
 
+def _run(*names):
+    return [gc.run_case(name, gc.CASES[name], 0) for name in names]
+
+
 def test_primitive_cases_all_pass_single_seed():
-    results = gc.check_suite(seeds=[0], names=list(gc.PRIMITIVE_CASES))
+    results = _run(*gc.PRIMITIVE_CASES)
     assert all(r.passed for r in results)
     assert {r.name for r in results} == set(gc.PRIMITIVE_CASES)
 
 
 def test_full_model_case_passes():
-    results = gc.check_suite(seeds=[0], names=["full_loss"])
-    assert len(results) == 1
-    assert results[0].passed
-    assert results[0].max_rel_err < gc.DEFAULT_TOL
+    [result] = _run("full_loss")
+    assert result.passed
+    assert result.max_rel_err < gc.DEFAULT_TOL
 
 
 def test_projection_is_deterministic_within_case():
@@ -85,7 +88,7 @@ def _sabotaged_relu(a):
 
 def test_fault_injection_detected(monkeypatch):
     monkeypatch.setattr(ad, "relu", _sabotaged_relu)
-    results = gc.check_suite(seeds=[0], names=["relu"])
+    results = _run("relu")
     assert not results[0].passed
     assert results[0].max_rel_err > gc.DEFAULT_TOL
 
@@ -95,9 +98,7 @@ def test_fault_injection_in_fused_relu_detected(monkeypatch):
         return np.multiply(g, (out_data > 0) * 1.01, out=g)  # planted 1% error
 
     monkeypatch.setattr(ad, "_relu_grad_in_place", bad_mask)
-    results = gc.check_suite(seeds=[0],
-                             names=["matmul_relu", "matmul_adj_relu",
-                                    "full_loss"])
+    results = _run("matmul_relu", "matmul_adj_relu", "full_loss")
     assert [r.passed for r in results] == [False] * 3
     assert all(r.max_rel_err > gc.DEFAULT_TOL for r in results)
 
@@ -112,7 +113,7 @@ def test_a_missing_transpose_in_the_graph_convolution_is_detected(monkeypatch):
 
     monkeypatch.setattr(ad, "_propagate_runs", untransposed)
     names = ["matmul_adj", "matmul_adj_relu"]
-    results = gc.check_suite(seeds=[0], names=names)
+    results = _run(*names)
     assert [r.passed for r in results] == [False] * len(names)
 
 
@@ -120,9 +121,9 @@ def test_full_loss_forward_logs_one_kink_entry_per_relu(monkeypatch):
     # enc1, enc2, enc3 and dec1 each apply a ReLU fused into their op; the
     # redraw past kinks needs every one of them in the log
     case = gc._full_loss_case(np.random.default_rng(0))
-    monkeypatch.setattr(ad, "_relu_kink_log", [])
+    monkeypatch.setattr(ad, "_kink_log", [])
     case.fn()
-    assert len(ad._relu_kink_log) == 4
+    assert [op for op, _ in ad._kink_log].count("relu") == 4
 
 
 def test_fault_injection_in_matmul_detected(monkeypatch):
@@ -140,7 +141,7 @@ def test_fault_injection_in_matmul_detected(monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "matmul", bad_matmul)
-    results = gc.check_suite(seeds=[0], names=["matmul"])
+    results = _run("matmul")
     assert not results[0].passed
 
 
@@ -152,15 +153,72 @@ def test_check_suite_runs_ten_seeds_quickly(monkeypatch):
         return run_case(name, builder, seed)
 
     monkeypatch.setattr(gc, "run_case", recording)
-    verdicts = gc.check_suite(seeds=range(10), names=["add", "sigmoid"])
+    monkeypatch.setattr(gc, "CASES", {n: gc.CASES[n] for n in ("add", "sigmoid")})
+    verdicts = gc.check_suite(seeds=range(10))
     assert ran == [(n, s) for n in ("add", "sigmoid") for s in range(10)]
     assert [v.name for v in verdicts] == ["add", "sigmoid"]
     assert all(v.passed for v in verdicts)
-    # an unknown name is refused before any case runs
-    ran.clear()
-    with pytest.raises(ValueError, match=r"unknown gradcheck cases: \['nope'\]"):
-        gc.check_suite(seeds=[0], names=["add", "nope"])
-    assert ran == []
+
+
+def _first_draw_near(op, near, far):
+    """A builder whose first draw is `near(rng)` and whose later draws are
+    `far(rng)`, each a leaf fed to `op`; records the leaves it hands out."""
+    drawn = []
+
+    def build(rng):
+        x = Tensor((far if drawn else near)(rng), requires_grad=True)
+        drawn.append(x.data.copy())
+        return gc.CheckCase({"x": x}, lambda: ad.reduce_sum(op(x)))
+
+    return build, drawn
+
+
+def test_run_case_redraws_a_shrink_input_within_the_margin_of_lam():
+    lam = 0.2
+
+    def near(rng):
+        return np.array([[0.5, lam + 5e-4, 0.3 - 5e-4]])
+
+    def far(rng):
+        return np.array([[0.5, 0.25, 0.25]])
+
+    build, drawn = _first_draw_near(lambda x: ad.hard_shrink(x, lam), near, far)
+    res = gc.run_case("shrink", build, seed=0)
+    assert len(drawn) == 2
+    assert res.passed and res.worst_seed == 0
+
+
+def test_run_case_redraws_a_zero_norm_graph_under_matrix_cosine():
+    m = np.random.default_rng(1).normal(size=(2, 2, 3))
+    runs = ((1, 1), (1, 2))
+
+    def near(rng):
+        h = rng.normal(size=(3, 3))
+        h[1:] = 0.0                                   # the 2-node graph
+        return h
+
+    build, drawn = _first_draw_near(
+        lambda x: ad.matrix_cosine(x, m, runs),
+        near, lambda rng: rng.normal(size=(3, 3)))
+    res = gc.run_case("cosine", build, seed=0)
+    assert len(drawn) == 2 and drawn[1][1:].any()
+    assert res.passed
+
+
+def test_every_op_a_case_logs_has_a_margin(monkeypatch):
+    monkeypatch.setattr(ad, "_kink_log", [])
+    for build in gc.CASES.values():
+        build(np.random.default_rng(0)).fn()
+    assert {op for op, _ in ad._kink_log} == set(gc.KINK_MARGIN)
+
+
+def test_run_case_that_cannot_draw_smooth_inputs_names_the_last_kink(
+        monkeypatch):
+    monkeypatch.setattr(gc, "KINK_MARGIN", dict.fromkeys(gc.KINK_MARGIN, 1e9))
+    with pytest.raises(RuntimeError, match=(
+            r"could not draw smooth inputs for relu after 16 attempts: the "
+            r"last draw put a relu input [0-9.e-]+ from its kink \(margin 1e\+09\)")):
+        gc.run_case("relu", gc.CASES["relu"], seed=0)
 
 
 def test_run_case_reports_per_param_errors():
@@ -183,8 +241,9 @@ def test_a_verdict_names_the_worst_seed_and_each_parameters_largest_error(
                               {"a": a, "b": b})
 
     monkeypatch.setattr(gc, "run_case", fake_case)
+    monkeypatch.setattr(gc, "CASES", dict.fromkeys(errs))
     # the seeds in any order: a tie goes to the lowest
-    relu, sigmoid = gc.check_suite(seeds=[6, 4, 5], names=["relu", "sigmoid"])
+    relu, sigmoid = gc.check_suite(seeds=[6, 4, 5])
     assert relu == gc.CheckResult("relu", 5, 0.5, False, {"a": 0.5, "b": 0.5})
     assert sigmoid == gc.CheckResult("sigmoid", 4, 0.0, True,
                                      {"a": 0.0, "b": 0.0})
