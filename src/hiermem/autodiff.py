@@ -428,10 +428,8 @@ def matrix_cosine(h, m, runs) -> Tensor:
         out_data[graphs] = (hf @ mf.T) / den
         norms.append((nh, nm, den))
     if _kink_log is not None:
-        _kink_log.extend(
-            ("matrix_cosine", float(min(nh.min(initial=np.inf),
-                                        nm.min(initial=np.inf))))
-            for nh, nm, _ in norms)
+        _kink_log.extend(("matrix_cosine", float(np.concatenate((nh, nm)).min()))
+                         for nh, nm, _ in norms)
 
     def bw():
         gh = np.empty(h.data.shape, h.data.dtype)
