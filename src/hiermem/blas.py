@@ -1,8 +1,10 @@
-"""The thread count of numpy's bundled OpenBLAS, read and pinned in-process.
+"""The thread count of numpy's bundled OpenBLAS, read and pinned in-process,
+and the kernel it runs.
 
 Numpy wheels bundle OpenBLAS as `numpy.libs/libscipy_openblas*`, which
-exports a getter and a setter for its thread count. Where numpy bundles no
-such library (another BLAS, a source build), `threads()` returns None and
+exports a getter and a setter for its thread count and a getter for the name
+of the kernel it picked at load time. Where numpy bundles no such library
+(another BLAS, a source build), `threads()` and `core()` return None and
 nothing is ever pinned.
 """
 
@@ -19,7 +21,8 @@ import numpy as np
 
 @functools.cache
 def _openblas():
-    """The bundled OpenBLAS's (get, set) thread-count functions, or None."""
+    """The bundled OpenBLAS's (get, set) thread-count functions and its
+    kernel-name getter (None where it exports none), or None."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
                        .glob("libscipy_openblas*")):
         try:
@@ -30,7 +33,10 @@ def _openblas():
             continue
         get.argtypes, get.restype = (), ctypes.c_int
         set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
+        corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+        return get, set_, corename
     return None
 
 
@@ -38,6 +44,14 @@ def threads() -> int | None:
     """Threads the bundled OpenBLAS runs with, or None without it."""
     funcs = _openblas()
     return None if funcs is None else int(funcs[0]())
+
+
+def core() -> str | None:
+    """The kernel the bundled OpenBLAS picked when it loaded, from the CPU
+    and `OPENBLAS_CORETYPE` (`Haswell`, `SkylakeX`, ...), or None without
+    it or its getter."""
+    funcs = _openblas()
+    return None if funcs is None or funcs[2] is None else funcs[2]().decode()
 
 
 @contextmanager
@@ -48,7 +62,7 @@ def pinned(n: int) -> Iterator[None]:
     if funcs is None:
         yield
         return
-    get, set_ = funcs
+    get, set_, _ = funcs
     before = get()
     set_(n)
     try:

@@ -272,6 +272,7 @@ def write_manifest(out_dir: Path, command: str, values: dict, provenance: dict,
         "provenance": provenance,
         "outputs": sorted(outputs),
         "blas_threads": blas.threads() or "unknown",
+        "blas_core": blas.core() or "unknown",
         "heap_kept": training._keep_heap(),
     }
     write_json(out_dir / "manifest.json", manifest)

@@ -375,12 +375,9 @@ _CONFIG_KEY = "__config__"
 
 
 def save_params(path, params: ModelParams, cfg: ModelConfig) -> None:
-    """Write a self-describing npz: little-endian arrays plus the config."""
-    arrays = {}
-    for name, t in params.named_tensors():
-        arr = t.data
-        le = arr.dtype.newbyteorder("<")
-        arrays[name] = arr.astype(le, copy=False)
+    """Write a self-describing npz: each tensor's array as it is, in the
+    byte order its header records, plus the config."""
+    arrays = {name: t.data for name, t in params.named_tensors()}
     arrays[_CONFIG_KEY] = np.array(json.dumps(dataclasses.asdict(cfg),
                                               sort_keys=True))
     with open(path, "wb") as fh:

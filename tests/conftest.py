@@ -1,7 +1,7 @@
 """Shared fixtures: small graphs, a toy dataset on disk, tiny configs."""
 
-import ctypes
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +20,19 @@ def pytest_report_header(config):
     """The BLAS that ran: numpy's build names one kernel, while OpenBLAS
     picks its own at load time from the CPU and OPENBLAS_CORETYPE."""
     build = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    core = "unknown"
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                       .glob("libscipy_openblas*")):
-        lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "scipy_openblas_get_corename64_"):
-            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-            core = lib.scipy_openblas_get_corename64_().decode()
-            break
     return (f"numpy {np.__version__}, OpenBLAS {build.get('version')} "
             f"(build: {build.get('openblas configuration', '?')}), "
-            f"runtime core {core}, {blas.threads() or 'unknown'} BLAS threads")
+            f"runtime core {blas.core() or 'unknown'}, "
+            f"{blas.threads() or 'unknown'} BLAS threads")
+
+
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this checkout,
+    with the variables `extra` set."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def aids_corpus():

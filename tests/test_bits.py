@@ -6,15 +6,16 @@ scores, along with the numpy and OpenBLAS versions that produced them, and
 the sha256 of the gradient checker's verdicts over seeds 0-9, so a change to
 which draws that oracle compares shows here too. The test recomputes every
 case in one subprocess under a forced OpenBLAS kernel and one BLAS thread,
-because both change the bits of a GEMM; a second test recomputes two of them
+because both change the bits of a GEMM, and fails naming the kernel that ran
+if OpenBLAS ignored the forced one; a second test recomputes two of them
 in their own subprocess at two threads, which split some GEMMs differently
 (it skips where OpenBLAS runs fewer). Some cases are twins that must give
 equal digests: a corpus written to disk and parsed back (bool adjacency;
 degree columns built by the parser when the attribute file is left out)
 against the corpus as constructed, and a cross-validation run with two fold
 workers against the serial run. A change that means to keep the numerics
-leaves the file alone; one that means to change them rewrites it and lists
-the changed cases:
+leaves the file alone; one that means to change them rewrites it, which
+prints each case whose digests changed, and lists those cases:
 
     PYTHONPATH=src python tests/test_bits.py --write
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -32,8 +32,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hiermem import blas
+
+from conftest import aids_corpus, fresh_env
+
 LEDGER = Path(__file__).resolve().with_name("bits.json")
-ROOT = LEDGER.parent.parent
 PINNED_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 # the ledger's 2-thread column: these cases again at two BLAS threads
 TWO_THREADS = ("synthetic-er/full", "aids-like-600-7/full")
@@ -111,11 +114,9 @@ def _reparsed(dataset, attributes: bool = True):
 
 
 def compute(names=None) -> dict:
-    """The digests of the cases in `names` (all by default) and the BLAS
-    thread count they ran at; run under a pinned environment (`recompute`)."""
-    sys.path.insert(0, str(ROOT / "tests"))
-    from conftest import aids_corpus
-    from hiermem import blas
+    """The digests of the cases in `names` (all by default), and the BLAS
+    kernel and thread count they ran at; run under a pinned environment
+    (`recompute`)."""
     from hiermem.data import make_er_dataset
 
     er = make_er_dataset(100, 40, seed=0)
@@ -133,20 +134,32 @@ def compute(names=None) -> dict:
         "synthetic-er/cv-jobs2": lambda: _cv(er, jobs=2),
         "gradcheck": _gradcheck,
     }
-    return {**versions(), "threads": blas.threads(),
+    return {**versions(), "core": blas.core(), "threads": blas.threads(),
             "cases": {name: cases[name]() for name in names or cases}}
 
 
 def recompute(threads: int = 1, names: tuple[str, ...] = ()) -> dict:
     """`compute(names)` in a fresh interpreter under the pinned kernel and
-    `threads` BLAS threads, which OpenBLAS reads only when it loads."""
-    env = {**os.environ, **PINNED_ENV, "OPENBLAS_NUM_THREADS": str(threads)}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    `threads` BLAS threads, which OpenBLAS reads only when it loads. Fails
+    naming the kernel if OpenBLAS ran another one."""
+    env = fresh_env(**{**PINNED_ENV, "OPENBLAS_NUM_THREADS": str(threads)})
     done = subprocess.run([sys.executable, __file__, "--compute", *names],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-3000:]
-    return json.loads(done.stdout)
+    got = json.loads(done.stdout)
+    pinned = PINNED_ENV["OPENBLAS_CORETYPE"]
+    assert got["core"] == pinned, (
+        f"OpenBLAS ran the {got['core']} kernel, not the pinned {pinned}")
+    return got
+
+
+def changed_cases(old: dict, new: dict) -> list[str]:
+    """Each case, as `column case`, whose digests differ between ledgers
+    `old` and `new` in the 1-thread (`cases`) or 2-thread column, or that
+    only one of them holds."""
+    return [f"{column} {case}" for column in ("cases", "cases_2_threads")
+            for case in sorted(old.get(column, {}).keys() | new[column].keys())
+            if old.get(column, {}).get(case) != new[column].get(case)]
 
 
 def _ledger() -> dict:
@@ -178,6 +191,26 @@ def test_two_blas_threads_keep_the_ledgers_bits():
     assert got["cases"] == ledger["cases_2_threads"]
 
 
+def test_an_ignored_kernel_pin_is_named(monkeypatch):
+    if blas.core() is None:
+        pytest.skip("numpy bundles no OpenBLAS that names its kernel")
+    # OpenBLAS ignores a kernel it does not know and runs its own choice
+    monkeypatch.setitem(PINNED_ENV, "OPENBLAS_CORETYPE", "NoSuchCore")
+    with pytest.raises(AssertionError, match=(
+            r"OpenBLAS ran the \w+ kernel, not the pinned NoSuchCore")):
+        recompute(names=("synthetic-er/full",))
+
+
+def test_write_names_each_case_whose_digests_changed():
+    old = {"cases": {"a": {"scores": "1"}, "b": {"scores": "2"}},
+           "cases_2_threads": {"a": {"scores": "3"}}}
+    new = {"cases": {"a": {"scores": "1"}, "c": {"scores": "4"}},
+           "cases_2_threads": {"a": {"scores": "5"}}}
+    assert changed_cases(old, new) == ["cases b", "cases c",
+                                       "cases_2_threads a"]
+    assert changed_cases(new, new) == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compute"]:
         print(json.dumps(compute(sys.argv[2:])))
@@ -187,6 +220,9 @@ if __name__ == "__main__":
             sys.exit(f"OpenBLAS runs {two['threads']} thread(s) here, not 2")
         ledger = {**versions(), "cases": recompute()["cases"],
                   "cases_2_threads": two["cases"]}
+        old = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
         LEDGER.write_text(json.dumps(ledger, sort_keys=True, indent=2) + "\n")
+        print("\n".join(f"changed: {c}" for c in changed_cases(old, ledger))
+              or "no case changed")
     else:
         sys.exit(f"usage: {sys.argv[0]} --write")

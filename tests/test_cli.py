@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import ctypes
 import dataclasses
 import inspect
 import json
@@ -23,6 +22,8 @@ from hiermem.cli import main, parse_float_list, parse_int_list, parse_str_list
 from hiermem.data import (export_folds_csv, make_er_dataset, make_folds,
                           parse_tudataset, write_tudataset)
 from hiermem.errors import ConfigurationError
+
+from conftest import ROOT, fresh_env
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +121,9 @@ def _imported(tree: ast.AST) -> set[str]:
 def _package_and_benchmark() -> tuple[list[Path], dict[Path, ast.Module]]:
     """The package's modules, and the parsed trees of those and of the
     benchmark's modules."""
-    root = Path(__file__).resolve().parent.parent
-    sources = sorted((root / "src" / "hiermem").glob("*.py"))
+    sources = sorted((ROOT / "src" / "hiermem").glob("*.py"))
     return sources, {p: ast.parse(p.read_text())
-                     for p in sources + sorted((root / "perfbench").glob("*.py"))}
+                     for p in sources + sorted((ROOT / "perfbench").glob("*.py"))}
 
 
 def test_every_exported_name_is_used_by_the_package_or_the_benchmark():
@@ -237,15 +237,6 @@ def test_a_run_whose_last_step_diverges_exits_1_naming_a_graph(
     assert re.search(r"graph \d+: non-finite score", capsys.readouterr().err)
 
 
-def _fresh_env() -> dict:
-    """The environment of a fresh interpreter that imports this checkout."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
-
-
 def _diverged_run_stderr(disk_dataset, out_dir, jobs: str) -> str:
     """The stderr of a diverged cv run, which must lead with its error line
     and show numpy's overflow warnings after it; in a fresh interpreter,
@@ -253,7 +244,7 @@ def _diverged_run_stderr(disk_dataset, out_dir, jobs: str) -> str:
     done = subprocess.run(
         [sys.executable, "-m", "hiermem.cli",
          *run_cv_args(disk_dataset, out_dir, ["--lr", "1e30", "--jobs", jobs])],
-        env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert re.match(r"error: graph \d+: non-finite score$", lines[0])
@@ -451,6 +442,7 @@ def test_cv_writes_reports_and_manifest(disk_dataset, tmp_path, capsys):
     assert manifest["resolved_config"]["folds"] == 2
     threads = manifest["blas_threads"]
     assert threads == "unknown" or (isinstance(threads, int) and threads >= 1)
+    assert manifest["blas_core"] == (blas.core() or "unknown")
     assert manifest["heap_kept"] is training._keep_heap()
 
 
@@ -458,9 +450,11 @@ def test_manifest_records_blas_threads_and_heap_setting(disk_dataset, tmp_path,
                                                         capsys, monkeypatch):
     monkeypatch.setattr(training, "_keep_heap", lambda: False)
     monkeypatch.setattr(blas, "threads", lambda: 3)
+    monkeypatch.setattr(blas, "core", lambda: None)
     assert main(run_cv_args(disk_dataset, tmp_path)) == 0
     manifest = json.loads((tmp_path / "cv-ERS-s0" / "manifest.json").read_text())
     assert manifest["blas_threads"] == 3
+    assert manifest["blas_core"] == "unknown"
     assert manifest["heap_kept"] is False
 
 
@@ -471,6 +465,33 @@ def test_blas_threads_reads_the_bundled_openblas():
         assert isinstance(threads, int) and threads >= 1
     else:
         assert threads is None
+
+
+def test_threads_and_pinned_work_without_the_kernel_name_getter(monkeypatch):
+    if blas.threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    load = blas.ctypes.CDLL
+
+    class ThreadsOnly:
+        """The library with its thread-count functions alone."""
+        def __init__(self, path):
+            lib = load(path)
+            self.scipy_openblas_get_num_threads64_ = \
+                lib.scipy_openblas_get_num_threads64_
+            self.scipy_openblas_set_num_threads64_ = \
+                lib.scipy_openblas_set_num_threads64_
+
+    monkeypatch.setattr(blas.ctypes, "CDLL", ThreadsOnly)
+    blas._openblas.cache_clear()
+    try:
+        before = blas.threads()
+        assert blas.core() is None
+        with blas.pinned(1):
+            assert blas.threads() == 1
+        assert blas.threads() == before
+    finally:
+        monkeypatch.undo()
+        blas._openblas.cache_clear()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -818,25 +839,18 @@ print(faults[0], faults[1])
 """
 
 
-def _has_mallopt() -> bool:
-    try:
-        ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    return True
-
-
 def _faults_of_two_runs(script: str) -> tuple[int, int]:
     """Run `script` in a fresh interpreter; it prints the minor page faults
     of two runs of the same work."""
-    done = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     first, second = map(int, done.stdout.split())
     return first, second
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+@pytest.mark.skipif(not training._keep_heap(),
+                    reason="the C library does not take the heap settings")
 def test_kept_heap_does_not_fault_a_repeated_training_in_again():
     # without the heap kept, the second training faults in about as many
     # pages as the first, because glibc gave the freed ones back
@@ -866,7 +880,8 @@ print(faults[0], faults[1])
 """
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+@pytest.mark.skipif(not training._keep_heap(),
+                    reason="the C library does not take the heap settings")
 def test_library_scoring_keeps_the_heap():
     # score_graphs keeps the heap itself: with glibc's defaults the second
     # scoring faults in about two thirds of the first's pages again

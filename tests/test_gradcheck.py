@@ -216,9 +216,15 @@ def test_run_case_that_cannot_draw_smooth_inputs_names_the_last_kink(
         monkeypatch):
     monkeypatch.setattr(gc, "KINK_MARGIN", dict.fromkeys(gc.KINK_MARGIN, 1e9))
     with pytest.raises(RuntimeError, match=(
-            r"could not draw smooth inputs for relu after 16 attempts: the "
-            r"last draw put a relu input [0-9.e-]+ from its kink \(margin 1e\+09\)")):
+            rf"could not draw smooth inputs for relu after {gc._MAX_REDRAWS} "
+            r"attempts: the last draw put a relu input [0-9.e-]+ from its kink "
+            r"\(margin 1e\+09\)")):
         gc.run_case("relu", gc.CASES["relu"], seed=0)
+
+
+def test_full_loss_finds_smooth_inputs_at_its_rarest_seed():
+    # seed 110's first smooth draw of the whole model is its 17th
+    assert gc.run_case("full_loss", gc.CASES["full_loss"], 110).passed
 
 
 def test_run_case_reports_per_param_errors():

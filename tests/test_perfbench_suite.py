@@ -11,14 +11,13 @@ Each kind of benchmark invocation also runs once here, on a tiny corpus.
 import inspect
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 from hiermem import autodiff, data, model, training
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, fresh_env
 
 # the leading parameters `perfbench/spans.py` reads by position or by name
 BOUND_PARAMETERS = (
@@ -37,13 +36,10 @@ def test_functions_perfbench_binds_keep_their_parameters():
 
 
 def test_perfbench_self_tests_pass():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "perfbench"], cwd=ROOT, env=env, capture_output=True, text=True,
-        timeout=300)
+         "perfbench"], cwd=ROOT, env=fresh_env(), capture_output=True,
+        text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
 
 
