@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, blas, training
-from .data import (atomic_open, dataset_checksum, export_folds_csv,
-                   make_er_dataset, make_folds, parse_tudataset, write_json)
+from .data import (atomic_open, export_folds_csv, make_er_dataset, make_folds,
+                   parse_tudataset, write_json)
 from .errors import (CheckpointError, ConfigurationError, DatasetParseError,
                      StructuralError, TrainingDiverged)
 from .evaluation import (run_cv, write_history_csv, write_report_csv,
@@ -252,7 +252,7 @@ def load_dataset(values: dict):
         checksum = f"synthetic-er:normal=100,anomalous=40,seed={values['seed']}"
         return ds, checksum
     ds = parse_tudataset(values["data-dir"], name)
-    return ds, dataset_checksum(values["data-dir"], name)
+    return ds, ds.checksum
 
 
 def write_resolved_cfg(path: Path, values: dict) -> None:

@@ -3,7 +3,10 @@
 Reads TUDataset-format collections (edge list, graph indicator, graph labels,
 optional node attributes), derives anomaly labels by the minority-class rule,
 builds stratified cross-validation folds with a held-out contamination pool,
-and stacks graphs of one node count for a batch.
+and stacks graphs of one node count for a batch. The numbers a corpus's text
+holds are read once per content: a parse that succeeds keeps them in a cache
+file beside the TU files, keyed by `dataset_checksum`, and later parses of
+the same files read that file in place of the text.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import json
 import math
 import os
 import warnings
+import zipfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -64,10 +68,13 @@ class Graph:
 
 @dataclass(eq=False)
 class GraphDataset:
+    """A corpus; `checksum` is the `dataset_checksum` of the files it was
+    parsed from, None for one built in memory."""
     graphs: list[Graph]
     attribute_dim: int
     n_max: int
     name: str
+    checksum: str | None = None
 
     def __post_init__(self):
         for g in self.graphs:
@@ -183,6 +190,47 @@ def _tu_paths(root_dir, name: str) -> list[Path]:
             ("A", "graph_indicator", "graph_labels", "node_attributes")]
 
 
+# the cache's layout; a cache written under another one is a miss
+_ROWS_LAYOUT = "hiermem-tu-rows-1"
+
+
+def _cached_rows(cache: Path, key: str) -> dict[str, np.ndarray] | None:
+    """The rows `_stage_rows` kept in `cache` under `key`, by file name, or
+    None where the file is missing or holds anything else."""
+    try:
+        # opened here, so that a file numpy cannot read is closed too
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            if z["key"].tolist() != key:
+                return None
+            return {f: z[f] for f in z.files if f != "key"}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None     # missing, truncated, foreign or unreadable
+
+
+def _stage_rows(cache: Path, key: str, rows: dict[str, np.ndarray]) -> Path | None:
+    """A temporary file beside `cache` holding `rows` under `key`, each
+    integer array as int32 where its values fit; None where it cannot be
+    written."""
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    i32 = np.iinfo(np.int32)
+    narrow = {f: a.astype(np.int32) if a.dtype.kind == "i" and
+              i32.min <= a.min(initial=0) and a.max(initial=0) <= i32.max else a
+              for f, a in rows.items()}
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, key=np.array(key), **narrow)
+    except OSError:
+        _discard(tmp)
+        return None
+    return tmp
+
+
+def _discard(path: Path | None) -> None:
+    if path is not None:
+        with suppress(OSError):
+            path.unlink(missing_ok=True)
+
+
 def label_anomalies(raw_labels: list[int]) -> list[int]:
     """Map raw class labels to {0 normal, 1 anomalous} by strict minority.
 
@@ -205,13 +253,29 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
 
     Each file is checked once, in whole-array passes, for every invariant
     `Graph` checks; the parsed graphs skip those per-graph checks.
+
+    The text is converted to numbers once per content. A parse that
+    succeeds keeps the rows it read in `.<name>.rows.npz` beside the files,
+    under the files' `dataset_checksum`, and a later parse of the same
+    files reads that cache in place of the text; every check and the build
+    then run on its rows as on the text's. A cache that is missing, stale,
+    damaged or of another layout is read past; one that cannot be written,
+    or whose files changed while their text was read, is not written.
     """
     edges_path, indicator_path, labels_path, attrs_path = _tu_paths(root_dir, name)
+    checksum = dataset_checksum(root_dir, name)
+    key = f"{_ROWS_LAYOUT} {checksum}"
+    cache = edges_path.with_name(f".{name}.rows.npz")
+    cached = _cached_rows(cache, key)
 
-    indicator = _read_rows(indicator_path, np.int64, 1)[:, 0]
+    def read(path: Path, kind: type, width: int | None = None) -> np.ndarray:
+        # popped, so that the parse can drop each array as it does the text's
+        return _read_rows(path, kind, width) if cached is None else cached.pop(path.name)
+
+    indicator = read(indicator_path, np.int64, 1)[:, 0]
     if not indicator.size:
         raise DatasetParseError(f"{indicator_path}: no nodes listed")
-    raw_labels = _read_rows(labels_path, np.int64, 1)[:, 0]
+    raw_labels = read(labels_path, np.int64, 1)[:, 0]
     try:
         labels = label_anomalies(raw_labels.tolist())
     except ConfigurationError as e:
@@ -240,7 +304,7 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
 
     attributes = None
     if attrs_path.is_file():
-        attributes = _read_rows(attrs_path, np.float64)
+        attributes = read(attrs_path, np.float64)
         if len(attributes) != num_nodes:
             raise DatasetParseError(
                 f"{attrs_path}: {len(attributes)} attribute rows for {num_nodes} nodes")
@@ -250,11 +314,21 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
             r = int(np.argmax(bad & (node_graph == g)))
             raise StructuralError(
                 f"{_at(attrs_path, r)}: non-finite attribute in graph {g + 1}")
-        attributes = attributes[by_graph]
 
+    edges = read(edges_path, np.int64, 2)
+    # every file is read: the text's rows go to a temporary file, which
+    # becomes the cache only once the whole parse has succeeded. A file
+    # rewritten while it was read would leave rows that its old checksum
+    # does not describe, so they are kept only if the files are unchanged
+    staged = None
+    if cached is None and dataset_checksum(root_dir, name) == checksum:
+        staged = _stage_rows(cache, key, {
+            path.name: rows for path, rows in (
+                (edges_path, edges), (indicator_path, indicator[:, None]),
+                (labels_path, raw_labels[:, None]), (attrs_path, attributes))
+            if rows is not None})
     # each per-edge temporary is dropped as soon as it has been read: the
     # edge arrays are the largest the parse holds
-    edges = _read_rows(edges_path, np.int64, 2)
     edges -= 1
     u, v = edges[:, 0], edges[:, 1]
     bad = (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
@@ -263,6 +337,7 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
     bad |= gu != node_graph.take(v, mode="clip")
     bad |= u == v
     if bad.any():
+        _discard(staged)
         r = int(np.argmax(bad))
         at, a, b = _at(edges_path, r), int(u[r]), int(v[r])
         if not (0 <= a < num_nodes and 0 <= b < num_nodes):
@@ -288,9 +363,18 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
         cell += start
         flat[cell] = True
     del start, size, lu, lv, row, col, cell
+    if staged is not None:
+        try:
+            os.replace(staged, cache)
+        except OSError:
+            _discard(staged)
 
     # the checks above prove Graph's: nodes in every graph, symmetric (n, n)
-    # adjacency without self-loops, n finite attribute rows, 0/1 labels
+    # adjacency without self-loops, n finite attribute rows, 0/1 labels.
+    # The attribute rows go into graph order only now, as the cache keeps
+    # the file's order
+    if attributes is not None:
+        attributes = attributes[by_graph]
     cells, starts = cells.tolist(), starts.tolist()
     graphs = [_proven_graph(adjacency=(a := flat[cells[g]:cells[g + 1]].reshape(n, n)),
                             attributes=degree_features(a) if attributes is None
@@ -300,7 +384,7 @@ def parse_tudataset(root_dir, name: str) -> GraphDataset:
 
     return GraphDataset(graphs=graphs,
                         attribute_dim=graphs[0].attributes.shape[1],
-                        n_max=int(counts.max()), name=name)
+                        n_max=int(counts.max()), name=name, checksum=checksum)
 
 
 def write_tudataset(dataset: GraphDataset, root_dir) -> None:
@@ -330,13 +414,22 @@ def write_tudataset(dataset: GraphDataset, root_dir) -> None:
         path.write_text("\n".join(lines) + "\n")
 
 
+# below glibc's default mmap threshold (128 KiB): a buffer the heap serves
+# leaves the threshold where it was
+_HASH_BLOCK = 1 << 16
+
+
 def dataset_checksum(root_dir, name: str) -> str:
-    """SHA-256 over the name and bytes of each TU file the parser reads."""
+    """SHA-256 over the name and bytes of each TU file the parser reads,
+    each read in blocks of `_HASH_BLOCK` bytes into one buffer."""
     h = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK)
     for p in _tu_paths(root_dir, name):
         if p.is_file():
             h.update(p.name.encode())
-            h.update(p.read_bytes())
+            with open(p, "rb") as fh:
+                while n := fh.readinto(block):
+                    h.update(memoryview(block)[:n])
     return h.hexdigest()
 
 

@@ -11,9 +11,10 @@ if OpenBLAS ignored the forced one; a second test recomputes two of them
 in their own subprocess at two threads, which split some GEMMs differently
 (it skips where OpenBLAS runs fewer). Some cases are twins that must give
 equal digests: a corpus written to disk and parsed back (bool adjacency;
-degree columns built by the parser when the attribute file is left out)
-against the corpus as constructed, and a cross-validation run with two fold
-workers against the serial run. A change that means to keep the numerics
+degree columns built by the parser when the attribute file is left out; or
+parsed twice, the second time from the rows cache) against the corpus as
+constructed, and a cross-validation run with two fold workers against the
+serial run. A change that means to keep the numerics
 leaves the file alone; one that means to change them rewrites it, which
 prints each case whose digests changed, and lists those cases:
 
@@ -45,6 +46,7 @@ EPOCHS, BATCH, FOLDS = 2, 80, 5
 # case -> the case whose digests it must equal
 TWINS = {
     "aids-like-600-7-parsed/full": "aids-like-600-7/full",
+    "aids-like-600-7-cached/full": "aids-like-600-7/full",
     "synthetic-er-parsed/full": "synthetic-er/full",
     "synthetic-er/cv-jobs2": "synthetic-er/cv",
 }
@@ -100,9 +102,11 @@ def _gradcheck() -> dict[str, str]:
     return {"verdicts": _sha(json.dumps(verdicts).encode())}
 
 
-def _reparsed(dataset, attributes: bool = True):
-    """`dataset` written in the TUDataset layout and parsed back; without
-    its attribute file the parser builds the degree columns."""
+def _reparsed(dataset, attributes: bool = True, parses: int = 1):
+    """`dataset` written in the TUDataset layout and parsed back `parses`
+    times, the last parse's result; without its attribute file the parser
+    builds the degree columns, and every parse after the first reads the
+    rows cache the first one wrote."""
     from hiermem.data import parse_tudataset, write_tudataset
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -110,7 +114,9 @@ def _reparsed(dataset, attributes: bool = True):
         write_tudataset(dataset, root)
         if not attributes:
             (root / dataset.name / f"{dataset.name}_node_attributes.txt").unlink()
-        return parse_tudataset(root, dataset.name)
+        for _ in range(parses):
+            parsed = parse_tudataset(root, dataset.name)
+        return parsed
 
 
 def compute(names=None) -> dict:
@@ -130,6 +136,8 @@ def compute(names=None) -> dict:
             lambda: _case(_reparsed(er, attributes=False), "full"),
         "aids-like-600-7/full": lambda: _case(aids, "full"),
         "aids-like-600-7-parsed/full": lambda: _case(_reparsed(aids), "full"),
+        "aids-like-600-7-cached/full":
+            lambda: _case(_reparsed(aids, parses=2), "full"),
         "synthetic-er/cv": lambda: _cv(er, jobs=1),
         "synthetic-er/cv-jobs2": lambda: _cv(er, jobs=2),
         "gradcheck": _gradcheck,

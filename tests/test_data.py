@@ -1,6 +1,9 @@
 """Dataset parsing, labeling, folds, contamination, batching."""
 
+import hashlib
+import json
 import math
+import os
 import pickle
 import re
 import tempfile
@@ -619,6 +622,251 @@ def test_checksum_hashes_exactly_the_files_the_parser_reads(tmp_path):
     changed = dt.dataset_checksum(tmp_path, "PIN")
     attrs.unlink()
     assert len({pinned, changed, dt.dataset_checksum(tmp_path, "PIN")}) == 3
+
+
+def test_checksum_reads_a_file_in_blocks(tmp_path):
+    # a whole-file read held the file's bytes at once; blocks hold one
+    # 64 KiB buffer
+    d = write_tud_files(tmp_path, "BIG")
+    attrs = d / "BIG_node_attributes.txt"
+    attrs.write_bytes(b"1.0, 0.5\n" * 400_000)
+    want = hashlib.sha256()
+    for path in dt._tu_paths(tmp_path, "BIG"):
+        want.update(path.name.encode() + path.read_bytes())
+    tracemalloc.start()
+    try:
+        got = dt.dataset_checksum(tmp_path, "BIG")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want.hexdigest()
+    size = attrs.stat().st_size
+    assert size > 3.5e6 and peak < size / 16, peak
+
+
+# ---------------------------------------------------------------------------
+# the rows cache
+
+def _cache(root, name):
+    return dt._tu_paths(root, name)[0].with_name(f".{name}.rows.npz")
+
+
+def _write_corpus(root, corpus):
+    """TOY, MIX (graph ids interleaved), or either without its attribute
+    file (`-degree`, the parser builds the degree columns)."""
+    name, _, degree = corpus.partition("-")
+    d = _write_mix(root) if name == "MIX" else write_tud_files(root, name)
+    if degree:
+        (d / f"{name}_node_attributes.txt").unlink()
+    return name
+
+
+def _assert_identical(got, want):
+    assert (got.name, got.attribute_dim, got.n_max, got.checksum) == \
+        (want.name, want.attribute_dim, want.n_max, want.checksum)
+    assert len(got.graphs) == len(want.graphs)
+    for a, b in zip(got.graphs, want.graphs):
+        assert (a.graph_id, a.label, a.node_count) == (b.graph_id, b.label, b.node_count)
+        for x, y in ((a.adjacency, b.adjacency), (a.attributes, b.attributes)):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+@pytest.fixture
+def text_reads(monkeypatch):
+    """The name of each file the parser reads as text, in order."""
+    reads, real = [], dt._read_rows
+
+    def recording(path, kind, width=None):
+        reads.append(path.name)
+        return real(path, kind, width)
+
+    monkeypatch.setattr(dt, "_read_rows", recording)
+    return reads
+
+
+def _refuse_text(monkeypatch):
+    def refuse(path, kind, width=None):
+        raise AssertionError(f"{path.name} read as text")
+
+    monkeypatch.setattr(dt, "_read_rows", refuse)
+
+
+@pytest.mark.parametrize("corpus", ["TOY", "MIX", "TOY-degree", "MIX-degree"])
+def test_a_second_parse_reads_the_cache_and_equals_the_first(tmp_path, corpus,
+                                                             monkeypatch):
+    name = _write_corpus(tmp_path, corpus)
+    first = dt.parse_tudataset(tmp_path, name)
+    assert first.checksum == dt.dataset_checksum(tmp_path, name)
+    assert _cache(tmp_path, name).is_file()
+    _refuse_text(monkeypatch)
+    _assert_identical(dt.parse_tudataset(tmp_path, name), first)
+
+
+def test_a_cached_aids_shaped_corpus_equals_the_written_one(tmp_path, monkeypatch):
+    dataset = aids_corpus().make_aids_like(300, seed=5)
+    dt.write_tudataset(dataset, tmp_path)
+    first = dt.parse_tudataset(tmp_path, dataset.name)
+    _refuse_text(monkeypatch)
+    again = dt.parse_tudataset(tmp_path, dataset.name)
+    _assert_identical(again, first)
+    _assert_same_graphs(again, dataset)
+    # its edge and graph indicator rows are stored as int32
+    with np.load(_cache(tmp_path, dataset.name)) as z:
+        assert {z[f].dtype for f in z.files if f.endswith(("_A.txt", "indicator.txt"))} \
+            == {np.dtype(np.int32)}
+
+
+@pytest.mark.parametrize("suffix, old, new", [
+    ("A.txt", "7, 8\n", "7, 8\n6, 8\n"),                 # graph 3: a triangle
+    ("graph_indicator.txt", "3\n", "3\n\n"),              # the rows stay
+    ("graph_labels.txt", "0\n1\n0\n", "1\n0\n0\n"),         # graph 1 anomalous
+    ("node_attributes.txt", "1.0, 0.5", "9.0, 0.5"),
+], ids=["A", "graph_indicator", "graph_labels", "node_attributes"])
+def test_editing_any_tu_file_reparses_and_rewrites_the_cache(tmp_path, suffix,
+                                                             old, new, text_reads):
+    d = write_tud_files(tmp_path, "TOY")
+    dt.parse_tudataset(tmp_path, "TOY")
+    path = d / f"TOY_{suffix}"
+    path.write_text(path.read_text().replace(old, new, 1))
+    text_reads.clear()
+    edited = dt.parse_tudataset(tmp_path, "TOY")
+    assert sorted(text_reads) == sorted(p.name for p in dt._tu_paths(tmp_path, "TOY"))
+    # the same files in a directory without a cache parse the same
+    fresh = write_tud_files(tmp_path / "fresh", "TOY")
+    (fresh / path.name).write_bytes(path.read_bytes())
+    _assert_identical(edited, dt.parse_tudataset(tmp_path / "fresh", "TOY"))
+    text_reads.clear()
+    _assert_identical(dt.parse_tudataset(tmp_path, "TOY"), edited)
+    assert text_reads == []
+
+
+def test_a_file_rewritten_during_the_parse_leaves_no_cache(tmp_path, monkeypatch):
+    d = write_tud_files(tmp_path, "TOY")
+    real = dt._read_rows
+
+    def rewriting(path, kind, width=None):
+        rows = real(path, kind, width)
+        if path.name == "TOY_graph_labels.txt":
+            path.write_text("0\n1\n1\n")
+        return rows
+
+    monkeypatch.setattr(dt, "_read_rows", rewriting)
+    dt.parse_tudataset(tmp_path, "TOY")
+    assert not _cache(tmp_path, "TOY").exists()
+    assert not [f for f in os.listdir(d) if f.endswith(".tmp")]
+
+
+def _savez(path, **arrays):
+    with open(path, "wb") as fh:       # np.savez adds `.npz` to a file name
+        np.savez(fh, **arrays)
+
+
+def _stale_layout(cache, root):
+    # the same rows under an older layout's tag, whose edges meant
+    # something else (here: 0-based)
+    with np.load(cache) as z:
+        rows = {f: z[f] for f in z.files}
+    rows["TOY_A.txt"] = rows["TOY_A.txt"] - 1
+    rows["key"] = np.array(str(rows["key"]).replace(dt._ROWS_LAYOUT,
+                                                    "hiermem-tu-rows-0"))
+    _savez(cache, **rows)
+
+
+def _foreign(cache, root):
+    # the cache of a corpus whose labels differ
+    d = write_tud_files(root / "other", "TOY")
+    (d / "TOY_graph_labels.txt").write_text("1\n0\n0\n")
+    dt.parse_tudataset(root / "other", "TOY")
+    cache.write_bytes(_cache(root / "other", "TOY").read_bytes())
+
+
+@pytest.mark.parametrize("damage", [
+    lambda cache, root: cache.write_bytes(cache.read_bytes()[:cache.stat().st_size // 2]),
+    lambda cache, root: cache.write_bytes(b"not a cache\n" * 10),
+    lambda cache, root: cache.write_bytes(b""),
+    _stale_layout,
+    _foreign,
+    lambda cache, root: _savez(cache, key=np.array(["?"], dtype=object)),
+], ids=["truncated", "garbage", "empty", "stale-layout", "foreign", "pickled"])
+def test_a_damaged_or_stale_cache_is_read_past_and_rewritten(tmp_path, damage,
+                                                             text_reads):
+    write_tud_files(tmp_path, "TOY")
+    want = dt.parse_tudataset(tmp_path, "TOY")
+    damage(_cache(tmp_path, "TOY"), tmp_path)
+    text_reads.clear()
+    _assert_identical(dt.parse_tudataset(tmp_path, "TOY"), want)
+    assert len(text_reads) == 4
+    text_reads.clear()
+    _assert_identical(dt.parse_tudataset(tmp_path, "TOY"), want)
+    assert text_reads == []
+
+
+def test_a_read_only_directory_parses_and_writes_nothing(tmp_path, monkeypatch):
+    d = write_tud_files(tmp_path, "TOY")
+    before = sorted(os.listdir(d))
+    want = dt.parse_tudataset(write_tud_files(tmp_path / "writable", "TOY").parent,
+                              "TOY")
+    d.chmod(0o555)
+    try:
+        if os.access(d, os.W_OK):     # root writes anyway: refuse as the OS would
+            def refusing(file, mode="r", *args, **kwargs):
+                if "w" in mode:
+                    raise PermissionError(13, "Permission denied", str(file))
+                return open(file, mode, *args, **kwargs)
+
+            monkeypatch.setattr(dt, "open", refusing, raising=False)
+        for _ in range(2):
+            got = dt.parse_tudataset(tmp_path, "TOY")
+            _assert_identical(got, want)
+    finally:
+        d.chmod(0o755)
+    assert sorted(os.listdir(d)) == before
+
+
+@pytest.mark.parametrize("suffix, text, error, message", [
+    ("graph_indicator.txt", "1\n1\n1\n2\n2\n3\n3\n9\n", DatasetParseError,
+     ":8: graph id 9 outside 1..3"),
+    ("node_attributes.txt", "1.0, 0.5\n" * 7 + "nan, 0.5\n", StructuralError,
+     ":8: non-finite attribute in graph 3"),
+    ("A.txt", "1, 2\n2, 1\n3, 4\n", StructuralError, ":3: edge joins graphs 1 and 2"),
+    ("A.txt", "1, 2\nx, 1\n", DatasetParseError, ":2: non-numeric"),
+])
+def test_a_bad_corpus_fails_alike_every_time_and_leaves_no_cache(
+        tmp_path, suffix, text, error, message):
+    d = write_tud_files(tmp_path, "TOY")
+    (d / f"TOY_{suffix}").write_text(text)
+    before = sorted(os.listdir(d))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error, match=re.escape(f"TOY_{suffix}{message}")) as e:
+            dt.parse_tudataset(tmp_path, "TOY")
+        raised.append(str(e.value))
+    assert raised[0] == raised[1]
+    assert sorted(os.listdir(d)) == before
+
+
+def test_a_repeated_cv_run_writes_the_same_files(tmp_path, monkeypatch):
+    from hiermem.cli import main
+
+    dt.write_tudataset(dt.make_er_dataset(12, 6, seed=2, n_range=(5, 8),
+                                          name="ERS"), tmp_path / "data")
+    hashed, real = [], dt.dataset_checksum
+    monkeypatch.setattr(dt, "dataset_checksum",
+                        lambda *a: hashed.append(a) or real(*a))
+    runs = []
+    for run in ("first", "second"):
+        assert main(["cv", "--dataset", "ERS", "--data-dir", str(tmp_path / "data"),
+                     "--folds", "2", "--epochs", "1",
+                     "--out-dir", str(tmp_path / run)]) == 0
+        runs.append(tmp_path / run / "cv-ERS-s0")
+    # the second run read the cache the first one wrote, hashing the files
+    # once; the first hashed them again after reading their text
+    assert _cache(tmp_path / "data", "ERS").is_file() and len(hashed) == 3
+    for name in ("report.csv", "history-report.csv", "folds.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    checksums = {json.loads((r / "manifest.json").read_text())["dataset_checksum"]
+                 for r in runs}
+    assert checksums == {real(tmp_path / "data", "ERS")}
 
 
 # ---------------------------------------------------------------------------
